@@ -31,6 +31,7 @@ from .graphs import (
 )
 from .heatflow import (
     HeatFlowMatrix,
+    SmoothingOperator,
     exact_heat_kernel,
     heatflow_apply,
     load_heatflow,
@@ -58,6 +59,7 @@ from .penalty import (
 __all__ = [
     "DesignSpec", "FitConfig", "FitResult", "Graph", "GroupStructure",
     "HeatFlowMatrix", "HeatLassoError", "LaplacianSpectrum", "MetricsReport",
+    "SmoothingOperator",
     "block_cd", "brute_force_re", "connected_components", "cross_validate",
     "default_gff_mass", "estimate_graph", "evaluate_fit",
     "exact_heat_kernel", "flow_time_prescription", "group_averaging_kernel",

@@ -16,8 +16,9 @@ from . import __version__
 from .diagnostics import verify_spectral_bounds
 from .errors import HeatLassoError, NonFiniteObjective
 from .experiments import (
-    _derived_seed,
     _estimated_graph,
+    fit_config_from_config,
+    fit_walk_table,
     fit_with_config,
     run_experiment,
 )
@@ -141,18 +142,24 @@ def cmd_fit(args):
     g = _graph_for_fit(args, X)
     section = _fit_section_from_args(args)
     flow = None
-    if args.flow and os.path.exists(args.flow):
+    stored = bool(args.flow) and os.path.exists(args.flow)
+    if stored:
         flow = load_heatflow(args.flow)
         if flow.p != X.shape[1]:
             raise CliError(f"{args.flow}: walk table is for p={flow.p}, "
                            f"data has p={X.shape[1]}")
+        for flag, name, given, held in (("--t", "t", args.t, flow.t),
+                                        ("--walks", "B", args.walks, flow.B)):
+            if given is not None and given != held:
+                raise CliError(f"{args.flow}: walk table has {name}={held}, "
+                               f"{flag} {given} was given")
+    elif args.flow:
+        # simulate the table here, so the fit uses the one stored below
+        flow = fit_walk_table(g, fit_config_from_config(section, args.seed), args.seed)
     result, lam, t, _ = fit_with_config(X, y, g, section, args.seed,
                                         args.optimizer, flow=flow)
-    if args.flow and flow is None:
-        # store the table this fit used so later invocations can reuse it
-        rebuilt = simulate_heat_flow(g, t, section.get("B", 100),
-                                     seed=_derived_seed(args.seed, 0x4EA7))
-        save_heatflow(rebuilt, args.flow)
+    if args.flow and not stored:
+        save_heatflow(flow, args.flow)
     out_dir = args.out or "."
     fit_path = _write_fit_outputs(out_dir, f"fit_{args.optimizer}", result,
                                   lam, t, g.edge_count)

@@ -172,9 +172,14 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
         cfg = replace(cfg, t=flow.t, B=flow.B)
         H = flow
     else:
-        H = simulate_heat_flow(g, cfg.t, cfg.B, seed=_derived_seed(seed, 0x4EA7))
+        H = fit_walk_table(g, cfg, seed)
     result = _OPTIMIZERS[optimizer](X, y, H, cfg)
     return result, cfg.lam, cfg.t, table
+
+
+def fit_walk_table(g: Graph, cfg: FitConfig, seed: int):
+    """The walk table fit_with_config simulates for a final fit at cfg.t, cfg.B."""
+    return simulate_heat_flow(g, cfg.t, cfg.B, seed=_derived_seed(seed, 0x4EA7))
 
 
 def _run_repeat(config, repeat, base_seed):

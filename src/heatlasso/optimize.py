@@ -2,9 +2,17 @@
 heat-flow penalized loss, the 2-means hard-thresholding step, and
 cross-validation over the (penalty weight, flow time) grid.
 
-Both optimizers accept either a HeatFlowMatrix (the production path: one
-simulation reused across every iteration) or a dense kernel matrix (the
-exact oracle used by tests).
+Both optimizers accept a HeatFlowMatrix (the production path: one
+simulation reused across every iteration), a dense kernel matrix (the exact
+oracle used by tests) or a SmoothingOperator, and compile it once per fit
+into the operator K that does all their smoothing. Inputs are checked once
+per fit. Subgradient descent smooths once forward (K (beta (.) beta), which
+gives the reported penalty and the next step's scaling) and once transposed
+(K^T r) per iteration, and carries z = X beta and the loss derivative from
+one iteration's objective to the next step. Block coordinate descent keeps
+h = K (beta (.) beta) current with h += K[:, S] (beta_S,new^2 - beta_S,old^2)
+and reads the penalty off h, so an iteration costs O((n + p) q) on a dense
+operator.
 """
 
 import json
@@ -16,16 +24,15 @@ from .errors import (
     FoldTooSmall,
     GridEmpty,
     LabelDomain,
+    LengthMismatch,
     NonFiniteObjective,
     ShapeMismatch,
 )
-from .heatflow import HeatFlowMatrix, heatflow_apply, simulate_heat_flow
-from .penalty import _smooth, penalty_value
+from .heatflow import SmoothingOperator, simulate_heat_flow
+from .penalty import _penalty_sum, _root_slope
 
 RATE_PROTOCOLS = ("constant", "inv_sqrt")
 LOSSES = ("squared_error", "logistic")
-
-_PROB_CLAMP = 1e-12
 
 
 @dataclass
@@ -115,18 +122,29 @@ def loss_and_grad(beta, X, y, kind="squared_error"):
     if X.ndim != 2 or y.shape != (X.shape[0],) or beta.shape != (X.shape[1],):
         raise ShapeMismatch(
             f"inconsistent shapes: X {X.shape}, y {y.shape}, beta {beta.shape}")
-    n = X.shape[0]
-    z = X @ beta
+    if kind == "logistic":
+        _check_labels(y)
+    value, dz = _loss_from_linear(X @ beta, y, kind)
+    return value, X.T @ dz
+
+
+def _loss_from_linear(z, y, kind):
+    """(loss value, dloss/dz) for the linear predictor z = X beta."""
+    n = y.size
     if kind == "squared_error":
         r = z - y
-        return float(r @ r / (2 * n)), X.T @ r / n
+        return float(r @ r / (2 * n)), r / n
     if kind == "logistic":
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise LabelDomain("logistic labels must lie in {0, 1}")
-        prob = np.clip(1.0 / (1.0 + np.exp(-z)), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        value = float(-np.mean(y * np.log(prob) + (1 - y) * np.log1p(-prob)))
-        return value, X.T @ (prob - y) / n
+        # log(1 + e^z) - y z, exact for any z; sigmoid from e^{-|z|} <= 1
+        e = np.exp(-np.abs(z))
+        prob = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        return float(np.mean(np.logaddexp(0.0, z) - y * z)), (prob - y) / n
     raise ValueError(f"unknown loss {kind!r}")
+
+
+def _check_labels(y):
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise LabelDomain("logistic labels must lie in {0, 1}")
 
 
 def _require_finite(value, what):
@@ -134,45 +152,57 @@ def _require_finite(value, what):
         raise NonFiniteObjective(f"{what} is not finite; reduce the learning rate")
 
 
-def _walk_steps(semigroup):
-    return semigroup.total_steps if isinstance(semigroup, HeatFlowMatrix) else 0
+def _fit_inputs(X, y, semigroup, cfg, beta0):
+    """Check a fit's inputs once; returns (X, y, starting beta, operator)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ShapeMismatch(f"inconsistent shapes: X {X.shape}, y {y.shape}")
+    p = X.shape[1]
+    cfg.validate(p)
+    if cfg.loss == "logistic":
+        _check_labels(y)
+    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64).copy()
+    if beta.shape != (p,):
+        raise ShapeMismatch(f"beta0 has shape {beta.shape}, expected ({p},)")
+    op = SmoothingOperator.compile(semigroup)
+    if op.p != p:
+        raise LengthMismatch(f"smoothing operator acts on {op.p} variables, "
+                             f"X has {p} columns")
+    return X, y, beta, op
 
 
-def _objective(beta, X, y, semigroup, cfg):
-    value = loss_and_grad(beta, X, y, cfg.loss)[0]
-    if cfg.lam:
-        value += cfg.lam * penalty_value(beta, semigroup)
-    return value
+def _result(beta, trace, converged, op):
+    return FitResult(
+        beta_hat=beta,
+        beta_thresholded=threshold_kmeans(beta),
+        iterations=len(trace),
+        objective_trace=trace,
+        converged=converged,
+        total_walk_steps=op.walk_steps,
+    )
 
 
-def subgradient_descent(X, y, semigroup, cfg: FitConfig, beta0=None,
-                        h_from_smoothed_beta: bool = False) -> FitResult:
+def subgradient_descent(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     """Full subgradient descent on the penalized loss.
 
     beta0 is the starting point (default: the zero vector).
-    h_from_smoothed_beta uses (e^{-tL} beta) (.) beta in place of
-    e^{-tL}(beta (.) beta) when forming the subgradient scaling; comparison
-    only, the default matches the penalty actually being minimized.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    p = X.shape[1]
-    cfg.validate(p)
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64).copy()
+    X, y, beta, op = _fit_inputs(X, y, semigroup, cfg, beta0)
+    loss_val, dz = _loss_from_linear(X @ beta, y, cfg.loss)
+    _require_finite(loss_val, "loss")
+    h = op.apply(beta * beta) if cfg.lam else None
     trace = []
     converged = False
     for i in range(1, cfg.max_iters + 1):
-        loss_val, grad = loss_and_grad(beta, X, y, cfg.loss)
-        _require_finite(loss_val, "loss")
+        grad = X.T @ dz
         if cfg.lam:
-            if h_from_smoothed_beta:
-                h = _smooth(semigroup, beta) * beta
-            else:
-                h = _smooth(semigroup, beta * beta)
-            root_slope = np.sign(h) / np.maximum(np.sqrt(np.abs(h)), cfg.eps_den)
-            grad = grad + cfg.lam * _smooth(semigroup, root_slope) * beta
+            grad += cfg.lam * op.apply_T(_root_slope(h, cfg.eps_den)) * beta
         beta_new = beta - cfg.learning_rate(i) * grad
-        obj = _objective(beta_new, X, y, semigroup, cfg)
+        obj, dz = _loss_from_linear(X @ beta_new, y, cfg.loss)
+        if cfg.lam:
+            h = op.apply(beta_new * beta_new)
+            obj += cfg.lam * _penalty_sum(h)
         _require_finite(obj, "objective")
         trace.append(obj)
         reldiff = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-12)
@@ -180,90 +210,44 @@ def subgradient_descent(X, y, semigroup, cfg: FitConfig, beta0=None,
         if reldiff <= cfg.eps_tol:
             converged = True
             break
-    return FitResult(
-        beta_hat=beta,
-        beta_thresholded=threshold_kmeans(beta),
-        iterations=len(trace),
-        objective_trace=trace,
-        converged=converged,
-        total_walk_steps=_walk_steps(semigroup),
-    )
-
-
-def _restricted_penalty_subgrad(semigroup, beta, S, eps_den):
-    """Penalty subgradient on the coordinates S only.
-
-    With a HeatFlowMatrix the smoothed squares h are evaluated on demand at
-    the terminal vertices reachable from S, never over the whole graph.
-    """
-    if isinstance(semigroup, HeatFlowMatrix):
-        term_S = semigroup.terminals[S]
-        needed = np.unique(term_S)
-        h_needed = heatflow_apply(semigroup, beta * beta, needed)
-        root_slope = np.zeros(semigroup.p)
-        root_slope[needed] = np.sign(h_needed) / np.maximum(
-            np.sqrt(np.abs(h_needed)), eps_den)
-        return root_slope[term_S].mean(axis=1) * beta[S]
-    K = np.asarray(semigroup, dtype=np.float64)
-    h = K @ (beta * beta)
-    root_slope = np.sign(h) / np.maximum(np.sqrt(np.abs(h)), eps_den)
-    return (K[S] @ root_slope) * beta[S]
-
-
-def _loss_from_linear(z, y, kind):
-    """(loss value, dloss/dz) for a precomputed linear predictor z = X beta."""
-    n = y.size
-    if kind == "squared_error":
-        r = z - y
-        return float(r @ r / (2 * n)), r / n
-    prob = np.clip(1.0 / (1.0 + np.exp(-z)), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-    value = float(-np.mean(y * np.log(prob) + (1 - y) * np.log1p(-prob)))
-    return value, (prob - y) / n
+    return _result(beta, trace, converged, op)
 
 
 def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     """Stochastic block coordinate descent: each iteration updates a uniform
     random block of block_size coordinates using the restricted subgradient."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = X.shape
-    cfg.validate(p)
-    if cfg.loss == "logistic" and not np.isin(y, (0.0, 1.0)).all():
-        raise LabelDomain("logistic labels must lie in {0, 1}")
+    X, y, beta, op = _fit_inputs(X, y, semigroup, cfg, beta0)
+    p = X.shape[1]
     q = p if cfg.block_size is None else cfg.block_size
+    XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xB10C]))
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64).copy()
-    z = X @ beta if beta0 is not None else np.zeros(n)  # X @ beta, incremental
+    z = X @ beta  # kept equal to X @ beta by incremental updates
+    loss_val, dz = _loss_from_linear(z, y, cfg.loss)
+    _require_finite(loss_val, "loss")
+    h = op.apply(beta * beta) if cfg.lam else None  # kept equal to K (beta^2)
     trace = []
     converged = False
     for i in range(1, cfg.max_iters + 1):
         S = np.sort(rng.choice(p, size=q, replace=False))
-        loss_val, dz = _loss_from_linear(z, y, cfg.loss)
-        _require_finite(loss_val, "loss")
-        grad_S = X[:, S].T @ dz
+        XT_S = XT[S]
+        old_S = beta[S]
+        grad_S = XT_S @ dz
         if cfg.lam:
-            grad_S = grad_S + cfg.lam * _restricted_penalty_subgrad(
-                semigroup, beta, S, cfg.eps_den)
-        old_S = beta[S].copy()
-        beta[S] = old_S - cfg.learning_rate(i) * grad_S
-        z = z + X[:, S] @ (beta[S] - old_S)
-        obj = _loss_from_linear(z, y, cfg.loss)[0]
+            grad_S += cfg.lam * op.apply_T(_root_slope(h, cfg.eps_den), S) * old_S
+        new_S = old_S - cfg.learning_rate(i) * grad_S
+        beta[S] = new_S
+        z += XT_S.T @ (new_S - old_S)
+        obj, dz = _loss_from_linear(z, y, cfg.loss)
         if cfg.lam:
-            obj += cfg.lam * penalty_value(beta, semigroup)
+            h += op.apply(new_S * new_S - old_S * old_S, S)
+            obj += cfg.lam * _penalty_sum(h)
         _require_finite(obj, "objective")
         trace.append(obj)
-        reldiff = np.linalg.norm(beta[S] - old_S) / max(np.linalg.norm(old_S), 1e-12)
+        reldiff = np.linalg.norm(new_S - old_S) / max(np.linalg.norm(old_S), 1e-12)
         if reldiff <= cfg.eps_tol:
             converged = True
             break
-    return FitResult(
-        beta_hat=beta,
-        beta_thresholded=threshold_kmeans(beta),
-        iterations=len(trace),
-        objective_trace=trace,
-        converged=converged,
-        total_walk_steps=_walk_steps(semigroup),
-    )
+    return _result(beta, trace, converged, op)
 
 
 def threshold_kmeans(beta) -> np.ndarray:
@@ -300,9 +284,10 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
                    optimizer: str = "sd"):
     """K-fold cross-validation over the (lam, t) grid.
 
-    One HeatFlowMatrix is simulated per t value and shared across all folds
-    and lam values. Returns (best_lam, best_t, table) where table rows are
-    {"lam", "t", "cv_loss"}; ties break toward smaller lam, then smaller t.
+    One HeatFlowMatrix is simulated and compiled per t value and shared
+    across all folds and lam values. Returns (best_lam, best_t, table) where
+    table rows are {"lam", "t", "cv_loss"}; ties break toward smaller lam,
+    then smaller t.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -321,7 +306,8 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     for ti, t in enumerate(t_grid):
         h_seed = int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF10, ti])
                      .generate_state(1)[0])
-        flows[ti] = simulate_heat_flow(g, t, cfg.B, seed=h_seed)
+        flows[ti] = SmoothingOperator.compile(
+            simulate_heat_flow(g, t, cfg.B, seed=h_seed))
 
     perm = np.random.default_rng(
         np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF01D])).permutation(n)

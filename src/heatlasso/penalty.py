@@ -6,9 +6,12 @@ h = e^{-tL}(beta (.) beta). At t = 0 it is the l1 norm; as t grows on a
 graph whose components are the variable groups it converges to the group
 lasso penalty sum_l sqrt(|C_l|) ||beta_{C_l}||.
 
-Every operation accepts either a dense kernel matrix (the exact oracle) or
-a HeatFlowMatrix (the Monte Carlo estimator); the same object can be shared
-across all calls of an optimization run.
+Every operation accepts a dense kernel matrix (the exact oracle), a
+HeatFlowMatrix (the Monte Carlo estimator K^ of its walk table) or a
+SmoothingOperator compiled from either, and does all smoothing through the
+operator. The penalty's gradient is beta (.) (K^T r), with the transpose:
+K^ of a walk table is not symmetric, and K^T r is what makes the
+subgradient that of the Monte Carlo penalty the objective reports.
 """
 
 from typing import NamedTuple
@@ -16,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatch
-from .heatflow import HeatFlowMatrix, heatflow_apply
+from .heatflow import SmoothingOperator
 
 
 class GroupStructure:
@@ -75,18 +78,14 @@ def _check_length(beta, p):
     return beta
 
 
-def _smooth(kernel_or_H, f, S=None):
-    """Apply e^{-tL} (exactly or by Monte Carlo) to f, optionally row-restricted."""
-    if isinstance(kernel_or_H, HeatFlowMatrix):
-        return heatflow_apply(kernel_or_H, f, S)
-    K = np.asarray(kernel_or_H, dtype=np.float64)
-    return K @ f if S is None else K[np.asarray(S, dtype=np.int64)] @ f
+def _penalty_sum(h):
+    """sum_j sqrt(|h_j|) for the smoothed squared coefficients h."""
+    return float(np.sqrt(np.abs(h)).sum())
 
 
-def _operator_size(kernel_or_H):
-    if isinstance(kernel_or_H, HeatFlowMatrix):
-        return kernel_or_H.p
-    return np.asarray(kernel_or_H).shape[0]
+def _root_slope(h, eps_den):
+    """r_j = sgn(h_j) / sqrt(|h_j|), the denominator clamped at eps_den."""
+    return np.sign(h) / np.maximum(np.sqrt(np.abs(h)), eps_den)
 
 
 def penalty_value(beta, kernel_or_H, eps_abs: float = 0.0) -> float:
@@ -95,22 +94,22 @@ def penalty_value(beta, kernel_or_H, eps_abs: float = 0.0) -> float:
     eps_abs floors |h_j| before the square root; the default 0 evaluates the
     penalty exactly as defined.
     """
-    beta = _check_length(beta, _operator_size(kernel_or_H))
-    h = _smooth(kernel_or_H, beta * beta)
-    return float(np.sum(np.sqrt(np.maximum(np.abs(h), eps_abs))))
+    op = SmoothingOperator.compile(kernel_or_H)
+    beta = _check_length(beta, op.p)
+    return _penalty_sum(np.maximum(np.abs(op.apply(beta * beta)), eps_abs))
 
 
 def penalty_subgradient(beta, kernel_or_H, eps_den: float = 1e-8) -> np.ndarray:
     """Subgradient of the heat-flow penalty at beta.
 
-    With h the smoothed squared coefficients, the subgradient is
-    (e^{-tL} r) (.) beta where r_j = sgn(h_j) / sqrt(|h_j|); the denominator
-    is clamped at eps_den so the subgradient stays bounded where h vanishes.
+    With h = K (beta (.) beta) the smoothed squared coefficients, the
+    subgradient is (K^T r) (.) beta where r_j = sgn(h_j) / sqrt(|h_j|); the
+    denominator is clamped at eps_den so the subgradient stays bounded where
+    h vanishes.
     """
-    beta = _check_length(beta, _operator_size(kernel_or_H))
-    h = _smooth(kernel_or_H, beta * beta)
-    root_slope = np.sign(h) / np.maximum(np.sqrt(np.abs(h)), eps_den)
-    return _smooth(kernel_or_H, root_slope) * beta
+    op = SmoothingOperator.compile(kernel_or_H)
+    beta = _check_length(beta, op.p)
+    return op.apply_T(_root_slope(op.apply(beta * beta), eps_den)) * beta
 
 
 def group_lasso_penalty(beta, groups: GroupStructure) -> float:

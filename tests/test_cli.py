@@ -132,6 +132,45 @@ class TestFit:
         fit_b = json.loads((tmp_path / "b" / "fit_sd.json").read_text())
         assert fit_a["beta_hat"] == fit_b["beta_hat"]
 
+    def test_cold_flow_call_simulates_once(self, tmp_path, monkeypatch):
+        import heatlasso.cli as cli
+        import heatlasso.experiments as experiments
+        from heatlasso.heatflow import load_heatflow, simulate_heat_flow
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate_heat_flow(*args, **kwargs)
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "simulate_heat_flow", counting)
+        data = write_toy_csv(tmp_path / "toy.csv")
+        flow_path = tmp_path / "walks.hfm"
+        assert main(["fit", str(data), "--lambda", "0.01", "--t", "0.8",
+                     "--walks", "64", "--max-iters", "20", "--estimate-graph",
+                     "--seed", "3", "--flow", str(flow_path),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        stored = load_heatflow(flow_path)
+        again = simulate_heat_flow(*calls[0], seed=experiments._derived_seed(3, 0x4EA7))
+        assert np.array_equal(stored.terminals, again.terminals)
+
+    def test_flow_file_flow_time_and_walks_check(self, tmp_path, capsys):
+        from heatlasso.graphs import Graph
+        from heatlasso.heatflow import save_heatflow, simulate_heat_flow
+
+        data = write_toy_csv(tmp_path / "toy.csv")
+        flow_path = tmp_path / "walks.hfm"
+        save_heatflow(simulate_heat_flow(Graph(2, [(0, 1)]), 0.8, 64, seed=1), flow_path)
+        base = ["fit", str(data), "--max-iters", "20", "--flow", str(flow_path),
+                "--out", str(tmp_path / "o")]
+        assert main(base + ["--t", "0.5"]) == 1
+        assert "t=0.8" in capsys.readouterr().err
+        assert main(base + ["--walks", "32"]) == 1
+        assert "B=64" in capsys.readouterr().err
+        assert main(base + ["--t", "0.8", "--walks", "64"]) == 0
+
     def test_flow_file_dimension_check(self, tmp_path):
         from heatlasso.graphs import Graph
         from heatlasso.heatflow import save_heatflow, simulate_heat_flow

@@ -2,9 +2,22 @@
 import numpy as np
 import pytest
 
-from heatlasso.errors import DimensionTooLarge, IndexOutOfRange, LengthMismatch
-from heatlasso.graphs import Graph, complete_graph, connected_components, figure_graph
+from heatlasso.errors import (
+    DimensionTooLarge,
+    IndexOutOfRange,
+    LengthMismatch,
+    ShapeMismatch,
+)
+from heatlasso.graphs import (
+    Graph,
+    complete_graph,
+    connected_components,
+    figure_graph,
+    sample_block_graph,
+)
 from heatlasso.heatflow import (
+    SmoothingOperator,
+    empirical_kernel,
     exact_heat_kernel,
     heatflow_apply,
     load_heatflow,
@@ -142,6 +155,44 @@ class TestHeatflowApply:
             heatflow_apply(H, np.zeros(2), S=[2])
         with pytest.raises(IndexOutOfRange):
             heatflow_apply(H, np.zeros(2), S=[])
+
+
+class TestSmoothingOperator:
+    def test_dense_and_table_forms_agree(self):
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        H = simulate_heat_flow(g, 1.0, B=20, seed=4)
+        dense = SmoothingOperator(dense=empirical_kernel(H))
+        table = SmoothingOperator(table=H)
+        rng = np.random.default_rng(15)
+        f, r = rng.standard_normal(30), rng.standard_normal(30)
+        S = np.array([2, 7, 11, 29])
+        d = rng.standard_normal(S.size)
+        assert np.abs(dense.apply(f) - heatflow_apply(H, f)).max() <= 1e-12
+        pairs = [(dense.apply(f), table.apply(f)),
+                 (dense.apply_T(r), table.apply_T(r)),
+                 (dense.apply(d, S), table.apply(d, S)),
+                 (dense.apply_T(r, S), table.apply_T(r, S))]
+        for a, b in pairs:
+            assert np.abs(a - b).max() <= 1e-12
+        K = empirical_kernel(H)
+        assert np.abs(dense.apply(d, S) - K[:, S] @ d).max() <= 1e-12
+        assert np.abs(dense.apply_T(r) - K.T @ r).max() <= 1e-12
+
+    def test_compile_chooses_by_size(self):
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        small = simulate_heat_flow(g, 1.0, B=20, seed=4)  # p <= 8 B: dense
+        wide = simulate_heat_flow(g, 1.0, B=3, seed=4)    # p > 8 B: table
+        f = np.random.default_rng(16).standard_normal(30)
+        for H, dense in ((small, True), (wide, False)):
+            op = SmoothingOperator.compile(H)
+            assert (op._table is None) == dense
+            assert op.walk_steps == H.total_steps
+            assert np.abs(op.apply(f) - heatflow_apply(H, f)).max() <= 1e-12
+            assert SmoothingOperator.compile(op) is op
+
+    def test_dense_kernel_must_be_square(self):
+        with pytest.raises(ShapeMismatch):
+            SmoothingOperator.compile(np.ones((3, 2)))
 
 
 class TestExactKernel:

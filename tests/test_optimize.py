@@ -11,7 +11,7 @@ from heatlasso.errors import (
     NonFiniteObjective,
     ShapeMismatch,
 )
-from heatlasso.graphs import figure_graph
+from heatlasso.graphs import figure_graph, sample_block_graph
 from heatlasso.heatflow import exact_heat_kernel, simulate_heat_flow
 from heatlasso.optimize import (
     FitConfig,
@@ -22,6 +22,7 @@ from heatlasso.optimize import (
     subgradient_descent,
     threshold_kmeans,
 )
+from heatlasso.penalty import penalty_value
 
 
 def well_conditioned_instance(rng, n=100, p=10, sigma=0.1):
@@ -69,6 +70,13 @@ class TestLoss:
             fd = (loss_and_grad(beta + e, X, y, "logistic")[0]
                   - loss_and_grad(beta - e, X, y, "logistic")[0]) / 2e-6
             assert fd == pytest.approx(g[i], rel=1e-5, abs=1e-8)
+
+    def test_logistic_exact_at_large_margins(self):
+        # log(1 + e^800) is 800; a probability clipped at 1e-12 gives 27.6
+        v, g = loss_and_grad(np.array([1.0]), np.array([[800.0], [-800.0]]),
+                             np.array([0.0, 1.0]), kind="logistic")
+        assert v == 800.0
+        assert g[0] == 800.0
 
     def test_label_domain(self):
         with pytest.raises(LabelDomain):
@@ -179,18 +187,6 @@ class TestSubgradientDescent:
         with pytest.raises(ValueError):
             FitConfig(block_size=12).validate(p=10)
 
-    def test_literal_smoothing_variant_differs(self):
-        # compatibility path: scaling h from the smoothed beta instead of
-        # the smoothed squares changes the trajectory whenever t > 0
-        rng = np.random.default_rng(20)
-        X = rng.standard_normal((40, 3))
-        y = X @ np.array([1.0, 1.0, 0.0]) + 0.1 * rng.standard_normal(40)
-        K = exact_heat_kernel(figure_graph(), 2.0)
-        cfg = FitConfig(lam=0.3, t=2.0, alpha0=0.05, max_iters=30, eps_tol=0.0)
-        default = subgradient_descent(X, y, K, cfg)
-        literal = subgradient_descent(X, y, K, cfg, h_from_smoothed_beta=True)
-        assert not np.allclose(default.beta_hat, literal.beta_hat)
-
     def test_custom_starting_point(self):
         rng = np.random.default_rng(21)
         X, y, ls = well_conditioned_instance(rng, n=50, p=4)
@@ -254,6 +250,24 @@ class TestBlockCD:
         res_h = block_cd(X, y, simulate_heat_flow(g, 1.0, B=20_000, seed=3), cfg)
         res_k = block_cd(X, y, exact_heat_kernel(g, 1.0), cfg)
         assert np.linalg.norm(res_h.beta_hat - res_k.beta_hat) < 0.02
+
+    def test_running_penalty_does_not_drift(self):
+        # the last objective, read off the incrementally updated h, equals
+        # the objective recomputed from scratch at the final beta, on a
+        # dense-backed (B = 20) and a table-backed (B = 3) operator
+        rng = np.random.default_rng(23)
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        X = rng.standard_normal((60, 30))
+        y = X[:, :10] @ np.ones(10) + 0.1 * rng.standard_normal(60)
+        cfg = FitConfig(lam=0.1, alpha0=0.01, rate_protocol="constant",
+                        max_iters=4000, eps_tol=0.0, block_size=5, seed=2)
+        for B in (20, 3):
+            H = simulate_heat_flow(g, 1.0, B=B, seed=4)
+            res = block_cd(X, y, H, cfg)
+            assert res.iterations == 4000
+            scratch = loss_and_grad(res.beta_hat, X, y)[0] + \
+                cfg.lam * penalty_value(res.beta_hat, H)
+            assert abs(res.objective_trace[-1] - scratch) <= 1e-10
 
 
 class TestThresholdKmeans:

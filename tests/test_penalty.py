@@ -9,9 +9,11 @@ from heatlasso.graphs import (
     connected_components,
     disjoint_union,
     figure_graph,
+    sample_block_graph,
     spectral_decompose,
 )
-from heatlasso.heatflow import exact_heat_kernel, simulate_heat_flow
+from heatlasso.heatflow import SmoothingOperator, exact_heat_kernel, simulate_heat_flow
+from heatlasso.optimize import FitConfig, block_cd, subgradient_descent
 from heatlasso.penalty import (
     GroupStructure,
     group_averaging_kernel,
@@ -194,6 +196,46 @@ class TestSubgradient:
                 e[i] = step
                 fd = (penalty_value(beta + e, K) - penalty_value(beta - e, K)) / (2 * step)
                 assert abs(fd - grad[i]) <= 1e-4 * max(abs(grad[i]), 1e-12)
+
+
+class TestWalkTableSubgradient:
+    """The Monte Carlo kernel K^ of a walk table is not symmetric, so the
+    penalty's gradient needs K^T r; K^ r is off by tens of percent here."""
+
+    @staticmethod
+    def central_differences(beta, H, step=1e-6):
+        fd = np.empty(beta.size)
+        for i in range(beta.size):
+            e = np.zeros(beta.size)
+            e[i] = step
+            fd[i] = (penalty_value(beta + e, H) - penalty_value(beta - e, H)) / (2 * step)
+        return fd
+
+    @staticmethod
+    def optimizer_penalty_term(fit, beta, H, **cfg):
+        # with X = 0 the loss is flat, so one unit step moves beta by exactly
+        # the penalty term the optimizer uses
+        p = beta.size
+        res = fit(np.zeros((5, p)), np.zeros(5), H,
+                  FitConfig(lam=1.0, alpha0=1.0, rate_protocol="constant",
+                            max_iters=1, eps_tol=0.0, **cfg), beta0=beta)
+        return beta - res.beta_hat
+
+    def test_matches_central_differences(self):
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        H = simulate_heat_flow(g, 1.0, B=20, seed=4)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            beta = rng.standard_normal(30)
+            fd = self.central_differences(beta, H)
+            grads = [
+                penalty_subgradient(beta, H),
+                penalty_subgradient(beta, SmoothingOperator(table=H)),
+                self.optimizer_penalty_term(subgradient_descent, beta, H),
+                self.optimizer_penalty_term(block_cd, beta, H, block_size=30),
+            ]
+            for grad in grads:
+                assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 class TestGapBound:
