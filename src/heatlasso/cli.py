@@ -127,7 +127,7 @@ def cmd_simulate(args):
     if args.seed is not None:
         config.setdefault("design", {})["seed"] = args.seed
     out_dir = args.out or config.get("output", "out")
-    summary = run_experiment(config, out_dir, threads=args.threads)
+    summary = run_experiment(config, out_dir)
     for name, metrics in summary.items():
         print(f"{name}: prediction={metrics.prediction_error:.4f} "
               f"estimation={metrics.estimation_error:.4f} "
@@ -267,7 +267,6 @@ def build_parser():
     sim.add_argument("--config", required=True, help="config (or manifest) JSON")
     sim.add_argument("--out", help="output directory (overrides config)")
     sim.add_argument("--seed", type=int, help="override design seed")
-    sim.add_argument("--threads", type=int, default=1)
     sim.set_defaults(func=cmd_simulate)
 
     def add_fit_flags(p):

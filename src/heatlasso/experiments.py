@@ -23,7 +23,6 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -209,7 +208,7 @@ def _run_repeat(config, repeat, base_seed):
     }
 
 
-def run_experiment(config: dict, out_dir: str, threads: int = 1) -> dict:
+def run_experiment(config: dict, out_dir: str) -> dict:
     """Execute all repeats of a config and write every artifact to out_dir.
 
     Returns a summary dict with per-optimizer mean metrics. On error, any
@@ -222,12 +221,7 @@ def run_experiment(config: dict, out_dir: str, threads: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(
-                    lambda r: _run_repeat(config, r, base_seed), range(repeats)))
-        else:
-            outcomes = [_run_repeat(config, r, base_seed) for r in range(repeats)]
+        outcomes = [_run_repeat(config, r, base_seed) for r in range(repeats)]
 
         metrics_rows = []
         for out in outcomes:

@@ -26,89 +26,72 @@ ZERO_EIGENVALUE_TOL = 1e-9
 
 
 class Graph:
-    """Undirected graph on p vertices stored as sorted adjacency lists.
+    """Undirected graph on p vertices in CSR (compressed sparse row) form.
 
-    Invariants enforced at construction: symmetry, no duplicate neighbors,
-    and no self-loops unless allow_self_loops is set. degree(i) counts a
-    self-loop once.
+    The sorted neighbours of vertex i are indices[indptr[i]:indptr[i + 1]]
+    (indices int32, indptr int64 of length p + 1). Built from an (m, 2)
+    array of edges in any order and direction; duplicates collapse, and a
+    self-loop (rejected unless allow_self_loops is set) is stored once, so
+    degree(i) counts it once.
     """
 
     def __init__(self, p, edges=(), allow_self_loops=False):
         if p < 1:
             raise ValueError(f"vertex count must be >= 1, got {p}")
-        self.p = int(p)
+        self.p = p = int(p)
         self.allow_self_loops = bool(allow_self_loops)
-        sets = [set() for _ in range(self.p)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < self.p and 0 <= j < self.p):
-                raise ValueError(f"edge ({i}, {j}) outside vertex range [0, {self.p})")
-            if i == j:
-                if not self.allow_self_loops:
-                    raise ValueError(f"self-loop at vertex {i} but allow_self_loops is false")
-                sets[i].add(i)
-            else:
-                sets[i].add(j)
-                sets[j].add(i)
-        self._neighbors = [np.array(sorted(s), dtype=np.int32) for s in sets]
-        self._degrees = np.array([len(s) for s in sets], dtype=np.int64)
-        self._flat = None
-        self._offsets = None
-
-    @classmethod
-    def from_neighbor_lists(cls, lists, allow_self_loops=False):
-        g = cls(len(lists), allow_self_loops=allow_self_loops)
-        sets = [set(int(v) for v in lst) for lst in lists]
-        for i, s in enumerate(sets):
-            for j in s:
-                if not 0 <= j < g.p:
-                    raise ValueError(f"neighbor {j} of vertex {i} out of range")
-                if j == i and not allow_self_loops:
-                    raise ValueError(f"self-loop at vertex {i} but allow_self_loops is false")
-                if j != i and i not in sets[j]:
-                    raise ValueError(f"adjacency not symmetric: {j} in N({i}) but {i} not in N({j})")
-        g._neighbors = [np.array(sorted(s), dtype=np.int32) for s in sets]
-        g._degrees = np.array([len(s) for s in sets], dtype=np.int64)
-        return g
+        e = np.asarray(edges, dtype=np.int64)
+        if e.shape == (0,):
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
+        outside = ((e < 0) | (e >= p)).any(axis=1)
+        if outside.any():
+            i, j = e[outside.argmax()]
+            raise ValueError(f"edge ({i}, {j}) outside vertex range [0, {p})")
+        loop = e[:, 0] == e[:, 1]
+        if loop.any() and not self.allow_self_loops:
+            raise ValueError(f"self-loop at vertex {e[loop.argmax(), 0]} "
+                             "but allow_self_loops is false")
+        both = np.concatenate([e, e[~loop, ::-1]])
+        keys = np.sort(both[:, 0] * p + both[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, cols = np.divmod(keys, p)
+        self.indices = cols.astype(np.int32)
+        self.degrees = np.bincount(rows, minlength=p)
+        self.indptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
 
     def neighbors(self, i):
-        return self._neighbors[i]
-
-    @property
-    def degrees(self):
-        return self._degrees
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     @property
     def max_degree(self):
-        return int(self._degrees.max()) if self.p else 0
+        return int(self.degrees.max())
+
+    def _edge_array(self):
+        """(m, 2) int64 array of each edge once, as (i, j) with i <= j, sorted."""
+        rows = np.repeat(np.arange(self.p), self.degrees)
+        upper = rows <= self.indices
+        return np.column_stack((rows[upper], self.indices[upper]))
 
     @property
     def edge_count(self):
-        loops = sum(1 for i in range(self.p) if (self._neighbors[i] == i).any())
-        return (int(self._degrees.sum()) - loops) // 2 + loops
+        return len(self._edge_array())
 
     def edges(self):
-        """Yield each edge once as (i, j) with i <= j."""
-        for i in range(self.p):
-            for j in self._neighbors[i]:
-                if j >= i:
-                    yield i, int(j)
+        """Iterate over each edge once as (i, j) with i <= j."""
+        return map(tuple, self._edge_array().tolist())
 
     def adjacency(self):
         """Dense 0/1 adjacency matrix (int64)."""
         A = np.zeros((self.p, self.p), dtype=np.int64)
-        for i in range(self.p):
-            A[i, self._neighbors[i]] = 1
+        A[np.repeat(np.arange(self.p), self.degrees), self.indices] = 1
         return A
 
     def flat_adjacency(self):
-        """CSR-style (flat neighbor array, offsets) for vectorized walks."""
-        if self._flat is None:
-            self._offsets = np.zeros(self.p + 1, dtype=np.int64)
-            np.cumsum(self._degrees, out=self._offsets[1:])
-            self._flat = (np.concatenate(self._neighbors)
-                          if self._degrees.sum() else np.zeros(0, dtype=np.int32))
-        return self._flat, self._offsets
+        """The CSR arrays (indices, indptr) that vectorized walks read."""
+        return self.indices, self.indptr
 
     def __repr__(self):
         return f"Graph(p={self.p}, edges={self.edge_count})"
@@ -201,11 +184,11 @@ def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
     iu, ju = np.triu_indices(p, k=1)
     if iu.size == 0:
         return Graph(p)
-    vals = np.sort(np.abs(corr[iu, ju]))
-    rank = int(np.ceil(alpha * vals.size))  # nearest-rank, 1-based
-    theta = vals[rank - 1]
-    keep = np.abs(corr[iu, ju]) > theta
-    return Graph(p, edges=zip(iu[keep], ju[keep]))
+    absval = np.abs(corr[iu, ju])
+    rank = int(np.ceil(alpha * absval.size))  # nearest-rank, 1-based
+    theta = np.partition(absval, rank - 1)[rank - 1]
+    keep = absval > theta
+    return Graph(p, edges=np.column_stack((iu[keep], ju[keep])))
 
 
 def _block_labels(sizes):
@@ -223,8 +206,7 @@ def _sample_blocks(sizes, within, between, self_loops, seed):
     u = rng.random((p, p))
     iu, ju = np.triu_indices(p, k=0 if self_loops else 1)
     hit = u[iu, ju] < probs[iu, ju]
-    edges = [(int(i), int(j)) for i, j in zip(iu[hit], ju[hit])]
-    return Graph(p, edges=edges, allow_self_loops=self_loops)
+    return Graph(p, edges=np.column_stack((iu[hit], ju[hit])), allow_self_loops=self_loops)
 
 
 def sample_block_graph(sizes, a: float, b: float, self_loops: bool = False,
@@ -253,7 +235,7 @@ def sample_clustered_network(sizes, xi, self_loops: bool = True, seed: int = 0) 
 
 
 def complete_graph(p: int) -> Graph:
-    return Graph(p, edges=[(i, j) for i in range(p) for j in range(i + 1, p)])
+    return Graph(p, edges=np.column_stack(np.triu_indices(p, k=1)))
 
 
 def path_graph(p: int) -> Graph:
@@ -262,13 +244,10 @@ def path_graph(p: int) -> Graph:
 
 def disjoint_union(*graphs) -> Graph:
     """Relabelled disjoint union of graphs, blocks in argument order."""
-    edges = []
-    offset = 0
-    loops = any(g.allow_self_loops for g in graphs)
-    for g in graphs:
-        edges.extend((i + offset, j + offset) for i, j in g.edges())
-        offset += g.p
-    return Graph(offset, edges=edges, allow_self_loops=loops)
+    offsets = np.cumsum([0] + [g.p for g in graphs])
+    edges = np.concatenate([g._edge_array() + off for g, off in zip(graphs, offsets)])
+    return Graph(offsets[-1], edges=edges,
+                 allow_self_loops=any(g.allow_self_loops for g in graphs))
 
 
 def figure_graph() -> Graph:
@@ -285,8 +264,7 @@ def write_graph(g: Graph, path):
     """Edge-list text format: header 'p <count>' then 0-based 'i j' lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"p {g.p}\n")
-        for i, j in g.edges():
-            fh.write(f"{i} {j}\n")
+        np.savetxt(fh, g._edge_array(), fmt="%d")
 
 
 def read_graph(path) -> Graph:

@@ -15,6 +15,7 @@ Randomness is counter-based: every draw is a pure hash of
 for a given (graph, t, B, seed) no matter how the walks are scheduled.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -69,14 +70,11 @@ class HeatFlowMatrix:
         return int(self.step_counts.sum()) if self.step_counts is not None else 0
 
 
-def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0,
-                       unit_rate_holds: bool = False) -> HeatFlowMatrix:
+def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMatrix:
     """Run B walks from every vertex until time t, all in vectorized lockstep.
 
-    unit_rate_holds reproduces the Exponential(1) holding times of the naive
-    walk (generator -(I - D^{-1}A)) for comparison only; the default
-    Exponential(deg) holding matches the e^{-tL} semigroup and is what every
-    fidelity test enforces.
+    Exponential(deg) holding times make the walk's law the e^{-tL}
+    semigroup, which every fidelity test enforces.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -97,8 +95,7 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0,
             idx = np.flatnonzero(active)
             cur = terminals[idx]
             u = _uniforms(seed, walk_ids[idx], 2 * draw)
-            rate = 1.0 if unit_rate_holds else deg[cur].astype(np.float64)
-            hold = -np.log(u) / rate
+            hold = -np.log(u) / deg[cur].astype(np.float64)
             alive = hold < remaining[idx]
             if alive.any():
                 jidx = idx[alive]
@@ -245,15 +242,29 @@ def save_heatflow(H: HeatFlowMatrix, path):
 
 
 def load_heatflow(path) -> HeatFlowMatrix:
-    """Load a stored matrix; step counts are not serialized and come back None."""
+    """Load a stored matrix; step counts are not serialized and come back None.
+
+    Rejects a bad magic, a header with p < 1 or B < 1, a table shorter or
+    longer than the header says, and any terminal outside [0, p).
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        p, B, t, seed = struct.unpack("<QQdq", fh.read(32))
-        raw = fh.read(4 * p * B)
-        if len(raw) != 4 * p * B:
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ValueError(f"{path}: truncated header")
+        p, B, t, seed = struct.unpack("<QQdq", header)
+        if p < 1 or B < 1:
+            raise ValueError(f"{path}: header has p={p}, B={B}; both must be >= 1")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size < 4 * p * B:
             raise ValueError(f"{path}: truncated terminals table")
-        terminals = np.frombuffer(raw, dtype="<i4").reshape(p, B).astype(np.int32)
+        if size > 4 * p * B:
+            raise ValueError(f"{path}: {size - 4 * p * B} trailing bytes after the table")
+        raw = fh.read()
+    terminals = np.frombuffer(raw, dtype="<i4").reshape(p, B).astype(np.int32)
+    if terminals.min() < 0 or terminals.max() >= p:
+        raise ValueError(f"{path}: terminal vertex outside [0, {p})")
     return HeatFlowMatrix(terminals=terminals, t=t, B=int(B), seed=int(seed),
                           step_counts=None)

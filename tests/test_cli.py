@@ -221,16 +221,6 @@ class TestSimulate:
         run_dir = tmp_path / "run"
         assert not run_dir.exists() or not any(run_dir.iterdir())
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        cfg_path.write_text(json.dumps(small_sim_config(out1, repeats=3)))
-        assert main(["simulate", "--config", str(cfg_path)]) == 0
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out2),
-                     "--threads", "3"]) == 0
-        assert (out1 / "metrics.csv").read_bytes() == \
-            (out2 / "metrics.csv").read_bytes()
-
     def test_gff_design_with_auto_mass_and_design_graph(self, tmp_path):
         config = {
             "design": {"kind": "gff", "sizes": [5, 5], "n": 60,

@@ -54,13 +54,61 @@ class TestGraphInvariants:
         assert g.degrees.tolist() == [1, 2, 0]
         assert g.edge_count == 2
 
-    def test_from_neighbor_lists_validates_symmetry(self):
-        with pytest.raises(ValueError):
-            Graph.from_neighbor_lists([[1], []])
-
     def test_edge_out_of_range(self):
-        with pytest.raises(ValueError):
-            Graph(2, edges=[(0, 5)])
+        with pytest.raises(ValueError, match=r"edge \(0, 5\)"):
+            Graph(2, edges=[(0, 1), (0, 5)])
+        with pytest.raises(ValueError, match=r"edge \(-1, 1\)"):
+            Graph(2, edges=[(-1, 1)])
+
+    def test_self_loop_error_names_the_vertex(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            Graph(3, edges=[(0, 1), (2, 2), (1, 1)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2), (1, 2, 0)], [0, 1, 2, 3], [[[0, 1]]]])
+    def test_edges_must_be_m_by_2(self, edges):
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            Graph(4, edges=edges)
+
+    def test_empty_edge_list(self):
+        for edges in ((), [], np.zeros((0, 2), dtype=np.int64)):
+            g = Graph(3, edges=edges)
+            assert g.edge_count == 0 and g.degrees.tolist() == [0, 0, 0]
+
+    def test_csr_matches_set_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            p = int(rng.integers(1, 30))
+            loops = bool(rng.integers(2))
+            edges = rng.integers(0, p, size=(int(rng.integers(0, 3 * p)), 2))
+            if not loops:
+                edges = edges[edges[:, 0] != edges[:, 1]]
+            edges = np.concatenate([edges, edges[: len(edges) // 3, ::-1]])  # reversed repeats
+            g = Graph(p, edges=edges, allow_self_loops=loops)
+            sets = [set() for _ in range(p)]
+            for i, j in edges.tolist():
+                sets[i].add(j)
+                sets[j].add(i)
+            for i in range(p):
+                assert g.neighbors(i).tolist() == sorted(sets[i])
+            assert g.degrees.tolist() == [len(s) for s in sets]
+            ref = sorted({(min(i, j), max(i, j)) for i, j in edges.tolist()})
+            assert list(g.edges()) == ref
+            assert g.edge_count == len(ref)
+            A = np.zeros((p, p), dtype=np.int64)
+            for i, j in ref:
+                A[i, j] = A[j, i] = 1
+            assert np.array_equal(g.adjacency(), A)
+
+    def test_flat_adjacency_layout(self):
+        g = sample_clustered_network([6, 9], 0.5, self_loops=True, seed=4)
+        indices, indptr = g.flat_adjacency()
+        assert indices.dtype == np.int32 and indptr.dtype == np.int64
+        assert indptr.shape == (g.p + 1,) and indptr[0] == 0
+        assert indptr[-1] == indices.size
+        assert np.array_equal(np.diff(indptr), g.degrees)
+        for i in range(g.p):
+            row = indices[indptr[i]:indptr[i + 1]]
+            assert np.all(np.diff(row) > 0)
 
 
 class TestLaplacian:

@@ -85,16 +85,13 @@ class TestSimulation:
             ok += H.step_counts.mean() <= dmax_t + 3 * np.sqrt(dmax_t) + 3
         assert ok >= 0.99 * trials
 
-    def test_unit_rate_holds_changes_the_law(self):
-        # a star graph has heterogeneous degrees, so the two conventions differ
+    def test_star_center_stay_probability_matches_exact_kernel(self):
+        # a star graph has heterogeneous degrees, so a walk holding at unit
+        # rate instead of rate deg(v) would miss the exact value
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         H = simulate_heat_flow(g, 1.0, B=20_000, seed=6)
-        Hu = simulate_heat_flow(g, 1.0, B=20_000, seed=6, unit_rate_holds=True)
         stay = (H.terminals[0] == 0).mean()
-        stay_u = (Hu.terminals[0] == 0).mean()
-        exact = exact_heat_kernel(g, 1.0)[0, 0]
-        assert stay == pytest.approx(exact, abs=0.01)
-        assert abs(stay_u - exact) > 0.05
+        assert stay == pytest.approx(exact_heat_kernel(g, 1.0)[0, 0], abs=0.01)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -253,6 +250,50 @@ class TestSerialization:
         assert np.array_equal(H.terminals, H2.terminals)
         assert (H2.t, H2.B, H2.seed) == (H.t, H.B, H.seed)
         assert H2.step_counts is None and H2.total_steps == 0
+
+    def _corrupt(self, tmp_path, edit):
+        """Save a valid table, apply edit to its bytes and load the result."""
+        path = tmp_path / "flow.hfm"
+        save_heatflow(simulate_heat_flow(EDGE, 0.8, B=4, seed=3), path)
+        path.write_bytes(edit(bytearray(path.read_bytes())))
+        return load_heatflow(path)
+
+    def test_negative_terminal_rejected(self, tmp_path):
+        def first_terminal_minus_one(raw):
+            raw[36:40] = (-1).to_bytes(4, "little", signed=True)
+            return raw
+        with pytest.raises(ValueError, match="outside"):
+            self._corrupt(tmp_path, first_terminal_minus_one)
+
+    def test_terminal_at_p_rejected(self, tmp_path):
+        def last_terminal_two(raw):
+            raw[-4:] = (2).to_bytes(4, "little")
+            return raw
+        with pytest.raises(ValueError, match="outside"):
+            self._corrupt(tmp_path, last_terminal_two)
+
+    def test_zero_p_rejected(self, tmp_path):
+        def header_p_zero(raw):
+            raw[4:12] = (0).to_bytes(8, "little")
+            return raw
+        with pytest.raises(ValueError, match="p=0"):
+            self._corrupt(tmp_path, header_p_zero)
+
+    def test_zero_B_rejected(self, tmp_path):
+        def header_B_zero(raw):
+            raw[12:20] = (0).to_bytes(8, "little")
+            return raw
+        with pytest.raises(ValueError, match="B=0"):
+            self._corrupt(tmp_path, header_B_zero)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="trailing"):
+            self._corrupt(tmp_path, lambda raw: raw + b"\x00")
+
+    @pytest.mark.parametrize("keep", [-1, 20])  # one byte short; header cut mid-B
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        with pytest.raises(ValueError, match="truncated"):
+            self._corrupt(tmp_path, lambda raw: raw[:keep])
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.hfm"
