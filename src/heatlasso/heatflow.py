@@ -121,11 +121,12 @@ def heatflow_apply(H: HeatFlowMatrix, f, S=None) -> np.ndarray:
     """Estimate the smoothed vector (e^{-tL} f) at the indices S.
 
     Returns the per-vertex average of f over walk terminals; an unbiased
-    estimator with Monte Carlo error O(range(f)/sqrt(B)).
+    estimator with Monte Carlo error O(range(f)/sqrt(B)). f may also be a
+    (p, F) matrix, smoothed column by column.
     """
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (H.p,):
-        raise LengthMismatch(f"f has shape {f.shape}, expected ({H.p},)")
+    if f.shape[:1] != (H.p,) or f.ndim > 2:
+        raise LengthMismatch(f"f has shape {f.shape}, expected ({H.p},) or ({H.p}, F)")
     if S is None:
         return f[H.terminals].mean(axis=1)
     S = np.asarray(S, dtype=np.int64)
@@ -155,6 +156,37 @@ _DENSE_WALK_RATIO = 8
 _DENSE_BYTES = 8 << 20
 
 
+class ColumnBlocks:
+    """Block products of a linear map M on R^m, for block coordinates S: a
+    vector of q coordinates for one fit, or a (q, F) array whose column k
+    holds the block S_k of fit k. `matvec(v)` gives M[:, S_k] v_k and
+    `rmatvec(r)` gives (M^T r_k)[S_k], for all columns at once; `apply` and
+    `apply_T` are the full products M x and M^T r. Given MT = M^T, blocks
+    holding fewer than m entries in all gather their rows of MT once;
+    otherwise a block is scattered into a full vector for `apply`, and read
+    off the full `apply_T`."""
+
+    def __init__(self, S, m, apply, apply_T, MT=None):
+        # index of the block entries of a vector, or of (m, F) with entry (S[j, k], k)
+        self.cells = (S,) if S.ndim == 1 else (S, np.arange(S.shape[1]))
+        self._m, self._apply, self._apply_T = m, apply, apply_T
+        self._rows = MT[S.T] if MT is not None and S.size < m else None  # (F, q, k) or (q, k)
+
+    def matvec(self, v) -> np.ndarray:
+        """M[:, S_k] v_k per column k, for block values v of S's shape."""
+        if self._rows is not None:
+            return (v.T[..., None, :] @ self._rows)[..., 0, :].T
+        full = np.zeros((self._m,) + v.shape[1:])
+        full[self.cells] = v
+        return self._apply(full)
+
+    def rmatvec(self, r) -> np.ndarray:
+        """(M^T r_k)[S_k] per column k, for r with one column per fit."""
+        if self._rows is not None:
+            return (self._rows @ r.T[..., None])[..., 0].T
+        return self._apply_T(r)[self.cells]
+
+
 class SmoothingOperator:
     """A linear smoothing operator K on R^p, compiled once per fit.
 
@@ -162,8 +194,10 @@ class SmoothingOperator:
     empirical kernel of a small walk table, whose `walk_steps` it then
     reports) or by a walk table (`table`, a HeatFlowMatrix), where K^ f is a
     gather over the table and K^T r a bincount scatter. `compile` picks the
-    backing; every penalty and optimizer computation goes through `apply`
-    and `apply_T`.
+    backing; every penalty and optimizer computation goes through `apply`,
+    `apply_T` and the block forms of `blocks`. Each takes one vector per
+    fit, or a matrix with one column per fit, so F fits run in lockstep
+    share each product.
     """
 
     def __init__(self, dense=None, table: HeatFlowMatrix | None = None,
@@ -198,23 +232,27 @@ class SmoothingOperator:
             return cls(dense=empirical_kernel(H), walk_steps=H.total_steps)
         return cls(table=H)
 
-    def apply(self, f, S=None) -> np.ndarray:
-        """K f; with column indices S, K[:, S] f for f of length len(S)."""
+    def apply(self, f) -> np.ndarray:
+        """K f for f of shape (p,) or (p, F)."""
         if self._KT is not None:
-            return (self._KT if S is None else self._KT[S]).T @ f
-        if S is not None:
-            full = np.zeros(self.p)
-            full[S] = f
-            f = full
+            return self._KT.T @ f
         return heatflow_apply(self._table, f)
 
-    def apply_T(self, r, S=None) -> np.ndarray:
-        """K^T r; with column indices S, K[:, S]^T r, i.e. (K^T r)[S]."""
+    def apply_T(self, r) -> np.ndarray:
+        """K^T r for r of shape (p,) or (p, F)."""
         if self._KT is not None:
-            return (self._KT if S is None else self._KT[S]) @ r
+            return self._KT @ r
+        if r.ndim == 2:
+            return np.stack([self.apply_T(c) for c in r.T], axis=1)
         B = self._table.B
-        out = np.bincount(self._flat, weights=np.repeat(r, B), minlength=self.p) / B
-        return out if S is None else out[S]
+        return np.bincount(self._flat, weights=np.repeat(r, B), minlength=self.p) / B
+
+    def blocks(self, S):
+        """The column forms of K for block coordinates S (a vector, or one
+        block per column of a (q, F) array; see ColumnBlocks): `matvec(d)`
+        gives K[:, S_k] d_k, the change of h after a block step, and
+        `rmatvec(r)` gives (K^T r_k)[S_k]."""
+        return ColumnBlocks(S, self.p, self.apply, self.apply_T, self._KT)
 
 
 def exact_heat_kernel(g: Graph, t: float, limit: int = DENSE_LIMIT) -> np.ndarray:

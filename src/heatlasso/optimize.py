@@ -6,17 +6,30 @@ Both optimizers accept a HeatFlowMatrix (the production path: one
 simulation reused across every iteration), a dense kernel matrix (the exact
 oracle used by tests) or a SmoothingOperator, and compile it once per fit
 into the operator K that does all their smoothing. Inputs are checked once
-per fit. Subgradient descent smooths once forward (K (beta (.) beta), which
-gives the reported penalty and the next step's scaling) and once transposed
-(K^T r) per iteration, and carries z = X beta and the loss derivative from
-one iteration's objective to the next step. Block coordinate descent keeps
+per fit.
+
+Each optimizer has one lockstep core (_sd_lockstep, _cd_lockstep) that runs
+F fits side by side as the columns of a p x F beta: column k has its own
+penalty weight, its own row weights (the training rows of a CV fold) and,
+for block CD, its own block stream, and each iteration does one GEMM per
+smoothing or loss product for all live columns. A column that meets
+eps_tol stops there, with the beta, trace, iteration count and converged
+flag of its single fit; subgradient_descent and block_cd are the
+one-column case, and cross_validate runs a whole lambda x fold grid per t.
+
+Subgradient descent smooths once forward (K (beta (.) beta), which gives the
+reported penalty and the next step's scaling) and once transposed (K^T r)
+per iteration, and carries z = X beta and the loss derivative from one
+iteration's objective to the next step. Block coordinate descent keeps
 h = K (beta (.) beta) current with h += K[:, S] (beta_S,new^2 - beta_S,old^2)
-and reads the penalty off h, so an iteration costs O((n + p) q) on a dense
-operator.
+and reads the penalty off h, so an iteration of one fit costs O((n + p) q)
+on a dense operator. Its block products gather the block's rows when the
+blocks of all columns hold fewer than p coordinates, and otherwise use the
+full dense products (see heatflow.ColumnBlocks).
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +41,8 @@ from .errors import (
     NonFiniteObjective,
     ShapeMismatch,
 )
-from .heatflow import SmoothingOperator, simulate_heat_flow
-from .penalty import _penalty_sum, _root_slope
+from .heatflow import ColumnBlocks, SmoothingOperator, simulate_heat_flow
+from .penalty import _penalty_terms
 
 RATE_PROTOCOLS = ("constant", "inv_sqrt")
 LOSSES = ("squared_error", "logistic")
@@ -66,6 +79,10 @@ class FitConfig:
             raise ValueError(f"loss must be one of {LOSSES}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.eps_tol >= 0:
+            raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol}")
+        if not self.eps_den > 0:
+            raise ValueError(f"eps_den must be > 0, got {self.eps_den}")
         if self.block_size is not None:
             if self.block_size < 1 or (p is not None and self.block_size > p):
                 raise ValueError(f"block_size must be in [1, p], got {self.block_size}")
@@ -124,21 +141,25 @@ def loss_and_grad(beta, X, y, kind="squared_error"):
             f"inconsistent shapes: X {X.shape}, y {y.shape}, beta {beta.shape}")
     if kind == "logistic":
         _check_labels(y)
-    value, dz = _loss_from_linear(X @ beta, y, kind)
-    return value, X.T @ dz
+    value, dz = _loss_from_linear(X @ beta, y, kind, 1.0 / y.size)
+    return float(value), X.T @ dz
 
 
-def _loss_from_linear(z, y, kind):
-    """(loss value, dloss/dz) for the linear predictor z = X beta."""
-    n = y.size
+def _loss_from_linear(z, y, kind, w):
+    """(loss, dloss/dz) for the linear predictor z = X beta, with row weights
+    w: the loss is sum_i w_i l(z_i, y_i). A scalar w = 1/n gives the mean.
+    For F fits in lockstep, z is (n, F), y is (n, 1) and w is (n, F) (each
+    column weighting its own training rows); the loss is then an (F,) array.
+    """
     if kind == "squared_error":
         r = z - y
-        return float(r @ r / (2 * n)), r / n
+        dz = w * r
+        return 0.5 * (dz * r).sum(axis=0), dz
     if kind == "logistic":
         # log(1 + e^z) - y z, exact for any z; sigmoid from e^{-|z|} <= 1
         e = np.exp(-np.abs(z))
         prob = np.where(z >= 0, 1.0, e) / (1.0 + e)
-        return float(np.mean(np.logaddexp(0.0, z) - y * z)), (prob - y) / n
+        return (w * (np.logaddexp(0.0, z) - y * z)).sum(axis=0), w * (prob - y)
     raise ValueError(f"unknown loss {kind!r}")
 
 
@@ -148,37 +169,191 @@ def _check_labels(y):
 
 
 def _require_finite(value, what):
-    if not np.isfinite(value):
+    if np.count_nonzero(~np.isfinite(value)):
         raise NonFiniteObjective(f"{what} is not finite; reduce the learning rate")
 
 
-def _fit_inputs(X, y, semigroup, cfg, beta0):
-    """Check a fit's inputs once; returns (X, y, starting beta, operator)."""
+def _check_data(X, y, cfg):
+    """Check the data and config shared by every fit of a run; returns
+    (X, y) as float arrays."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ShapeMismatch(f"inconsistent shapes: X {X.shape}, y {y.shape}")
-    p = X.shape[1]
-    cfg.validate(p)
+    cfg.validate(X.shape[1])
     if cfg.loss == "logistic":
         _check_labels(y)
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64).copy()
-    if beta.shape != (p,):
-        raise ShapeMismatch(f"beta0 has shape {beta.shape}, expected ({p},)")
+    return X, y
+
+
+def _compile(semigroup, p):
     op = SmoothingOperator.compile(semigroup)
     if op.p != p:
         raise LengthMismatch(f"smoothing operator acts on {op.p} variables, "
                              f"X has {p} columns")
-    return X, y, beta, op
+    return op
 
 
-def _result(beta, trace, converged, op):
+class _Lockstep:
+    """The bookkeeping of fits run side by side, one per column of beta.
+
+    beta is a (p,) vector for one fit or a (p, F) matrix for F fits; each
+    fit's penalty weight, objective and stop flag is then a scalar or an
+    (F,) array. Holds the live columns (those still iterating), each fit's
+    objective trace, and, once a fit stops, its final beta, iteration count
+    and `converged` flag. `record` logs one iteration and retires the
+    columns that met the tolerance; the optimizer then keeps only the live
+    columns of its own state.
+    """
+
+    def __init__(self, beta, max_iters):
+        F = beta[0].size
+        self.live = np.arange(F)
+        self.beta = beta.reshape(-1, F).copy()
+        self.trace = np.empty((max_iters, F))
+        self.rows, self.first = [], 0  # live objectives since the last retirement
+        self.iterations = np.full(F, max_iters)
+        self.converged = np.zeros(F, dtype=bool)
+
+    def record(self, i, obj, beta, done):
+        """Log iteration i's objectives of the live columns, whose betas are
+        `beta`; retire those flagged `done`. Returns the mask of live columns
+        that go on, or None when all of them do."""
+        _require_finite(obj, "objective")
+        self.rows.append(obj)
+        if not np.count_nonzero(done):
+            return None
+        self._flush(i)
+        done = np.reshape(done, -1)
+        stop = self.live[done]
+        self.beta[:, stop] = beta.reshape(len(beta), -1)[:, done]
+        self.iterations[stop] = i
+        self.converged[stop] = True
+        self.live = self.live[~done]
+        return ~done
+
+    def _flush(self, i):
+        if self.rows:
+            self.trace[self.first:i, self.live] = np.reshape(self.rows, (i - self.first, -1))
+        self.rows, self.first = [], i
+
+    def finish(self, beta):
+        """(p x F betas, per-fit objective traces, converged flags)."""
+        self._flush(len(self.trace))
+        self.beta[:, self.live] = beta.reshape(len(beta), -1)
+        traces = [self.trace[:k, j].tolist() for j, k in enumerate(self.iterations)]
+        return self.beta, traces, self.converged
+
+
+def _small_steps(step, old, tol):
+    """Per column: ||step|| <= tol * max(||old||, 1e-12), the stopping rule."""
+    return (step * step).sum(axis=0) <= tol * tol * np.maximum((old * old).sum(axis=0), 1e-24)
+
+
+def _sd_lockstep(X, y, op, cfg, lam, w, beta, seeds=None):
+    """Subgradient descent on each column of beta in lockstep.
+
+    beta is (p,) for one fit or (p, F) for F fits. Column k fits penalty
+    weight lam[k] to the loss sum_i w[i, k] l(z_ik, y_i), so a CV fold's
+    column weights its training rows only; y and w are (n,) and a scalar
+    for one fit, (n, 1) and (n, F) for F fits. The config's rate, tolerance
+    and max_iters apply to every column; seeds is unused (the blocks of
+    _cd_lockstep are its only draws). Returns (p x F final betas,
+    objective traces, converged flags).
+    """
+    run = _Lockstep(beta, cfg.max_iters)
+    obj, dz = _loss_from_linear(X @ beta, y, cfg.loss, w)
+    _require_finite(obj, "loss")
+    penalized = bool(np.any(lam))
+    if penalized:
+        _, slope = _penalty_terms(op.apply(beta * beta), cfg.eps_den)
+    for i in range(1, cfg.max_iters + 1):
+        grad = X.T @ dz
+        if penalized:
+            grad += lam * op.apply_T(slope) * beta
+        beta_new = beta - cfg.learning_rate(i) * grad
+        obj, dz = _loss_from_linear(X @ beta_new, y, cfg.loss, w)
+        if penalized:
+            penalty, slope = _penalty_terms(op.apply(beta_new * beta_new), cfg.eps_den)
+            obj += lam * penalty
+        keep = run.record(i, obj, beta_new, _small_steps(beta_new - beta, beta, cfg.eps_tol))
+        beta = beta_new
+        if keep is not None:
+            if not keep.any():
+                break
+            beta, dz, lam, w = beta[:, keep], dz[:, keep], lam[keep], w[:, keep]
+            if penalized:
+                slope = slope[:, keep]
+    return run.finish(beta)
+
+
+def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
+    """Stochastic block coordinate descent on each column of beta in
+    lockstep, with the shapes of _sd_lockstep. Column k draws its blocks
+    from its own stream seeded by seeds[k], so it follows the trajectory of
+    its single fit."""
+    p = X.shape[1]
+    q = p if cfg.block_size is None else cfg.block_size
+    XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
+    rngs = [np.random.default_rng(np.random.SeedSequence([s & 0xFFFFFFFF, 0xB10C]))
+            for s in seeds]
+    run = _Lockstep(beta, cfg.max_iters)
+    beta = beta.copy()
+    z = X @ beta  # kept equal to X @ beta by incremental updates
+    obj, dz = _loss_from_linear(z, y, cfg.loss, w)
+    _require_finite(obj, "loss")
+    penalized = bool(np.any(lam))
+    if penalized:
+        h = op.apply(beta * beta)  # kept equal to K (beta^2)
+        _, slope = _penalty_terms(h, cfg.eps_den)
+    for i in range(1, cfg.max_iters + 1):
+        draws = [rng.choice(p, size=q, replace=False) for rng in rngs]
+        S = np.sort(draws[0]) if beta.ndim == 1 else np.sort(draws, axis=1).T
+        block = ColumnBlocks(S, p, X.dot, XT.dot, XT)  # products with X[:, S_k]
+        kblock = op.blocks(S)  # and with K[:, S_k]
+        old = beta[block.cells]
+        grad = block.rmatvec(dz)
+        if penalized:
+            grad += lam * kblock.rmatvec(slope) * old
+        new = old - cfg.learning_rate(i) * grad
+        beta[block.cells] = new
+        step = new - old
+        z += block.matvec(step)
+        obj, dz = _loss_from_linear(z, y, cfg.loss, w)
+        if penalized:
+            h += kblock.matvec(new * new - old * old)
+            penalty, slope = _penalty_terms(h, cfg.eps_den)
+            obj += lam * penalty
+        keep = run.record(i, obj, beta, _small_steps(step, old, cfg.eps_tol))
+        if keep is not None:
+            if not keep.any():
+                break
+            beta, z, dz, lam, w = beta[:, keep], z[:, keep], dz[:, keep], lam[keep], w[:, keep]
+            if penalized:
+                h, slope = h[:, keep], slope[:, keep]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
+    return run.finish(beta)
+
+
+_LOCKSTEP = {"sd": _sd_lockstep, "cd": _cd_lockstep}
+
+
+def _single_fit(lockstep, X, y, semigroup, cfg, beta0):
+    """One fit: the one-column case of an optimizer's lockstep core, run on
+    a (p,) beta."""
+    X, y = _check_data(X, y, cfg)
+    n, p = X.shape
+    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64)
+    if beta.shape != (p,):
+        raise ShapeMismatch(f"beta0 has shape {beta.shape}, expected ({p},)")
+    op = _compile(semigroup, p)
+    betas, traces, converged = lockstep(X, y, op, cfg, cfg.lam, 1.0 / n, beta, [cfg.seed])
     return FitResult(
-        beta_hat=beta,
-        beta_thresholded=threshold_kmeans(beta),
-        iterations=len(trace),
-        objective_trace=trace,
-        converged=converged,
+        beta_hat=betas[:, 0],
+        beta_thresholded=threshold_kmeans(betas[:, 0]),
+        iterations=len(traces[0]),
+        objective_trace=traces[0],
+        converged=bool(converged[0]),
         total_walk_steps=op.walk_steps,
     )
 
@@ -188,66 +363,13 @@ def subgradient_descent(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResul
 
     beta0 is the starting point (default: the zero vector).
     """
-    X, y, beta, op = _fit_inputs(X, y, semigroup, cfg, beta0)
-    loss_val, dz = _loss_from_linear(X @ beta, y, cfg.loss)
-    _require_finite(loss_val, "loss")
-    h = op.apply(beta * beta) if cfg.lam else None
-    trace = []
-    converged = False
-    for i in range(1, cfg.max_iters + 1):
-        grad = X.T @ dz
-        if cfg.lam:
-            grad += cfg.lam * op.apply_T(_root_slope(h, cfg.eps_den)) * beta
-        beta_new = beta - cfg.learning_rate(i) * grad
-        obj, dz = _loss_from_linear(X @ beta_new, y, cfg.loss)
-        if cfg.lam:
-            h = op.apply(beta_new * beta_new)
-            obj += cfg.lam * _penalty_sum(h)
-        _require_finite(obj, "objective")
-        trace.append(obj)
-        reldiff = np.linalg.norm(beta_new - beta) / max(np.linalg.norm(beta), 1e-12)
-        beta = beta_new
-        if reldiff <= cfg.eps_tol:
-            converged = True
-            break
-    return _result(beta, trace, converged, op)
+    return _single_fit(_sd_lockstep, X, y, semigroup, cfg, beta0)
 
 
 def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     """Stochastic block coordinate descent: each iteration updates a uniform
     random block of block_size coordinates using the restricted subgradient."""
-    X, y, beta, op = _fit_inputs(X, y, semigroup, cfg, beta0)
-    p = X.shape[1]
-    q = p if cfg.block_size is None else cfg.block_size
-    XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xB10C]))
-    z = X @ beta  # kept equal to X @ beta by incremental updates
-    loss_val, dz = _loss_from_linear(z, y, cfg.loss)
-    _require_finite(loss_val, "loss")
-    h = op.apply(beta * beta) if cfg.lam else None  # kept equal to K (beta^2)
-    trace = []
-    converged = False
-    for i in range(1, cfg.max_iters + 1):
-        S = np.sort(rng.choice(p, size=q, replace=False))
-        XT_S = XT[S]
-        old_S = beta[S]
-        grad_S = XT_S @ dz
-        if cfg.lam:
-            grad_S += cfg.lam * op.apply_T(_root_slope(h, cfg.eps_den), S) * old_S
-        new_S = old_S - cfg.learning_rate(i) * grad_S
-        beta[S] = new_S
-        z += XT_S.T @ (new_S - old_S)
-        obj, dz = _loss_from_linear(z, y, cfg.loss)
-        if cfg.lam:
-            h += op.apply(new_S * new_S - old_S * old_S, S)
-            obj += cfg.lam * _penalty_sum(h)
-        _require_finite(obj, "objective")
-        trace.append(obj)
-        reldiff = np.linalg.norm(new_S - old_S) / max(np.linalg.norm(old_S), 1e-12)
-        if reldiff <= cfg.eps_tol:
-            converged = True
-            break
-    return _result(beta, trace, converged, op)
+    return _single_fit(_cd_lockstep, X, y, semigroup, cfg, beta0)
 
 
 def threshold_kmeans(beta) -> np.ndarray:
@@ -285,48 +407,56 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     """K-fold cross-validation over the (lam, t) grid.
 
     One HeatFlowMatrix is simulated and compiled per t value and shared
-    across all folds and lam values. Returns (best_lam, best_t, table) where
-    table rows are {"lam", "t", "cv_loss"}; ties break toward smaller lam,
-    then smaller t.
+    across all folds and lam values. For each t, the |lambda_grid| x folds
+    fits run in lockstep as the columns of one p x F beta (see
+    _sd_lockstep and _cd_lockstep): a fold is a mask of training rows over
+    the full X, each column keeps its own lam and, for block CD, its own
+    per-cell seed, and every column ends where its single fit on the
+    fold's training rows would. The held-out losses of all columns come
+    from one product with the complementary masks. Returns (best_lam,
+    best_t, table) where table rows are {"lam", "t", "cv_loss"}; ties break
+    toward smaller lam, then smaller t.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    lockstep = _LOCKSTEP.get(optimizer)
+    if lockstep is None:
+        raise ValueError(f"optimizer must be 'sd' or 'cd', got {optimizer!r}")
     lambda_grid = list(lambda_grid)
     t_grid = list(t_grid)
     if not lambda_grid or not t_grid:
         raise GridEmpty("lambda_grid and t_grid must be nonempty")
+    X, y = _check_data(X, y, cfg)
+    if min(lambda_grid) < 0:
+        raise ValueError(f"lambda_grid values must be >= 0, got {min(lambda_grid)}")
     n = X.shape[0]
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise FoldTooSmall(f"n={n} samples cannot fill {folds} folds")
-    fit = {"sd": subgradient_descent, "cd": block_cd}[optimizer]
-
-    flows = {}
-    for ti, t in enumerate(t_grid):
-        h_seed = int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF10, ti])
-                     .generate_state(1)[0])
-        flows[ti] = SmoothingOperator.compile(
-            simulate_heat_flow(g, t, cfg.B, seed=h_seed))
 
     perm = np.random.default_rng(
         np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF01D])).permutation(n)
-    fold_idx = np.array_split(perm, folds)
+    held_out = np.zeros((n, folds), dtype=bool)
+    for fi, test_rows in enumerate(np.array_split(perm, folds)):
+        held_out[test_rows, fi] = True
+    # column li * folds + fi fits lambda_grid[li] on the training rows of fold fi
+    lams = np.repeat(np.asarray(lambda_grid, dtype=np.float64), folds)
+    w_train = np.tile(~held_out / (~held_out).sum(axis=0), len(lambda_grid))
+    w_test = np.tile(held_out / held_out.sum(axis=0), len(lambda_grid))
 
     table = []
     for ti, t in enumerate(t_grid):
-        H = flows[ti]
-        for li, lam in enumerate(lambda_grid):
-            held_out = []
-            for fi, test_rows in enumerate(fold_idx):
-                train = np.setdiff1d(perm, test_rows)
-                sub_seed = int(np.random.SeedSequence(
-                    [cfg.seed & 0xFFFFFFFF, ti, li, fi]).generate_state(1)[0])
-                cfg_f = replace(cfg, lam=lam, t=t, seed=sub_seed)
-                res = fit(X[train], y[train], H, cfg_f)
-                held_out.append(loss_and_grad(res.beta_hat, X[test_rows],
-                                              y[test_rows], cfg.loss)[0])
-            table.append({"lam": lam, "t": t, "cv_loss": float(np.mean(held_out))})
+        h_seed = int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF10, ti])
+                     .generate_state(1)[0])
+        op = _compile(simulate_heat_flow(g, t, cfg.B, seed=h_seed), X.shape[1])
+        seeds = [int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, ti, li, fi])
+                     .generate_state(1)[0])
+                 for li in range(len(lambda_grid)) for fi in range(folds)]
+        betas, _, _ = lockstep(X, y[:, None], op, cfg, lams, w_train,
+                               np.zeros((X.shape[1], lams.size)), seeds)
+        held_out_losses = _loss_from_linear(X @ betas, y[:, None], cfg.loss, w_test)[0]
+        cv_losses = held_out_losses.reshape(len(lambda_grid), folds).mean(axis=1)
+        table += [{"lam": lam, "t": t, "cv_loss": float(c)}
+                  for lam, c in zip(lambda_grid, cv_losses)]
 
     best = None
     for lam in sorted(set(lambda_grid)):

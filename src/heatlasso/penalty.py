@@ -27,16 +27,17 @@ class GroupStructure:
 
     def __init__(self, assignment):
         assignment = np.asarray(assignment, dtype=np.int64)
-        labels = np.unique(assignment)
-        k = labels.size
-        if not np.array_equal(labels, np.arange(1, k + 1)):
-            raise ValueError(f"labels must be contiguous 1..k, got {labels}")
+        positive = assignment.size == 0 or assignment.min() >= 1
+        counts = np.bincount(assignment) if positive else np.zeros(1, np.int64)
+        if not positive or not counts[1:].all():
+            raise ValueError(f"labels must be contiguous 1..k, got {np.unique(assignment)}")
         self.assignment = assignment
-        self.k = int(k)
+        self.sizes = counts[1:]
+        self.k = int(self.sizes.size)
         self.p = int(assignment.size)
-        self.sizes = np.array([np.count_nonzero(assignment == l)
-                               for l in range(1, k + 1)], dtype=np.int64)
-        self._members = [np.flatnonzero(assignment == l) for l in range(1, k + 1)]
+        # a stable sort keeps each group's indices ascending
+        self._members = np.split(np.argsort(assignment, kind="stable"),
+                                 np.cumsum(self.sizes))[:-1]
 
     @classmethod
     def from_sizes(cls, sizes):
@@ -78,14 +79,13 @@ def _check_length(beta, p):
     return beta
 
 
-def _penalty_sum(h):
-    """sum_j sqrt(|h_j|) for the smoothed squared coefficients h."""
-    return float(np.sqrt(np.abs(h)).sum())
-
-
-def _root_slope(h, eps_den):
-    """r_j = sgn(h_j) / sqrt(|h_j|), the denominator clamped at eps_den."""
-    return np.sign(h) / np.maximum(np.sqrt(np.abs(h)), eps_den)
+def _penalty_terms(h, eps_den):
+    """For the smoothed squared coefficients h (per column of a (p, F) h):
+    the penalty sum_j sqrt(|h_j|) and the slope r_j = sgn(h_j) / sqrt(|h_j|)
+    whose smoothing K^T r gives the subgradient, the denominator clamped at
+    eps_den."""
+    root = np.sqrt(np.abs(h))
+    return root.sum(axis=0), np.sign(h) / np.maximum(root, eps_den)
 
 
 def penalty_value(beta, kernel_or_H, eps_abs: float = 0.0) -> float:
@@ -96,7 +96,7 @@ def penalty_value(beta, kernel_or_H, eps_abs: float = 0.0) -> float:
     """
     op = SmoothingOperator.compile(kernel_or_H)
     beta = _check_length(beta, op.p)
-    return _penalty_sum(np.maximum(np.abs(op.apply(beta * beta)), eps_abs))
+    return float(np.sqrt(np.maximum(np.abs(op.apply(beta * beta)), eps_abs)).sum())
 
 
 def penalty_subgradient(beta, kernel_or_H, eps_den: float = 1e-8) -> np.ndarray:
@@ -109,7 +109,7 @@ def penalty_subgradient(beta, kernel_or_H, eps_den: float = 1e-8) -> np.ndarray:
     """
     op = SmoothingOperator.compile(kernel_or_H)
     beta = _check_length(beta, op.p)
-    return op.apply_T(_root_slope(op.apply(beta * beta), eps_den)) * beta
+    return op.apply_T(_penalty_terms(op.apply(beta * beta), eps_den)[1]) * beta
 
 
 def group_lasso_penalty(beta, groups: GroupStructure) -> float:

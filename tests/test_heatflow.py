@@ -167,13 +167,38 @@ class TestSmoothingOperator:
         assert np.abs(dense.apply(f) - heatflow_apply(H, f)).max() <= 1e-12
         pairs = [(dense.apply(f), table.apply(f)),
                  (dense.apply_T(r), table.apply_T(r)),
-                 (dense.apply(d, S), table.apply(d, S)),
-                 (dense.apply_T(r, S), table.apply_T(r, S))]
+                 (dense.blocks(S).matvec(d), table.blocks(S).matvec(d)),
+                 (dense.blocks(S).rmatvec(r), table.blocks(S).rmatvec(r))]
         for a, b in pairs:
             assert np.abs(a - b).max() <= 1e-12
         K = empirical_kernel(H)
-        assert np.abs(dense.apply(d, S) - K[:, S] @ d).max() <= 1e-12
+        assert np.abs(dense.blocks(S).matvec(d) - K[:, S] @ d).max() <= 1e-12
         assert np.abs(dense.apply_T(r) - K.T @ r).max() <= 1e-12
+
+    def test_dense_and_table_forms_agree_on_columns(self):
+        # (p, F) inputs: K F, K^T R, and the per-column block forms, for
+        # blocks gathered (q F < p) and scattered into a dense GEMM (q F >= p)
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        H = simulate_heat_flow(g, 1.0, B=20, seed=4)
+        dense = SmoothingOperator(dense=empirical_kernel(H))
+        table = SmoothingOperator(table=H)
+        K = empirical_kernel(H)
+        rng = np.random.default_rng(25)
+        f, r = rng.standard_normal((30, 6)), rng.standard_normal((30, 6))
+        for op in (dense, table):
+            assert np.abs(op.apply(f) - K @ f).max() <= 1e-12
+            assert np.abs(op.apply_T(r) - K.T @ r).max() <= 1e-12
+        for q, F in ((2, 3), (4, 6), (30, 1)):  # q F = 6 < 30; 24 < 30; 30
+            S = np.sort(np.stack([rng.choice(30, q, replace=False) for _ in range(F)]),
+                        axis=1).T
+            d, rF = rng.standard_normal((q, F)), r[:, :F]
+            want = np.stack([K[:, S[:, k]] @ d[:, k] for k in range(F)], axis=1)
+            want_T = np.stack([(K.T @ rF[:, k])[S[:, k]] for k in range(F)], axis=1)
+            for op in (dense, table):
+                assert np.abs(op.blocks(S).matvec(d) - want).max() <= 1e-12
+                assert np.abs(op.blocks(S).rmatvec(rF) - want_T).max() <= 1e-12
+        with pytest.raises(LengthMismatch):
+            heatflow_apply(H, np.zeros((29, 2)))
 
     def test_compile_chooses_by_size(self):
         g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)

@@ -1,9 +1,11 @@
 """Optimizers, losses, thresholding, and cross-validation."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from heatlasso import optimize
 from heatlasso.errors import (
     FoldTooSmall,
     GridEmpty,
@@ -12,10 +14,12 @@ from heatlasso.errors import (
     ShapeMismatch,
 )
 from heatlasso.graphs import figure_graph, sample_block_graph
-from heatlasso.heatflow import exact_heat_kernel, simulate_heat_flow
+from heatlasso.heatflow import SmoothingOperator, exact_heat_kernel, simulate_heat_flow
 from heatlasso.optimize import (
     FitConfig,
     FitResult,
+    _cd_lockstep,
+    _sd_lockstep,
     block_cd,
     cross_validate,
     loss_and_grad,
@@ -187,6 +191,20 @@ class TestSubgradientDescent:
         with pytest.raises(ValueError):
             FitConfig(block_size=12).validate(p=10)
 
+    def test_tolerances_are_validated(self):
+        # eps_den = 0 would divide 0/0 in the first penalized step from zero
+        for bad in ({"eps_den": 0.0}, {"eps_den": -1e-8}, {"eps_den": float("nan")}):
+            with pytest.raises(ValueError, match="eps_den"):
+                FitConfig(**bad).validate()
+        for bad in ({"eps_tol": -1e-6}, {"eps_tol": float("nan")}):
+            with pytest.raises(ValueError, match="eps_tol"):
+                FitConfig(**bad).validate()
+        FitConfig(eps_tol=0.0).validate()
+        rng = np.random.default_rng(26)
+        X, y, _ = well_conditioned_instance(rng, n=20, p=3)
+        with pytest.raises(ValueError, match="eps_den"):
+            subgradient_descent(X, y, np.eye(3), FitConfig(lam=0.1, eps_den=0.0))
+
     def test_custom_starting_point(self):
         rng = np.random.default_rng(21)
         X, y, ls = well_conditioned_instance(rng, n=50, p=4)
@@ -349,6 +367,19 @@ class TestCrossValidate:
             cross_validate(X, y, figure_graph(), [], [1.0], folds=2, cfg=cfg)
         with pytest.raises(FoldTooSmall):
             cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=13, cfg=cfg)
+        with pytest.raises(ValueError, match="lambda_grid"):
+            cross_validate(X, y, figure_graph(), [0.1, -0.1], [1.0], folds=2, cfg=cfg)
+
+    def test_unknown_optimizer_rejected_before_simulation(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        X, y, _ = well_conditioned_instance(rng, n=12, p=3)
+        calls = []
+        monkeypatch.setattr(optimize, "simulate_heat_flow",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="'sd' or 'cd'"):
+            cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=2,
+                           cfg=FitConfig(), optimizer="sgd")
+        assert calls == []
 
     def test_block_cd_optimizer_path(self):
         rng = np.random.default_rng(22)
@@ -359,6 +390,95 @@ class TestCrossValidate:
         lam, t, table = cross_validate(X, y, figure_graph(), [0.0, 1e6],
                                        [0.5], folds=3, cfg=cfg, optimizer="cd")
         assert lam == 0.0 and len(table) == 2
+
+
+class TestLockstep:
+    """F fits run as the columns of one p x F beta match the single fits."""
+
+    @staticmethod
+    def instance(loss, B):
+        # p = 30: B = 20 compiles to the dense K^ (p <= 8B), B = 3 keeps the table
+        rng = np.random.default_rng(27)
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        X = rng.standard_normal((48, 30))
+        z = X[:, :10] @ np.full(10, 0.5) + 0.3 * rng.standard_normal(48)
+        y = (z > 0).astype(float) if loss == "logistic" else z
+        folds = np.array_split(rng.permutation(48), 3)
+        return X, y, simulate_heat_flow(g, 1.0, B=B, seed=4), folds
+
+    @pytest.mark.parametrize("loss", ["squared_error", "logistic"])
+    @pytest.mark.parametrize("B", [20, 3])
+    @pytest.mark.parametrize("name, settings", [
+        # tolerances at which some columns converge, at different
+        # iterations, and others run to max_iters
+        ("sd", {"eps_tol": 5e-3, "max_iters": 80}),
+        # 9 blocks of 8 hold 72 >= p coordinates: dense block products
+        ("cd", {"eps_tol": 1e-2, "max_iters": 110, "block_size": 8}),
+        # 9 blocks of 2 hold 18 < p: gathered block products
+        ("cd", {"eps_tol": 3e-2, "max_iters": 110, "block_size": 2}),
+    ])
+    def test_columns_equal_single_fits(self, name, settings, B, loss):
+        X, y, H, folds = self.instance(loss, B)
+        op = SmoothingOperator.compile(H)
+        assert (op._table is None) == (B == 20)
+        core, single = {"sd": (_sd_lockstep, subgradient_descent),
+                        "cd": (_cd_lockstep, block_cd)}[name]
+        cfg = FitConfig(alpha0=0.5 if loss == "logistic" else 0.05,
+                        rate_protocol="constant", loss=loss, **settings)
+        lams = [0.0, 0.01, 0.1]
+        cells = [(lam, rows) for lam in lams for rows in folds]
+        train = [np.setdiff1d(np.arange(48), rows) for _, rows in cells]
+        w = np.zeros((48, len(cells)))
+        for k, rows in enumerate(train):
+            w[rows, k] = 1.0 / rows.size
+        seeds = list(range(100, 100 + len(cells)))
+        betas, traces, converged = core(X, y[:, None], op, cfg,
+                                        np.array([lam for lam, _ in cells]), w,
+                                        np.zeros((30, len(cells))), seeds)
+        iterations = set()
+        for k, ((lam, _), rows) in enumerate(zip(cells, train)):
+            cfg_k = replace(cfg, lam=lam, seed=seeds[k])
+            res = single(X[rows], y[rows], H, cfg_k)
+            assert np.abs(betas[:, k] - res.beta_hat).max() <= 1e-8
+            assert len(traces[k]) == res.iterations
+            assert np.allclose(traces[k], res.objective_trace, rtol=1e-10, atol=1e-12)
+            assert converged[k] == res.converged
+            iterations.add(res.iterations)
+        # columns stop at different iterations, and not all of them converge
+        assert len(iterations) > 1
+        assert converged.any() and not converged.all()
+
+    @pytest.mark.parametrize("name", ["sd", "cd"])
+    def test_cross_validate_equals_per_cell_fits(self, name):
+        # the table of a per-cell loop of single fits with the same seeds
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((45, 12))
+        y = X[:, :4] @ np.ones(4) + 0.3 * rng.standard_normal(45)
+        g = sample_block_graph([4, 4, 4], 0.6, 0.05, seed=5)
+        cfg = FitConfig(alpha0=0.05, rate_protocol="constant", max_iters=120,
+                        eps_tol=1e-4, B=10, seed=7, block_size=4)
+        lambdas, ts, folds = [0.003, 0.03, 0.3], [0.5, 2.0], 3
+        lam, t, table = cross_validate(X, y, g, lambdas, ts, folds, cfg, optimizer=name)
+        fit = {"sd": subgradient_descent, "cd": block_cd}[name]
+        perm = np.random.default_rng(np.random.SeedSequence([7, 0xF01D])).permutation(45)
+        want = []
+        for ti, t_ in enumerate(ts):
+            h_seed = int(np.random.SeedSequence([7, 0xF10, ti]).generate_state(1)[0])
+            H = simulate_heat_flow(g, t_, cfg.B, seed=h_seed)
+            for li, lam_ in enumerate(lambdas):
+                held_out = []
+                for fi, test_rows in enumerate(np.array_split(perm, folds)):
+                    train = np.setdiff1d(perm, test_rows)
+                    seed = int(np.random.SeedSequence([7, ti, li, fi]).generate_state(1)[0])
+                    cfg_f = replace(cfg, lam=lam_, t=t_, seed=seed)
+                    res = fit(X[train], y[train], H, cfg_f)
+                    held_out.append(loss_and_grad(res.beta_hat, X[test_rows], y[test_rows])[0])
+                want.append((lam_, t_, np.mean(held_out)))
+        assert [(r["lam"], r["t"]) for r in table] == [(a, b) for a, b, _ in want]
+        assert np.abs(np.array([r["cv_loss"] for r in table])
+                      - np.array([c for _, _, c in want])).max() <= 1e-8
+        best = min(want, key=lambda r: (r[2], r[0], r[1]))
+        assert (lam, t) == best[:2]
 
 
 def test_fit_result_json_roundtrip():

@@ -46,10 +46,19 @@ class TestGroupStructure:
         assert g.sizes.tolist() == [2, 3]
 
     def test_labels_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            GroupStructure(np.array([1, 3, 3]))
-        with pytest.raises(ValueError):
-            GroupStructure(np.array([0, 1, 1]))
+        for bad in ([1, 3, 3], [0, 1, 1], [2, 2], [-1, 1]):
+            with pytest.raises(ValueError, match="contiguous 1..k"):
+                GroupStructure(np.array(bad))
+
+    def test_sizes_and_members_of_interleaved_labels(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            assignment = rng.permutation(np.repeat(np.arange(1, 6), rng.integers(1, 5, 5)))
+            g = GroupStructure(assignment)
+            assert g.k == 5 and g.p == assignment.size
+            for label in range(1, 6):
+                assert g.sizes[label - 1] == np.count_nonzero(assignment == label)
+                assert np.array_equal(g.members(label), np.flatnonzero(assignment == label))
 
     def test_active_groups(self):
         g = GroupStructure.from_sizes([2, 2])
