@@ -211,7 +211,6 @@ class _Lockstep:
         self.live = np.arange(F)
         self.beta = beta.reshape(-1, F).copy()
         self.trace = np.empty((max_iters, F))
-        self.rows, self.first = [], 0  # live objectives since the last retirement
         self.iterations = np.full(F, max_iters)
         self.converged = np.zeros(F, dtype=bool)
 
@@ -220,10 +219,9 @@ class _Lockstep:
         `beta`; retire those flagged `done`. Returns the mask of live columns
         that go on, or None when all of them do."""
         _require_finite(obj, "objective")
-        self.rows.append(obj)
+        self.trace[i - 1, self.live] = obj
         if not np.count_nonzero(done):
             return None
-        self._flush(i)
         done = np.reshape(done, -1)
         stop = self.live[done]
         self.beta[:, stop] = beta.reshape(len(beta), -1)[:, done]
@@ -232,15 +230,11 @@ class _Lockstep:
         self.live = self.live[~done]
         return ~done
 
-    def _flush(self, i):
-        if self.rows:
-            self.trace[self.first:i, self.live] = np.reshape(self.rows, (i - self.first, -1))
-        self.rows, self.first = [], i
-
     def finish(self, beta):
-        """(p x F betas, per-fit objective traces, converged flags)."""
-        self._flush(len(self.trace))
-        self.beta[:, self.live] = beta.reshape(len(beta), -1)
+        """(p x F betas, per-fit objective traces, converged flags), given
+        the betas of the columns still live."""
+        if self.live.size:
+            self.beta[:, self.live] = beta.reshape(len(beta), -1)
         traces = [self.trace[:k, j].tolist() for j, k in enumerate(self.iterations)]
         return self.beta, traces, self.converged
 
@@ -250,15 +244,14 @@ def _small_steps(step, old, tol):
     return (step * step).sum(axis=0) <= tol * tol * np.maximum((old * old).sum(axis=0), 1e-24)
 
 
-def _sd_lockstep(X, y, op, cfg, lam, w, beta, seeds=None):
+def _sd_lockstep(X, y, op, cfg, lam, w, beta):
     """Subgradient descent on each column of beta in lockstep.
 
     beta is (p,) for one fit or (p, F) for F fits. Column k fits penalty
     weight lam[k] to the loss sum_i w[i, k] l(z_ik, y_i), so a CV fold's
     column weights its training rows only; y and w are (n,) and a scalar
     for one fit, (n, 1) and (n, F) for F fits. The config's rate, tolerance
-    and max_iters apply to every column; seeds is unused (the blocks of
-    _cd_lockstep are its only draws). Returns (p x F final betas,
+    and max_iters apply to every column. Returns (p x F final betas,
     objective traces, converged flags).
     """
     run = _Lockstep(beta, cfg.max_iters)
@@ -335,19 +328,16 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     return run.finish(beta)
 
 
-_LOCKSTEP = {"sd": _sd_lockstep, "cd": _cd_lockstep}
-
-
 def _single_fit(lockstep, X, y, semigroup, cfg, beta0):
     """One fit: the one-column case of an optimizer's lockstep core, run on
-    a (p,) beta."""
+    a (p,) beta. lockstep(X, y, op, cfg, lam, w, beta) runs the core."""
     X, y = _check_data(X, y, cfg)
     n, p = X.shape
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64)
     if beta.shape != (p,):
         raise ShapeMismatch(f"beta0 has shape {beta.shape}, expected ({p},)")
     op = _compile(semigroup, p)
-    betas, traces, converged = lockstep(X, y, op, cfg, cfg.lam, 1.0 / n, beta, [cfg.seed])
+    betas, traces, converged = lockstep(X, y, op, cfg, cfg.lam, 1.0 / n, beta)
     return FitResult(
         beta_hat=betas[:, 0],
         beta_thresholded=threshold_kmeans(betas[:, 0]),
@@ -369,7 +359,8 @@ def subgradient_descent(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResul
 def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     """Stochastic block coordinate descent: each iteration updates a uniform
     random block of block_size coordinates using the restricted subgradient."""
-    return _single_fit(_cd_lockstep, X, y, semigroup, cfg, beta0)
+    return _single_fit(lambda *args: _cd_lockstep(*args, [cfg.seed]),
+                       X, y, semigroup, cfg, beta0)
 
 
 def threshold_kmeans(beta) -> np.ndarray:
@@ -417,8 +408,7 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     best_t, table) where table rows are {"lam", "t", "cv_loss"}; ties break
     toward smaller lam, then smaller t.
     """
-    lockstep = _LOCKSTEP.get(optimizer)
-    if lockstep is None:
+    if optimizer not in ("sd", "cd"):
         raise ValueError(f"optimizer must be 'sd' or 'cd', got {optimizer!r}")
     lambda_grid = list(lambda_grid)
     t_grid = list(t_grid)
@@ -448,11 +438,14 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
         h_seed = int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF10, ti])
                      .generate_state(1)[0])
         op = _compile(simulate_heat_flow(g, t, cfg.B, seed=h_seed), X.shape[1])
-        seeds = [int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, ti, li, fi])
-                     .generate_state(1)[0])
-                 for li in range(len(lambda_grid)) for fi in range(folds)]
-        betas, _, _ = lockstep(X, y[:, None], op, cfg, lams, w_train,
-                               np.zeros((X.shape[1], lams.size)), seeds)
+        args = (X, y[:, None], op, cfg, lams, w_train, np.zeros((X.shape[1], lams.size)))
+        if optimizer == "sd":
+            betas = _sd_lockstep(*args)[0]
+        else:
+            seeds = [int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, ti, li, fi])
+                         .generate_state(1)[0])
+                     for li in range(len(lambda_grid)) for fi in range(folds)]
+            betas = _cd_lockstep(*args, seeds)[0]
         held_out_losses = _loss_from_linear(X @ betas, y[:, None], cfg.loss, w_test)[0]
         cv_losses = held_out_losses.reshape(len(lambda_grid), folds).mean(axis=1)
         table += [{"lam": lam, "t": t, "cv_loss": float(c)}

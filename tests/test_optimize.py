@@ -406,6 +406,35 @@ class TestLockstep:
         folds = np.array_split(rng.permutation(48), 3)
         return X, y, simulate_heat_flow(g, 1.0, B=B, seed=4), folds
 
+    @staticmethod
+    def columns_against_single_fits(name, cfg, X, y, H, folds):
+        """Run the lockstep core on every lam x fold cell, check each column
+        against its single fit and return (iterations, converged) per column."""
+        n, p = X.shape
+        lams = [0.0, 0.01, 0.1]
+        cells = [(lam, rows) for lam in lams for rows in folds]
+        train = [np.setdiff1d(np.arange(n), rows) for _, rows in cells]
+        w = np.zeros((n, len(cells)))
+        for k, rows in enumerate(train):
+            w[rows, k] = 1.0 / rows.size
+        seeds = list(range(100, 100 + len(cells)))
+        args = (X, y[:, None], SmoothingOperator.compile(H), cfg,
+                np.array([lam for lam, _ in cells]), w, np.zeros((p, len(cells))))
+        if name == "sd":
+            betas, traces, converged = _sd_lockstep(*args)
+        else:
+            betas, traces, converged = _cd_lockstep(*args, seeds)
+        single = {"sd": subgradient_descent, "cd": block_cd}[name]
+        iterations = []
+        for k, ((lam, _), rows) in enumerate(zip(cells, train)):
+            res = single(X[rows], y[rows], H, replace(cfg, lam=lam, seed=seeds[k]))
+            assert np.abs(betas[:, k] - res.beta_hat).max() <= 1e-8
+            assert len(traces[k]) == res.iterations
+            assert np.allclose(traces[k], res.objective_trace, rtol=1e-10, atol=1e-12)
+            assert converged[k] == res.converged
+            iterations.append(res.iterations)
+        return iterations, converged
+
     @pytest.mark.parametrize("loss", ["squared_error", "logistic"])
     @pytest.mark.parametrize("B", [20, 3])
     @pytest.mark.parametrize("name, settings", [
@@ -419,34 +448,32 @@ class TestLockstep:
     ])
     def test_columns_equal_single_fits(self, name, settings, B, loss):
         X, y, H, folds = self.instance(loss, B)
-        op = SmoothingOperator.compile(H)
-        assert (op._table is None) == (B == 20)
-        core, single = {"sd": (_sd_lockstep, subgradient_descent),
-                        "cd": (_cd_lockstep, block_cd)}[name]
+        assert (SmoothingOperator.compile(H)._table is None) == (B == 20)
         cfg = FitConfig(alpha0=0.5 if loss == "logistic" else 0.05,
                         rate_protocol="constant", loss=loss, **settings)
-        lams = [0.0, 0.01, 0.1]
-        cells = [(lam, rows) for lam in lams for rows in folds]
-        train = [np.setdiff1d(np.arange(48), rows) for _, rows in cells]
-        w = np.zeros((48, len(cells)))
-        for k, rows in enumerate(train):
-            w[rows, k] = 1.0 / rows.size
-        seeds = list(range(100, 100 + len(cells)))
-        betas, traces, converged = core(X, y[:, None], op, cfg,
-                                        np.array([lam for lam, _ in cells]), w,
-                                        np.zeros((30, len(cells))), seeds)
-        iterations = set()
-        for k, ((lam, _), rows) in enumerate(zip(cells, train)):
-            cfg_k = replace(cfg, lam=lam, seed=seeds[k])
-            res = single(X[rows], y[rows], H, cfg_k)
-            assert np.abs(betas[:, k] - res.beta_hat).max() <= 1e-8
-            assert len(traces[k]) == res.iterations
-            assert np.allclose(traces[k], res.objective_trace, rtol=1e-10, atol=1e-12)
-            assert converged[k] == res.converged
-            iterations.add(res.iterations)
+        iterations, converged = self.columns_against_single_fits(name, cfg, X, y, H, folds)
         # columns stop at different iterations, and not all of them converge
-        assert len(iterations) > 1
+        assert len(set(iterations)) > 1
         assert converged.any() and not converged.all()
+
+    @pytest.mark.parametrize("name", ["sd", "cd"])
+    @pytest.mark.parametrize("y_scale, eps_tol", [
+        (0.0, 1e-5),  # y = 0: every first step is zero
+        (1.0, 1e3),  # a tolerance every step from a nonzero beta meets
+    ])
+    def test_all_columns_converge_at_once(self, name, y_scale, eps_tol):
+        X, y, H, folds = self.instance("squared_error", 20)
+        y = y_scale * y
+        cfg = FitConfig(alpha0=0.05, rate_protocol="constant", eps_tol=eps_tol,
+                        max_iters=50, block_size=8, B=20)
+        iterations, converged = self.columns_against_single_fits(name, cfg, X, y, H, folds)
+        # every column stops at the same iteration
+        assert len(set(iterations)) == 1 and converged.all()
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        lam, t, table = cross_validate(X, y, g, [0.0, 0.1], [0.5, 1.0], 3, cfg,
+                                       optimizer=name)
+        assert len(table) == 4
+        assert all(np.isfinite(r["cv_loss"]) for r in table)
 
     @pytest.mark.parametrize("name", ["sd", "cd"])
     def test_cross_validate_equals_per_cell_fits(self, name):
