@@ -11,10 +11,15 @@ compiles a table (or an exact kernel) once per fit and serves every
 smoothing an optimization run needs.
 
 Randomness is counter-based: every draw is a pure hash of
-(seed, walk index, step counter), so the terminals table is bit-identical
+(seed, walk index, draw index), so the terminals table is bit-identical
 for a given (graph, t, B, seed) no matter how the walks are scheduled.
+Each walk hashes (seed, walk index) once into a key, and each draw is one
+SplitMix64 finalizer of key ^ draw index. The walks run in cache-sized
+chunks of consecutive indices, each to completion, carrying compact arrays
+of the walks still moving.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -29,6 +34,8 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _INV53 = float(2.0 ** -53)
+# walks per chunk: its working arrays, ~60 bytes a walk, stay in a core's L2 cache
+_CHUNK = 1 << 14
 
 
 def _mix(x):
@@ -39,11 +46,22 @@ def _mix(x):
     return x ^ (x >> _U64(31))
 
 
-def _uniforms(seed, walk_ids, draw):
-    """Uniforms in (0, 1], one per walk, for the draw-th variate of each walk."""
-    with np.errstate(over="ignore"):
-        h = _mix(_mix(_mix(_U64(seed & 0xFFFFFFFFFFFFFFFF)) ^ walk_ids) ^ _U64(draw))
-    return ((h >> _U64(11)).astype(np.float64) + 1.0) * _INV53
+def _uniforms_into(keys, draw, out, scratch):
+    """Uniforms in (0, 1] written to `out`, one per walk key: the draw-th
+    variate of each walk, _mix(key ^ draw), computed in place. `scratch` is
+    a uint64 array of out's size."""
+    x = np.bitwise_xor(keys, _U64(draw), out=scratch)
+    y = out.view(np.uint64)  # out doubles as the shift buffer
+    x += _GOLDEN
+    x ^= np.right_shift(x, _U64(30), out=y)
+    x *= _MIX1
+    x ^= np.right_shift(x, _U64(27), out=y)
+    x *= _MIX2
+    x ^= np.right_shift(x, _U64(31), out=y)
+    x >>= _U64(11)
+    np.add(x, 1.0, out=out)
+    out *= _INV53
+    return out
 
 
 @dataclass(frozen=True)
@@ -70,44 +88,73 @@ class HeatFlowMatrix:
         return int(self.step_counts.sum()) if self.step_counts is not None else 0
 
 
+def _check_time(t):
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
 def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMatrix:
-    """Run B walks from every vertex until time t, all in vectorized lockstep.
+    """Run B walks from every vertex until time t.
 
     Exponential(deg) holding times make the walk's law the e^{-tL}
-    semigroup, which every fidelity test enforces.
+    semigroup, which every fidelity test enforces. Walk w is the w-th of
+    the p*B walks in row-major order (start vertex w // B). Walks run in
+    chunks of _CHUNK consecutive ids, each chunk to completion; in round d
+    every walk of the chunk still moving takes its hold from draw 2d and,
+    if the hold ends before t, its jump from draw 2d + 1. A chunk carries
+    compact arrays of its moving walks (id, vertex, its degree, time left,
+    key) and filters them when a walk stops, which then writes its terminal
+    and its step count d once.
+
+    The table is bit-identical per (graph, t, B, seed) to any other
+    schedule of the same walks: a variate is a pure function of (seed,
+    walk id, draw index), a walk uses draw 2d or 2d + 1 only in its d-th
+    step, and each walk's arithmetic never touches another walk's.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_time(t)
     p = g.p
-    n_walks = p * B
     terminals = np.repeat(np.arange(p, dtype=np.int32), B)
-    steps = np.zeros(n_walks, dtype=np.int32)
+    steps = np.zeros(p * B, dtype=np.int32)
     if t > 0:
-        deg = g.degrees
+        degf = g.degrees.astype(np.float64)
         flat, offsets = g.flat_adjacency()
-        remaining = np.full(n_walks, float(t))
-        walk_ids = np.arange(n_walks, dtype=np.uint64)
-        active = deg[terminals] > 0
-        draw = 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            cur = terminals[idx]
-            u = _uniforms(seed, walk_ids[idx], 2 * draw)
-            hold = -np.log(u) / deg[cur].astype(np.float64)
-            alive = hold < remaining[idx]
-            if alive.any():
-                jidx = idx[alive]
-                cur_j = terminals[jidx]
-                u2 = _uniforms(seed, walk_ids[jidx], 2 * draw + 1)
-                dj = deg[cur_j]
-                choice = np.minimum((u2 * dj).astype(np.int64), dj - 1)
-                terminals[jidx] = flat[offsets[cur_j] + choice]
-                remaining[jidx] -= hold[alive]
-                steps[jidx] += 1
-            active[idx[~alive]] = False
-            draw += 1
+        with np.errstate(over="ignore"):
+            seed_key = _mix(_U64(seed & 0xFFFFFFFFFFFFFFFF))
+        u = np.empty(_CHUNK)
+        scratch = np.empty(_CHUNK, dtype=np.uint64)
+        for start in range(0, p * B, _CHUNK):
+            ids = np.arange(start, min(start + _CHUNK, p * B))
+            cur = terminals[ids]
+            deg = degf[cur]
+            moving = deg > 0  # a degree-0 vertex holds forever
+            ids, cur, deg = ids[moving], cur[moving], deg[moving]
+            rem = np.full(len(ids), float(t))
+            key = _mix(seed_key ^ ids.astype(np.uint64))
+            d = 0
+            while len(ids):
+                n = len(ids)
+                hold = _uniforms_into(key, 2 * d, u[:n], scratch[:n])
+                np.log(hold, out=hold)
+                np.negative(hold, out=hold)
+                hold /= deg
+                alive = hold < rem
+                if not alive.all():
+                    done = ~alive
+                    terminals[ids[done]] = cur[done]
+                    steps[ids[done]] = d
+                    ids, cur, deg, rem, key, hold = (
+                        a[alive] for a in (ids, cur, deg, rem, key, hold))
+                    n = len(ids)
+                rem -= hold
+                # jump to neighbour min(floor(u * deg), deg - 1) of the vertex
+                choice = _uniforms_into(key, 2 * d + 1, u[:n], scratch[:n])
+                choice *= deg
+                np.minimum(choice, deg - 1, out=choice)
+                cur = flat[offsets[cur] + choice.astype(np.int64)]
+                deg = degf[cur]
+                d += 1
     return HeatFlowMatrix(
         terminals=terminals.reshape(p, B),
         t=float(t),
@@ -257,8 +304,7 @@ class SmoothingOperator:
 
 def exact_heat_kernel(g: Graph, t: float, limit: int = DENSE_LIMIT) -> np.ndarray:
     """Dense e^{-tL} via eigendecomposition; symmetric, rows sum to 1."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_time(t)
     if t == 0:
         return np.eye(g.p)
     spec = spectral_decompose(g, limit=limit)
@@ -282,8 +328,9 @@ def save_heatflow(H: HeatFlowMatrix, path):
 def load_heatflow(path) -> HeatFlowMatrix:
     """Load a stored matrix; step counts are not serialized and come back None.
 
-    Rejects a bad magic, a header with p < 1 or B < 1, a table shorter or
-    longer than the header says, and any terminal outside [0, p).
+    Rejects a bad magic, a header with p < 1, B < 1 or a negative or
+    non-finite t, a table shorter or longer than the header says, and any
+    terminal outside [0, p).
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -295,6 +342,8 @@ def load_heatflow(path) -> HeatFlowMatrix:
         p, B, t, seed = struct.unpack("<QQdq", header)
         if p < 1 or B < 1:
             raise ValueError(f"{path}: header has p={p}, B={B}; both must be >= 1")
+        if not 0 <= t < math.inf:
+            raise ValueError(f"{path}: header has t={t}; t must be finite and >= 0")
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size < 4 * p * B:
             raise ValueError(f"{path}: truncated terminals table")

@@ -29,6 +29,7 @@ full dense products (see heatflow.ColumnBlocks).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +66,14 @@ class FitConfig:
     loss: str = "squared_error"
 
     def validate(self, p=None):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"t must be finite and >= 0, got {self.t}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be > 0, got {self.alpha0}")
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if self.rate_protocol not in RATE_PROTOCOLS:
             raise ValueError(f"rate_protocol must be one of {RATE_PROTOCOLS}")
         if self.loss not in LOSSES:
@@ -415,8 +416,10 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     if not lambda_grid or not t_grid:
         raise GridEmpty("lambda_grid and t_grid must be nonempty")
     X, y = _check_data(X, y, cfg)
-    if min(lambda_grid) < 0:
-        raise ValueError(f"lambda_grid values must be >= 0, got {min(lambda_grid)}")
+    for name, grid in (("lambda_grid", lambda_grid), ("t_grid", t_grid)):
+        for v in grid:
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{name} values must be finite and >= 0, got {v}")
     n = X.shape[0]
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")

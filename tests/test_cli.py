@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: fitting, simulation configs, figures, exit codes."""
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -88,6 +91,22 @@ class TestFit:
                          "--rate", "constant", "--max-iters", "500",
                          "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_flow_time_exits_one(self, tmp_path, t):
+        # in a child process with a timeout: before the check, t = inf walked forever
+        import heatlasso
+
+        data = write_toy_csv(tmp_path / "toy.csv")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(heatlasso.__file__))}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from heatlasso.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "fit", str(data), "--estimate-graph",
+             "--t", t, "--flow", str(tmp_path / "walks.hfm"), "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert f"t must be finite and >= 0, got {t}" in run.stderr
+        assert not (tmp_path / "walks.hfm").exists()
 
     def test_block_cd_optimizer_flag(self, tmp_path):
         data = write_toy_csv(tmp_path / "toy.csv")

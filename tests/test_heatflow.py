@@ -1,4 +1,6 @@
 """Walk simulation against the exact semigroup oracle."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from heatlasso.graphs import (
     sample_block_graph,
 )
 from heatlasso.heatflow import (
+    _CHUNK,
     SmoothingOperator,
     empirical_kernel,
     exact_heat_kernel,
@@ -98,6 +101,100 @@ class TestSimulation:
             simulate_heat_flow(EDGE, -1.0, B=5)
         with pytest.raises(ValueError):
             simulate_heat_flow(EDGE, 1.0, B=0)
+        # t = inf would never stop a walk, and t = nan would give the identity table
+        for t in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"t must be finite and >= 0, got {t}"):
+                simulate_heat_flow(EDGE, t, B=5)
+            with pytest.raises(ValueError, match="t must be finite"):
+                exact_heat_kernel(EDGE, t)
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _reference_mix(x):
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _reference_uniforms(seed, walk_ids, draw):
+    with np.errstate(over="ignore"):
+        h = _reference_mix(_reference_mix(
+            _reference_mix(np.uint64(seed & _MASK64)) ^ walk_ids) ^ np.uint64(draw))
+    return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * float(2.0 ** -53)
+
+
+def reference_walks(g, t, B, seed):
+    """All p*B walks advanced in one lockstep round per draw, rescanning the
+    full-length arrays each round: the simple schedule the table must match."""
+    p = g.p
+    n_walks = p * B
+    terminals = np.repeat(np.arange(p, dtype=np.int32), B)
+    steps = np.zeros(n_walks, dtype=np.int32)
+    if t > 0:
+        deg = g.degrees
+        flat, offsets = g.flat_adjacency()
+        remaining = np.full(n_walks, float(t))
+        walk_ids = np.arange(n_walks, dtype=np.uint64)
+        active = deg[terminals] > 0
+        draw = 0
+        while active.any():
+            idx = np.flatnonzero(active)
+            cur = terminals[idx]
+            u = _reference_uniforms(seed, walk_ids[idx], 2 * draw)
+            hold = -np.log(u) / deg[cur].astype(np.float64)
+            alive = hold < remaining[idx]
+            if alive.any():
+                jidx = idx[alive]
+                cur_j = terminals[jidx]
+                u2 = _reference_uniforms(seed, walk_ids[jidx], 2 * draw + 1)
+                dj = deg[cur_j]
+                choice = np.minimum((u2 * dj).astype(np.int64), dj - 1)
+                terminals[jidx] = flat[offsets[cur_j] + choice]
+                remaining[jidx] -= hold[alive]
+                steps[jidx] += 1
+            active[idx[~alive]] = False
+            draw += 1
+    return terminals.reshape(p, B), steps.reshape(p, B)
+
+
+class TestChunkedScheduleMatchesReference:
+    """The chunked, compacted simulation gives the reference's table byte
+    for byte. Compared with a reference run, not with stored hashes: np.log
+    may differ in the last bit between CPUs."""
+
+    @staticmethod
+    def assert_same_table(g, t, B, seed):
+        H = simulate_heat_flow(g, t, B, seed=seed)
+        terminals, steps = reference_walks(g, t, B, seed)
+        assert H.terminals.dtype == terminals.dtype and H.step_counts.dtype == steps.dtype
+        assert H.terminals.tobytes() == terminals.tobytes()
+        assert H.step_counts.tobytes() == steps.tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 2.5])
+    def test_figure_graph_with_isolated_vertex(self, t):
+        self.assert_same_table(figure_graph(), t, 40, seed=2)
+
+    def test_self_loop_block_graph(self):
+        g = sample_block_graph([8, 12, 10], 0.4, 0.05, seed=6, self_loops=True)
+        assert np.any(np.repeat(np.arange(g.p), g.degrees) == g.indices)  # has self-loops
+        self.assert_same_table(g, 1.5, 30, seed=13)
+
+    def test_star_graph(self):
+        g = Graph(6, [(0, j) for j in range(1, 6)])
+        self.assert_same_table(g, 1.0, 200, seed=21)
+
+    def test_negative_seed(self):
+        rng = np.random.default_rng(8)
+        self.assert_same_table(random_graph(rng, 9), 1.2, 50, seed=-12345)
+
+    def test_several_chunks_with_a_partial_last_one(self):
+        p, B = 300, 70
+        assert p * B > _CHUNK and (p * B) % _CHUNK != 0
+        g = sample_block_graph([100, 120, 80], 0.1, 0.01, seed=9)
+        self.assert_same_table(g, 0.8, B, seed=31)
 
 
 class TestHeatflowApply:
@@ -319,6 +416,14 @@ class TestSerialization:
     def test_truncated_file_rejected(self, tmp_path, keep):
         with pytest.raises(ValueError, match="truncated"):
             self._corrupt(tmp_path, lambda raw: raw[:keep])
+
+    @pytest.mark.parametrize("t", [-0.5, float("inf"), float("nan")])
+    def test_bad_flow_time_rejected(self, tmp_path, t):
+        def header_t(raw):
+            raw[20:28] = struct.pack("<d", t)
+            return raw
+        with pytest.raises(ValueError, match="t must be finite"):
+            self._corrupt(tmp_path, header_t)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.hfm"

@@ -190,6 +190,10 @@ class TestSubgradientDescent:
             FitConfig(rate_protocol="linear").validate()
         with pytest.raises(ValueError):
             FitConfig(block_size=12).validate(p=10)
+        for field in ("lam", "t", "alpha0"):
+            for bad in (float("inf"), float("nan"), -1.0):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    FitConfig(**{field: bad}).validate()
 
     def test_tolerances_are_validated(self):
         # eps_den = 0 would divide 0/0 in the first penalized step from zero
@@ -367,8 +371,21 @@ class TestCrossValidate:
             cross_validate(X, y, figure_graph(), [], [1.0], folds=2, cfg=cfg)
         with pytest.raises(FoldTooSmall):
             cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=13, cfg=cfg)
-        with pytest.raises(ValueError, match="lambda_grid"):
-            cross_validate(X, y, figure_graph(), [0.1, -0.1], [1.0], folds=2, cfg=cfg)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda_grid"):
+                cross_validate(X, y, figure_graph(), [0.1, bad], [1.0], folds=2, cfg=cfg)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -0.5])
+    def test_bad_t_rejected_before_simulation(self, monkeypatch, bad):
+        rng = np.random.default_rng(21)
+        X, y, _ = well_conditioned_instance(rng, n=12, p=3)
+        calls = []
+        monkeypatch.setattr(optimize, "simulate_heat_flow",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="t_grid"):
+            cross_validate(X, y, figure_graph(), [0.1], [1.0, bad], folds=2,
+                           cfg=FitConfig())
+        assert calls == []
 
     def test_unknown_optimizer_rejected_before_simulation(self, monkeypatch):
         rng = np.random.default_rng(20)
