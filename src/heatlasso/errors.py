@@ -29,10 +29,6 @@ class ShapeMismatch(HeatLassoError):
     """Array shapes inconsistent with each other."""
 
 
-class IndexOutOfRange(HeatLassoError):
-    """Vertex index subset contains invalid entries."""
-
-
 class LabelDomain(HeatLassoError):
     """Classification labels outside {0, 1}."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch, ShapeMismatch
+from .errors import LengthMismatch, ShapeMismatch
 from .graphs import DENSE_LIMIT, Graph, spectral_decompose
 
 _U64 = np.uint64
@@ -164,8 +164,8 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     )
 
 
-def heatflow_apply(H: HeatFlowMatrix, f, S=None) -> np.ndarray:
-    """Estimate the smoothed vector (e^{-tL} f) at the indices S.
+def heatflow_apply(H: HeatFlowMatrix, f) -> np.ndarray:
+    """Estimate the smoothed vector e^{-tL} f.
 
     Returns the per-vertex average of f over walk terminals; an unbiased
     estimator with Monte Carlo error O(range(f)/sqrt(B)). f may also be a
@@ -174,12 +174,7 @@ def heatflow_apply(H: HeatFlowMatrix, f, S=None) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape[:1] != (H.p,) or f.ndim > 2:
         raise LengthMismatch(f"f has shape {f.shape}, expected ({H.p},) or ({H.p}, F)")
-    if S is None:
-        return f[H.terminals].mean(axis=1)
-    S = np.asarray(S, dtype=np.int64)
-    if S.size == 0 or S.min() < 0 or S.max() >= H.p:
-        raise IndexOutOfRange(f"S must be a nonempty subset of [0, {H.p})")
-    return f[H.terminals[S]].mean(axis=1)
+    return f[H.terminals].mean(axis=1)
 
 
 def empirical_kernel(H: HeatFlowMatrix) -> np.ndarray:

@@ -46,13 +46,6 @@ class GroupStructure:
             raise ValueError(f"group sizes must be >= 1, got {sizes}")
         return cls(np.repeat(np.arange(1, len(sizes) + 1), sizes))
 
-    @classmethod
-    def from_component_labels(cls, labels):
-        """Relabel arbitrary 0-based component labels to contiguous 1..k."""
-        labels = np.asarray(labels)
-        _, inverse = np.unique(labels, return_inverse=True)
-        return cls(inverse + 1)
-
     def members(self, label):
         """Indices of group `label` (1-based)."""
         if not 1 <= label <= self.k:
@@ -88,15 +81,11 @@ def _penalty_terms(h, eps_den):
     return root.sum(axis=0), np.sign(h) / np.maximum(root, eps_den)
 
 
-def penalty_value(beta, kernel_or_H, eps_abs: float = 0.0) -> float:
-    """Heat-flow penalty sum_j sqrt(|h_j|), h = smoothed squared coefficients.
-
-    eps_abs floors |h_j| before the square root; the default 0 evaluates the
-    penalty exactly as defined.
-    """
+def penalty_value(beta, kernel_or_H) -> float:
+    """Heat-flow penalty sum_j sqrt(|h_j|), h = smoothed squared coefficients."""
     op = SmoothingOperator.compile(kernel_or_H)
     beta = _check_length(beta, op.p)
-    return float(np.sqrt(np.maximum(np.abs(op.apply(beta * beta)), eps_abs)).sum())
+    return float(np.sqrt(np.abs(op.apply(beta * beta))).sum())
 
 
 def penalty_subgradient(beta, kernel_or_H, eps_den: float = 1e-8) -> np.ndarray:

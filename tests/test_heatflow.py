@@ -6,7 +6,6 @@ import pytest
 
 from heatlasso.errors import (
     DimensionTooLarge,
-    IndexOutOfRange,
     LengthMismatch,
     ShapeMismatch,
 )
@@ -209,7 +208,7 @@ class TestHeatflowApply:
         g = figure_graph()
         H = simulate_heat_flow(g, 2.0, B=30, seed=9)
         f = np.array([0.4, -1.0, 7.5])
-        assert heatflow_apply(H, f, S=[2])[0] == 7.5
+        assert heatflow_apply(H, f)[2] == 7.5
 
     def test_unbiased_against_exact_kernel(self):
         # mean over 50 independent matrices, edge graph, f = (1, 0), t = 1
@@ -233,22 +232,10 @@ class TestHeatflowApply:
             ok += err <= 4 * np.ptp(f) / np.sqrt(B)
         assert ok >= 0.99 * trials
 
-    def test_subset_selection(self):
-        g = complete_graph(5)
-        H = simulate_heat_flow(g, 0.5, B=64, seed=11)
-        f = np.arange(5.0)
-        full = heatflow_apply(H, f)
-        sub = heatflow_apply(H, f, S=[1, 3])
-        assert sub[0] == full[1] and sub[1] == full[3]
-
     def test_errors(self):
         H = simulate_heat_flow(EDGE, 0.5, B=4, seed=0)
         with pytest.raises(LengthMismatch):
             heatflow_apply(H, np.zeros(3))
-        with pytest.raises(IndexOutOfRange):
-            heatflow_apply(H, np.zeros(2), S=[2])
-        with pytest.raises(IndexOutOfRange):
-            heatflow_apply(H, np.zeros(2), S=[])
 
 
 class TestSmoothingOperator:

@@ -19,6 +19,7 @@ from heatlasso.optimize import (
     FitConfig,
     FitResult,
     _cd_lockstep,
+    _draw_blocks,
     _sd_lockstep,
     block_cd,
     cross_validate,
@@ -292,6 +293,53 @@ class TestBlockCD:
             assert abs(res.objective_trace[-1] - scratch) <= 1e-10
 
 
+class TestBlockDraw:
+    @pytest.mark.parametrize("p, q", [(30, 8), (30, 1), (30, 30), (1, 1), (7, 6)])
+    def test_blocks_are_sorted_distinct_subsets(self, p, q):
+        rngs = [np.random.default_rng(s) for s in range(4)]
+        S = _draw_blocks(rngs, 50, p, q)
+        assert S.shape == (50, q, 4)
+        assert S.min() >= 0 and S.max() < p
+        assert (np.diff(S, axis=1) > 0).all()  # ascending, hence distinct
+
+    def test_inclusion_frequency_is_q_over_p(self):
+        p, q, iters = 30, 8, 6000
+        S = _draw_blocks([np.random.default_rng(5)], iters, p, q)[..., 0]
+        counts = np.bincount(S.ravel(), minlength=p)
+        # each coordinate is in each block with probability q / p, independently
+        mean = iters * q / p
+        sigma = np.sqrt(iters * q / p * (1 - q / p))
+        assert np.abs(counts - mean).max() <= 4 * sigma
+
+    def test_chunk_length_does_not_change_fits(self, monkeypatch):
+        # against the default cap (the whole single fit in one chunk): caps of
+        # 1 and 7 uniforms give one iteration per chunk, and 7 * p gives 2, 3
+        # or 7 iterations for 3, 2 or 1 live columns; max_iters = 103 is a
+        # multiple of no chunk length, and lockstep columns retire mid-chunk
+        X, y, H, folds = TestLockstep.instance("squared_error", 20)
+        n, p = X.shape
+        cfg = FitConfig(alpha0=0.05, rate_protocol="constant", eps_tol=1e-2,
+                        max_iters=103, block_size=8, lam=0.05)
+        w = np.zeros((n, len(folds)))
+        for k, rows in enumerate(folds):
+            w[np.setdiff1d(np.arange(n), rows), k] = 1.0 / (n - rows.size)
+        args = (X, y[:, None], SmoothingOperator.compile(H), cfg,
+                np.full(len(folds), 0.05), w, np.zeros((p, len(folds))), [4, 5, 6])
+
+        def fits():
+            return block_cd(X, y, H, cfg), _cd_lockstep(*args)
+
+        want_single, want_cols = fits()
+        assert len(set(map(len, want_cols[1]))) > 1  # columns stop apart
+        for cap in (1, 7, 7 * p):
+            monkeypatch.setattr(optimize, "_DRAW_CHUNK", cap)
+            single, cols = fits()
+            assert np.array_equal(single.beta_hat, want_single.beta_hat)
+            assert single.objective_trace == want_single.objective_trace
+            assert np.array_equal(cols[0], want_cols[0])
+            assert cols[1] == want_cols[1]
+
+
 class TestThresholdKmeans:
     def test_separates_clear_clusters(self):
         out = threshold_kmeans(np.array([0.6, 0.01, -0.55, 0.02]))
@@ -481,8 +529,11 @@ class TestLockstep:
     def test_all_columns_converge_at_once(self, name, y_scale, eps_tol):
         X, y, H, folds = self.instance("squared_error", 20)
         y = y_scale * y
+        # blocks of 16 > p / 2 coordinates: a CD column's second block always
+        # overlaps its first, so its second step starts from a nonzero block
+        # and meets the loose tolerance (two disjoint blocks of 8 would not)
         cfg = FitConfig(alpha0=0.05, rate_protocol="constant", eps_tol=eps_tol,
-                        max_iters=50, block_size=8, B=20)
+                        max_iters=50, block_size=16, B=20)
         iterations, converged = self.columns_against_single_fits(name, cfg, X, y, H, folds)
         # every column stops at the same iteration
         assert len(set(iterations)) == 1 and converged.all()

@@ -279,7 +279,7 @@ class TestGapBound:
             g = random_disconnected_graph(rng)
             spec = spectral_decompose(g)
             _, labels = connected_components(g)
-            groups = GroupStructure.from_component_labels(labels)
+            groups = GroupStructure(labels + 1)  # labels are in [0, count)
             betas = rng.standard_normal((100, g.p))
             betas /= np.maximum(np.linalg.norm(betas, axis=1, keepdims=True), 1.0)
             max_gap = []
