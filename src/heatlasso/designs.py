@@ -3,8 +3,8 @@ equi-correlation Gaussians, Gaussian free fields on a graph, and
 block-model covariances, plus signal and response generation.
 """
 
-import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,14 +51,34 @@ class DesignSpec:
             return DEFAULT_K4_SCHEME
         raise ValueError("beta_scheme must be given explicitly unless k == 4")
 
+    def validate(self):
+        if not (len(self.sizes) > 0 and all(
+                isinstance(d, (int, np.integer)) and d >= 1 for d in self.sizes)):
+            raise ValueError(f"sizes must be integers >= 1, got {self.sizes}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
-def equicorrelation(d, rho):
-    """(1 - rho) I + rho 11^T of order d; positive-definite for
-    rho in (-1/(d-1), 1)."""
+
+def _check_rho(d, rho):
     lo = -1.0 / (d - 1) if d > 1 else -np.inf
     if not lo < rho < 1.0:
         raise NotPositiveDefinite(
             f"rho={rho} outside ({lo:.4g}, 1) for block size {d}")
+
+
+def _block_rhos(spec: DesignSpec):
+    if spec.rhos is None or len(spec.rhos) != spec.k:
+        raise NotPositiveDefinite("block_equicorr needs one rho per group")
+    return [(int(d), rho) for d, rho in zip(spec.sizes, spec.rhos)]
+
+
+def equicorrelation(d, rho):
+    """(1 - rho) I + rho 11^T of order d; positive-definite for
+    rho in (-1/(d-1), 1)."""
+    _check_rho(d, rho)
     return (1.0 - rho) * np.eye(d) + rho * np.ones((d, d))
 
 
@@ -67,12 +87,10 @@ def make_covariance(spec: DesignSpec, g: Graph | None = None) -> np.ndarray:
     the GFF covariance (L + theta I)^{-1}, or the block-model I + P."""
     p = spec.p
     if spec.kind == "block_equicorr":
-        if spec.rhos is None or len(spec.rhos) != spec.k:
-            raise NotPositiveDefinite("block_equicorr needs one rho per group")
         sigma = np.zeros((p, p))
         start = 0
-        for d, rho in zip(spec.sizes, spec.rhos):
-            sigma[start:start + d, start:start + d] = equicorrelation(int(d), rho)
+        for d, rho in _block_rhos(spec):
+            sigma[start:start + d, start:start + d] = equicorrelation(d, rho)
             start += d
         return sigma
     if spec.kind == "gff":
@@ -109,8 +127,9 @@ def default_gff_mass(g: Graph, k: int) -> float:
 
 
 def _covariance_root(sigma):
-    # Symmetric square root via eigendecomposition; stable for the
-    # near-singular equicorrelation blocks with rho close to 1.
+    # Symmetric square root via eigendecomposition, for the gff and sbm_cov
+    # covariances, which are not block-diagonal; block_equicorr designs use
+    # the closed-form root of each block instead (_design_root).
     vals, vecs = np.linalg.eigh(sigma)
     if vals.min() < -1e-10:
         raise NotPositiveDefinite(f"covariance has eigenvalue {vals.min():.3g}")
@@ -131,6 +150,36 @@ def draw_beta(spec: DesignSpec, rng) -> np.ndarray:
     return beta
 
 
+def _design_root(spec: DesignSpec, g: Graph | None = None):
+    """Z -> Z R for the symmetric square root R of the design covariance.
+
+    Checks the spec's covariance parameters before returning. A
+    block_equicorr R is block-diagonal. Its block for (d, rho) is
+    a I + c 11^T: the eigenvalues 1 - rho (on the complement of 1) and
+    1 + (d - 1) rho (on 1) give a = sqrt(1 - rho) and
+    a + c d = sqrt(1 + (d - 1) rho). A block of X then costs O(n d), and
+    no p x p matrix is built.
+    """
+    if spec.kind != "block_equicorr":
+        root = _covariance_root(make_covariance(spec, g))
+        return lambda Z: Z @ root
+    blocks = []
+    for d, rho in _block_rhos(spec):
+        _check_rho(d, rho)
+        a = math.sqrt(1.0 - rho)
+        blocks.append((d, a, (math.sqrt(1.0 + (d - 1) * rho) - a) / d))
+
+    def apply(Z):
+        X = np.empty_like(Z)
+        start = 0
+        for d, a, c in blocks:
+            Zb = Z[:, start:start + d]
+            X[:, start:start + d] = a * Zb + c * Zb.sum(axis=1, keepdims=True)
+            start += d
+        return X
+    return apply
+
+
 def sample_design_and_response(spec: DesignSpec, g: Graph | None = None):
     """Draw (X, y, beta_star, groups) for the spec, deterministically per seed.
 
@@ -138,23 +187,24 @@ def sample_design_and_response(spec: DesignSpec, g: Graph | None = None):
     Sigma; y = X beta_star + noise_sigma * standard normal noise. Draw order
     is beta_star, then X, then noise.
     """
-    sigma = make_covariance(spec, g)
-    root = _covariance_root(sigma)
+    spec.validate()
+    root = _design_root(spec, g)
     rng = np.random.default_rng(spec.seed)
     beta_star = draw_beta(spec, rng)
-    X = rng.standard_normal((spec.n, spec.p)) @ root
+    X = root(rng.standard_normal((spec.n, spec.p)))
     y = X @ beta_star + spec.noise_sigma * rng.standard_normal(spec.n)
     return X, y, beta_star, GroupStructure.from_sizes(spec.sizes)
 
 
 def write_dataset_csv(path, X, y):
-    """First column y, then x1..xp, with a header row."""
+    """First column y, then x1..xp, with a header row. Each value is the repr
+    of its float64, which round-trips exactly; rows end in CRLF, as
+    csv.writer's do."""
     X = np.asarray(X)
+    rows = np.column_stack([y, X]).astype(np.float64, copy=False).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(X.shape[1])])
-        for yi, row in zip(y, X):
-            writer.writerow([repr(float(yi))] + [repr(float(v)) for v in row])
+        fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(X.shape[1])]) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_dataset_sidecar(path, spec: DesignSpec, beta_star, groups: GroupStructure):

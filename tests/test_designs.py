@@ -1,9 +1,14 @@
 """Covariance construction and synthetic dataset generation."""
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from heatlasso.designs import (
     DesignSpec,
+    _covariance_root,
+    _design_root,
     default_gff_mass,
     equicorrelation,
     make_covariance,
@@ -191,7 +196,67 @@ class TestSampling:
             assert vals.max() <= (1 - a + b) + (a - b) * max(sizes) + b * p + 1e-10
 
 
+class TestClosedFormRoot:
+    """The per-block root a I + c 11^T against the eigh root of the dense
+    covariance, applied to the same Z."""
+
+    @pytest.mark.parametrize("sizes, rhos", [
+        ((1, 7, 3, 12), (0.3, 0.5, -0.1, 0.8)),   # mixed sizes, d = 1
+        ((10,), (0.999,)),
+        ((5, 9), (-0.2499, -0.1249)),            # near -1/(d - 1)
+        (BENCHMARK_SIZES, BENCHMARK_RHOS),
+    ])
+    def test_matches_eigh_root(self, sizes, rhos):
+        spec = benchmark_spec(sizes=sizes, rhos=rhos,
+                              beta_scheme=tuple(("zero",) for _ in sizes))
+        Z = np.random.default_rng(11).standard_normal((50, spec.p))
+        X = _design_root(spec)(Z)
+        ref = Z @ _covariance_root(make_covariance(spec))
+        assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("rhos", [(0.6, 0.9, 0.7, 1.0),
+                                      (0.6, -0.05, 0.7, 0.4),  # d = 24
+                                      (0.6, 0.9, np.nan, 0.4)])
+    def test_out_of_range_rho_rejected(self, rhos):
+        with pytest.raises(NotPositiveDefinite, match="rho=.* outside"):
+            sample_design_and_response(benchmark_spec(rhos=rhos))
+
+    def test_one_rho_per_group(self):
+        with pytest.raises(NotPositiveDefinite, match="one rho per group"):
+            sample_design_and_response(benchmark_spec(rhos=(0.5, 0.5)))
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("sizes", (16, 4.5, 40, 20)),
+        ("sizes", (16, -2, 40, 20)),
+        ("sizes", (16, 0, 40, 20)),
+        ("sizes", ()),
+        ("n", 0),
+        ("n", 2.5),
+        ("noise_sigma", np.nan),
+        ("noise_sigma", -0.1),
+        ("noise_sigma", np.inf),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sample_design_and_response(benchmark_spec(**{field: value}))
+
+
 class TestExport:
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        X = np.random.default_rng(2).standard_normal((4, 3))
+        X[0, 0], X[1, 1], X[2, 2], X[3, 0] = -0.0, 5e-324, 1e16, np.nan
+        y = np.array([1.0, -0.0, 0.1, 5e-324])
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["y", "x1", "x2", "x3"])
+        for yi, row in zip(y, X):
+            writer.writerow([repr(float(yi))] + [repr(float(v)) for v in row])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, X, y)
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
     def test_csv_and_sidecar(self, tmp_path):
         spec = benchmark_spec(n=12, seed=8)
         X, y, beta, groups = sample_design_and_response(spec)
