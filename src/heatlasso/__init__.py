@@ -24,6 +24,7 @@ from .graphs import (
     LaplacianSpectrum,
     connected_components,
     estimate_graph,
+    estimate_graph_from_data,
     laplacian,
     sample_block_graph,
     sample_clustered_network,
@@ -61,7 +62,8 @@ __all__ = [
     "HeatFlowMatrix", "HeatLassoError", "LaplacianSpectrum", "MetricsReport",
     "SmoothingOperator",
     "block_cd", "brute_force_re", "connected_components", "cross_validate",
-    "default_gff_mass", "estimate_graph", "evaluate_fit",
+    "default_gff_mass", "estimate_graph", "estimate_graph_from_data",
+    "evaluate_fit",
     "exact_heat_kernel", "flow_time_prescription", "group_averaging_kernel",
     "group_lasso_penalty", "heatflow_apply", "lambda_lower_bound",
     "laplacian", "load_heatflow", "loss_and_grad", "make_covariance",

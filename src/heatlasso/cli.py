@@ -39,31 +39,48 @@ class CliError(Exception):
 
 
 def read_dataset_csv(path):
-    """Header row, first column the response y, remaining columns X."""
+    """Header row, first column the response y, remaining columns X.
+
+    The numbers are parsed by one np.loadtxt call; a file it rejects is
+    read again row by row, which names the first bad row.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None or len(header) < 2:
                 raise CliError(f"{path}: need a header row with y plus at "
                                f"least one covariate column")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise CliError(f"{path}: row {lineno} has {len(row)} "
-                                   f"fields, header has {len(header)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise CliError(f"{path}: row {lineno}: {exc}") from exc
+            lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise CliError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    data = np.asarray(rows, dtype=np.float64)
+    data = None
+    if any(line.strip() for line in lines):  # loadtxt warns on no data
+        try:
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != len(header):
+        data = _read_rows(path, header, lines)
+    if len(data) < 2:
+        raise CliError(f"{path}: need at least 2 data rows, got {len(data)}")
     return data[:, 0], data[:, 1:]
+
+
+def _read_rows(path, header, lines):
+    """The data lines parsed by csv and float(), raising a CliError that
+    names the first row with a wrong field count or a non-number."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(lines), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CliError(f"{path}: row {lineno} has {len(row)} "
+                           f"fields, header has {len(header)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise CliError(f"{path}: row {lineno}: {exc}") from exc
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
 def _fit_section_from_args(args):

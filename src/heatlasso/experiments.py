@@ -36,7 +36,13 @@ from .designs import (
     write_dataset_sidecar,
 )
 from .diagnostics import MetricsReport, evaluate_fit
-from .graphs import Graph, estimate_graph, group_clique_graph, read_graph, sample_block_graph
+from .graphs import (
+    Graph,
+    estimate_graph_from_data,
+    group_clique_graph,
+    read_graph,
+    sample_block_graph,
+)
 from .heatflow import simulate_heat_flow
 from .optimize import FitConfig, block_cd, cross_validate, subgradient_descent
 
@@ -127,12 +133,7 @@ def penalty_graph(graph_section, X, spec: DesignSpec, design_graph):
 
 
 def _estimated_graph(X, alpha):
-    corr = np.corrcoef(np.asarray(X, dtype=np.float64), rowvar=False)
-    # guard against degenerate columns producing NaN correlations
-    corr = np.nan_to_num(corr, nan=0.0)
-    np.fill_diagonal(corr, 1.0)
-    corr = np.clip(corr, -1.0, 1.0)
-    return estimate_graph(corr, alpha)
+    return estimate_graph_from_data(X, alpha)
 
 
 def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,

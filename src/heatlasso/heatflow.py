@@ -174,7 +174,14 @@ def heatflow_apply(H: HeatFlowMatrix, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape[:1] != (H.p,) or f.ndim > 2:
         raise LengthMismatch(f"f has shape {f.shape}, expected ({H.p},) or ({H.p}, F)")
-    return f[H.terminals].mean(axis=1)
+    return _terminal_mean(f, H.terminals.ravel(), H.B)
+
+
+def _terminal_mean(f, flat, B):
+    """Per-vertex mean of f over the walk terminals `flat` (a table's
+    terminals raveled, B per vertex); equal bit for bit to
+    f[terminals].mean(axis=1), and faster through np.take."""
+    return np.take(f, flat, axis=0).reshape(-1, B, *f.shape[1:]).sum(axis=1) / B
 
 
 def empirical_kernel(H: HeatFlowMatrix) -> np.ndarray:
@@ -252,7 +259,7 @@ class SmoothingOperator:
         if table is not None:
             self.p = table.p
             self.walk_steps = table.total_steps
-            self._flat = table.terminals.ravel().astype(np.intp)  # bincount's index type
+            self._flat = table.terminals.ravel().astype(np.intp)  # take's and bincount's index type
         else:
             K = np.asarray(dense, dtype=np.float64)
             if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -278,7 +285,7 @@ class SmoothingOperator:
         """K f for f of shape (p,) or (p, F)."""
         if self._KT is not None:
             return self._KT.T @ f
-        return heatflow_apply(self._table, f)
+        return _terminal_mean(f, self._flat, self._table.B)
 
     def apply_T(self, r) -> np.ndarray:
         """K^T r for r of shape (p,) or (p, F)."""

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from heatlasso.cli import main, read_dataset_csv
+from heatlasso.cli import CliError, main, read_dataset_csv
 from heatlasso.figures import levelset_segments
 
 
@@ -365,3 +365,42 @@ def test_read_dataset_csv_roundtrip(tmp_path):
     data = write_toy_csv(tmp_path / "toy.csv", n=10, seed=11)
     y, X = read_dataset_csv(data)
     assert y.shape == (10,) and X.shape == (10, 2)
+
+
+def test_read_dataset_csv_matches_float_parsing(tmp_path):
+    # the one-call parser against csv + float(), bit for bit, with a blank
+    # line, CRLF ends, spaces, a quoted header and awkward values
+    rows = [["1.5", "-0.0", "5e-324", " 2 "], ["nan", "1e16", "-inf", "0.1"],
+            ["3", "1e400", "-1e-400", "+7"]]
+    path = tmp_path / "d.csv"
+    path.write_text('"y","x1","x2","x3"\r\n' + "\r\n".join(",".join(r) for r in rows[:2])
+                    + "\r\n\r\n" + ",".join(rows[2]) + "\r\n", encoding="utf-8")
+    y, X = read_dataset_csv(path)
+    want = np.array([[float(v) for v in r] for r in rows])
+    assert y.tobytes() == want[:, 0].tobytes()
+    assert X.tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("y,x1\n", "got 0"),
+    ("y,x1\n\n \n", "row 3 has 1 fields"),
+    ("y,x1\n1,2\n", "got 1"),
+    ("y,x1,x2\n1,2\n3,4\n", "row 2 has 2 fields, header has 3"),
+    ("y,x1\n1,2\n3,abc\n", "row 3: could not convert"),
+    ("y,x1\n1,2\n3,4 # note\n", "row 3: could not convert"),
+    ("y\n1\n2\n", "header row"),
+    ("", "header row"),
+])
+def test_read_dataset_csv_errors_name_the_row(tmp_path, body, message):
+    path = tmp_path / "d.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(CliError, match=message):
+        read_dataset_csv(path)
+
+
+def test_read_dataset_csv_quoted_numbers(tmp_path):
+    # loadtxt rejects quotes; the row-by-row reader takes them as csv does
+    path = tmp_path / "d.csv"
+    path.write_text('y,x1\n"1.0",2\n3,"4"\n', encoding="utf-8")
+    y, X = read_dataset_csv(path)
+    assert y.tolist() == [1.0, 3.0] and X.tolist() == [[2.0], [4.0]]

@@ -13,7 +13,10 @@ from heatlasso.graphs import (
     complete_graph,
     connected_components,
     disjoint_union,
+    _CORR_ROWS,
+    _MASK_EDGE_BYTES,
     estimate_graph,
+    estimate_graph_from_data,
     figure_graph,
     laplacian,
     path_graph,
@@ -98,6 +101,26 @@ class TestGraphInvariants:
             for i, j in ref:
                 A[i, j] = A[j, i] = 1
             assert np.array_equal(g.adjacency(), A)
+
+    def test_mask_and_sort_paths_agree(self):
+        # the same edge set, once sparse enough for the key sort and once
+        # repeated past the mask cutoff p^2 <= _MASK_EDGE_BYTES * m
+        rng = np.random.default_rng(22)
+        for p in (20, 40, 64):
+            for loops in (False, True):
+                edges = rng.integers(0, p, size=(p, 2))
+                if not loops:
+                    edges = edges[edges[:, 0] != edges[:, 1]]
+                repeats = p * p // (_MASK_EDGE_BYTES * len(edges)) + 1
+                assert p * p > _MASK_EDGE_BYTES * len(edges)
+                assert p * p <= _MASK_EDGE_BYTES * len(edges) * repeats
+                sparse = Graph(p, edges=edges, allow_self_loops=loops)
+                dense = Graph(p, edges=np.tile(edges[:, ::-1], (repeats, 1)),
+                              allow_self_loops=loops)
+                assert np.array_equal(sparse.indices, dense.indices)
+                assert np.array_equal(sparse.indptr, dense.indptr)
+                assert np.array_equal(sparse.degrees, dense.degrees)
+                assert dense.indices.dtype == np.int32 and dense.indptr.dtype == np.int64
 
     def test_flat_adjacency_layout(self):
         g = sample_clustered_network([6, 9], 0.5, self_loops=True, seed=4)
@@ -224,6 +247,94 @@ class TestEstimateGraph:
 
     def test_single_vertex(self):
         assert estimate_graph(np.eye(1), 0.5).edge_count == 0
+
+
+def corrcoef_graph(X, alpha):
+    """Reference: estimate_graph on np.corrcoef with NaN set to 0, a unit
+    diagonal and entries clipped to [-1, 1]."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.atleast_2d(np.corrcoef(X, rowvar=False))
+    corr = np.nan_to_num(corr, nan=0.0)
+    np.fill_diagonal(corr, 1.0)
+    return estimate_graph(np.clip(corr, -1.0, 1.0), alpha)
+
+
+def assert_same_graph(g, h):
+    assert g.p == h.p
+    assert np.array_equal(g.indptr, h.indptr)
+    assert np.array_equal(g.indices, h.indices)
+    assert g.indices.dtype == h.indices.dtype and g.indptr.dtype == h.indptr.dtype
+
+
+class TestEstimateGraphFromData:
+    # p = 1 and 2; a p below the block height; one and two rows past it, so
+    # the last block holds a row or two; a p spanning three blocks
+    @pytest.mark.parametrize("p", [1, 2, 37, _CORR_ROWS + 2, _CORR_ROWS + 3,
+                                   2 * _CORR_ROWS + 37])
+    def test_matches_corrcoef_reference(self, p):
+        rng = np.random.default_rng(p)
+        mix = np.eye(p) + 0.3 * rng.standard_normal((p, p)) / np.sqrt(p)
+        X = rng.standard_normal((60, p)) @ mix + 5.0
+        for alpha in (0.1, 0.5, 0.75, 0.99):
+            assert_same_graph(estimate_graph_from_data(X, alpha), corrcoef_graph(X, alpha))
+
+    def test_block_design_matches_reference(self):
+        from heatlasso.designs import DesignSpec, sample_design_and_response
+
+        spec = DesignSpec(kind="block_equicorr", sizes=(16, 24, 40, 20), n=200,
+                          noise_sigma=0.5, seed=3, rhos=(0.6, 0.9, 0.7, 0.4))
+        X = sample_design_and_response(spec)[0]
+        g = estimate_graph_from_data(X, 0.75)
+        assert_same_graph(g, corrcoef_graph(X, 0.75))
+        assert g.edge_count > 0
+
+    def test_constant_and_nan_columns_are_isolated(self):
+        # runs under the suite's error::RuntimeWarning filter: no warning
+        from heatlasso.experiments import _estimated_graph
+
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((20, 6))
+        X[:, 1:3] += X[:, [0]]  # some strong correlations
+        X[:, 2] = 1.0
+        X[3, 4] = np.nan
+        g = estimate_graph_from_data(X, 0.5)
+        assert_same_graph(_estimated_graph(X, 0.5), g)
+        assert g.degrees[2] == 0 and g.degrees[4] == 0
+        assert g.edge_count > 0
+        assert_same_graph(g, corrcoef_graph(X, 0.5))
+        inf = X.copy()
+        inf[0, 5] = np.inf
+        assert estimate_graph_from_data(inf, 0.5).degrees[5] == 0
+
+    def test_single_row_gives_empty_graph(self):
+        assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0
+
+    def test_invalid_input(self):
+        for alpha in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(InvalidQuantile):
+                estimate_graph_from_data(np.ones((5, 3)), alpha)
+        for X in (np.ones(5), np.ones((5, 0)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"\(n, p\)"):
+                estimate_graph_from_data(X, 0.5)
+
+    def test_peak_memory_below_16_bytes_per_pair(self):
+        # no p x p float matrix and no sort over the edges' keys: the
+        # corrcoef path peaked at 33.75 p^2 bytes here
+        import tracemalloc
+
+        from heatlasso.designs import DesignSpec, sample_design_and_response
+
+        spec = DesignSpec(kind="block_equicorr", sizes=(160, 240, 400, 200), n=200,
+                          noise_sigma=0.5, seed=1, rhos=(0.6, 0.9, 0.7, 0.4))
+        X = sample_design_and_response(spec)[0]
+        p = X.shape[1]
+        tracemalloc.start()
+        try:
+            estimate_graph_from_data(X, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * p * p
 
 
 class TestBlockGraphSampling:

@@ -284,6 +284,17 @@ class TestSmoothingOperator:
         with pytest.raises(LengthMismatch):
             heatflow_apply(H, np.zeros((29, 2)))
 
+    def test_table_apply_equals_terminal_mean_bit_for_bit(self):
+        g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
+        H = simulate_heat_flow(g, 1.0, B=7, seed=4)
+        op = SmoothingOperator(table=H)
+        rng = np.random.default_rng(26)
+        for f in (rng.standard_normal(30), rng.standard_normal((30, 5))):
+            want = f[H.terminals].mean(axis=1)
+            for got in (op.apply(f), heatflow_apply(H, f)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_compile_chooses_by_size(self):
         g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
         small = simulate_heat_flow(g, 1.0, B=20, seed=4)  # p <= 8 B: dense
