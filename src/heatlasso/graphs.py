@@ -230,14 +230,15 @@ def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
 
 def _upper_abs_corr(X) -> np.ndarray:
     """|corr_ij| for i < j of the columns of X, in _threshold_graph's order,
-    clipped at 1. A constant or non-finite column correlates 0 with all."""
+    clipped at 1. A column whose centred norm is 0 or not finite (constant,
+    non-finite, or overflowing) correlates 0 with every other."""
     Z = np.array(X, dtype=np.float64)
     p = Z.shape[1]
-    Z[:, ~np.isfinite(Z).all(axis=0)] = 0.0
-    Z -= Z.mean(axis=0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # such columns' norms
+        Z -= Z.mean(axis=0)
         norms = np.sqrt(np.einsum("ij,ij->j", Z, Z))
     live = (norms > 0) & np.isfinite(norms)
+    Z[:, ~live] = 0.0
     Z *= np.divide(1.0, norms, out=np.zeros(p), where=live)
     upper = np.empty(p * (p - 1) // 2)
     start = 0

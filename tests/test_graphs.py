@@ -302,9 +302,10 @@ class TestEstimateGraphFromData:
         assert g.degrees[2] == 0 and g.degrees[4] == 0
         assert g.edge_count > 0
         assert_same_graph(g, corrcoef_graph(X, 0.5))
-        inf = X.copy()
-        inf[0, 5] = np.inf
-        assert estimate_graph_from_data(inf, 0.5).degrees[5] == 0
+        for bad in (np.inf, -np.inf):
+            Y = X.copy()
+            Y[0, 5], Y[1, 5] = bad, np.inf
+            assert estimate_graph_from_data(Y, 0.5).degrees[5] == 0
 
     def test_single_row_gives_empty_graph(self):
         assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0
