@@ -306,6 +306,10 @@ class TestEstimateGraphFromData:
             Y = X.copy()
             Y[0, 5], Y[1, 5] = bad, np.inf
             assert estimate_graph_from_data(Y, 0.5).degrees[5] == 0
+        Y = X.copy()
+        Y[:, 5] = -1.7e308  # its sum overflows, as in corrcoef
+        Y[0, 5] = 1.7e308
+        assert estimate_graph_from_data(Y, 0.5).degrees[5] == 0
 
     def test_single_row_gives_empty_graph(self):
         assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0
