@@ -80,7 +80,7 @@ def design_spec_from_config(section: dict, seed: int) -> DesignSpec:
 def fit_config_from_config(section: dict, seed: int) -> FitConfig:
     cfg = FitConfig(seed=seed)
     for key in ("lam", "t", "B", "alpha0", "rate_protocol", "eps_tol",
-                "max_iters", "block_size", "eps_den", "loss"):
+                "max_iters", "block_size", "loss"):
         if key in section:
             setattr(cfg, key, section[key])
     cfg.validate()

@@ -209,22 +209,29 @@ class ColumnBlocks:
     """Block products of a linear map M on R^m, for block coordinates S: a
     vector of q coordinates for one fit, or a (q, F) array whose column k
     holds the block S_k of fit k. `matvec(v)` gives M[:, S_k] v_k and
-    `rmatvec(r)` gives (M^T r_k)[S_k], for all columns at once; `apply` and
-    `apply_T` are the full products M x and M^T r. Given MT = M^T, blocks
-    holding fewer than m entries in all gather their rows of MT once;
-    otherwise a block is scattered into a full vector for `apply`, and read
-    off the full `apply_T`."""
+    `rmatvec(r)` gives (M^T r_k)[S_k], for all columns at once, from the
+    full products `apply` (M x) and `apply_T` (M^T r). S = None is the full
+    block, all m coordinates: its products are the full products, and
+    `cells` indexes the whole vector, so a vector's block is a view of it.
+    Given MT = M^T, blocks holding fewer than m entries in all gather their
+    rows of MT once; otherwise a block is scattered into a full vector for
+    `apply`, and read off the full `apply_T`."""
 
     def __init__(self, S, m, apply, apply_T, MT=None):
         # index of the block entries of a vector, or of (m, F) with entry (S[j, k], k)
-        self.cells = (S,) if S.ndim == 1 else (S, np.arange(S.shape[1]))
+        if S is None:
+            self.cells, self._rows = ..., None
+        else:
+            self.cells = (S,) if S.ndim == 1 else (S, np.arange(S.shape[1]))
+            self._rows = MT[S.T] if MT is not None and S.size < m else None  # (F, q, k) or (q, k)
         self._m, self._apply, self._apply_T = m, apply, apply_T
-        self._rows = MT[S.T] if MT is not None and S.size < m else None  # (F, q, k) or (q, k)
 
     def matvec(self, v) -> np.ndarray:
         """M[:, S_k] v_k per column k, for block values v of S's shape."""
         if self._rows is not None:
             return (v.T[..., None, :] @ self._rows)[..., 0, :].T
+        if self.cells is ...:
+            return self._apply(v)
         full = np.zeros((self._m,) + v.shape[1:])
         full[self.cells] = v
         return self._apply(full)
@@ -297,10 +304,10 @@ class SmoothingOperator:
         return np.bincount(self._flat, weights=np.repeat(r, B), minlength=self.p) / B
 
     def blocks(self, S):
-        """The column forms of K for block coordinates S (a vector, or one
-        block per column of a (q, F) array; see ColumnBlocks): `matvec(d)`
-        gives K[:, S_k] d_k, the change of h after a block step, and
-        `rmatvec(r)` gives (K^T r_k)[S_k]."""
+        """The column forms of K for block coordinates S (a vector, one
+        block per column of a (q, F) array, or None for all p coordinates;
+        see ColumnBlocks): `matvec(d)` gives K[:, S_k] d_k, the change of h
+        after a block step, and `rmatvec(r)` gives (K^T r_k)[S_k]."""
         return ColumnBlocks(S, self.p, self.apply, self.apply_T, self._KT)
 
 

@@ -8,36 +8,37 @@ oracle used by tests) or a SmoothingOperator, and compile it once per fit
 into the operator K that does all their smoothing. Inputs are checked once
 per fit.
 
-Each optimizer has one lockstep core (_sd_lockstep, _cd_lockstep) that runs
-F fits side by side as the columns of a p x F beta: column k has its own
-penalty weight, its own row weights (the training rows of a CV fold) and,
-for block CD, its own block stream, and each iteration does one GEMM per
-smoothing or loss product for all live columns. A column that meets
-eps_tol stops there, with the beta, trace, iteration count and converged
-flag of its single fit; subgradient_descent and block_cd are the
-one-column case, and cross_validate runs a whole lambda x fold grid per t.
+Subgradient descent is block coordinate descent whose block is all p
+coordinates, so both optimizers run one lockstep core, _cd_lockstep. It
+runs F fits side by side as the columns of a p x F beta: column k has its
+own penalty weight, its own row weights (the training rows of a CV fold)
+and its own block stream, and each iteration does one GEMM per smoothing
+or loss product for all live columns. A column that meets eps_tol stops
+there, with the beta, trace, iteration count and converged flag of its
+single fit; subgradient_descent and block_cd are the one-column case, and
+cross_validate runs a whole lambda x fold grid per t.
 
-Subgradient descent smooths once forward (K (beta (.) beta), which gives the
-reported penalty and the next step's scaling) and once transposed (K^T r)
-per iteration, and carries z = X beta and the loss derivative from one
-iteration's objective to the next step. Block coordinate descent keeps
-h = K (beta (.) beta) current with h += K[:, S] (beta_S,new^2 - beta_S,old^2)
-and reads the penalty off h, so an iteration of one fit costs O((n + p) q)
-on a dense operator. Its block products gather the block's rows when the
-blocks of all columns hold fewer than p coordinates, and otherwise use the
-full dense products (see heatflow.ColumnBlocks).
+An iteration steps the block S along the restricted subgradient, keeps
+z = X beta current with z += X[:, S] (beta_S,new - beta_S,old) and
+h = K (beta (.) beta) current with h += K[:, S] (beta_S,new^2 - beta_S,old^2),
+and reads the loss off z and the penalty off h, so an iteration of one
+fit costs O((n + p) q) on a dense operator. Block products gather the
+block's rows when the blocks of all columns hold fewer than p coordinates,
+and otherwise use the full products (see heatflow.ColumnBlocks); a full
+block (block_size None or p) is the full products with X, X^T, K and K^T.
 
-Block CD draws its blocks in chunks of iterations (_draw_blocks): each live
-column takes p uniforms per iteration from its own generator, and the
-indices of the q smallest, sorted, are its block, a uniform q-subset of
-[0, p). A column's uniforms are consecutive doubles of its own stream, and
-the stream does not depend on how it is cut into chunks, so its blocks do
-not depend on F, on the chunk length or on when other columns retire.
+With q < p, block CD draws its blocks in chunks of iterations
+(_draw_blocks): each live column takes p uniforms per iteration from its
+own generator, and the indices of the q smallest, sorted, are its block, a
+uniform q-subset of [0, p). A column's uniforms are consecutive doubles of
+its own stream, and the stream does not depend on how it is cut into
+chunks, so its blocks do not depend on F, on the chunk length or on when
+other columns retire.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +62,11 @@ LOSSES = ("squared_error", "logistic")
 _DRAW_CHUNK = 1 << 15
 
 
+def _is_integer(v):
+    """A Python or numpy integer; not a bool, nor a float such as 50.0 from JSON."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class FitConfig:
     """All tuning knobs of a single fit."""
@@ -73,7 +79,6 @@ class FitConfig:
     eps_tol: float = 1e-5
     max_iters: int = 1000
     block_size: int | None = None  # None means full blocks (q = p)
-    eps_den: float = 1e-8
     seed: int = 0
     loss: str = "squared_error"
 
@@ -82,23 +87,21 @@ class FitConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0 <= self.t < math.inf:
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
+        if not (_is_integer(self.B) and self.B >= 1):
+            raise ValueError(f"B must be an integer >= 1, got {self.B!r}")
         if not 0 < self.alpha0 < math.inf:
             raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
         if self.rate_protocol not in RATE_PROTOCOLS:
             raise ValueError(f"rate_protocol must be one of {RATE_PROTOCOLS}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.eps_tol >= 0:
             raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol}")
-        if not self.eps_den > 0:
-            raise ValueError(f"eps_den must be > 0, got {self.eps_den}")
-        if self.block_size is not None:
-            if self.block_size < 1 or (p is not None and self.block_size > p):
-                raise ValueError(f"block_size must be in [1, p], got {self.block_size}")
+        q = self.block_size
+        if q is not None and not (_is_integer(q) and q >= 1 and (p is None or q <= p)):
+            raise ValueError(f"block_size must be an integer in [1, p], got {q!r}")
 
     def learning_rate(self, i):
         if self.rate_protocol == "constant":
@@ -257,42 +260,6 @@ def _small_steps(step, old, tol):
     return (step * step).sum(axis=0) <= tol * tol * np.maximum((old * old).sum(axis=0), 1e-24)
 
 
-def _sd_lockstep(X, y, op, cfg, lam, w, beta):
-    """Subgradient descent on each column of beta in lockstep.
-
-    beta is (p,) for one fit or (p, F) for F fits. Column k fits penalty
-    weight lam[k] to the loss sum_i w[i, k] l(z_ik, y_i), so a CV fold's
-    column weights its training rows only; y and w are (n,) and a scalar
-    for one fit, (n, 1) and (n, F) for F fits. The config's rate, tolerance
-    and max_iters apply to every column. Returns (p x F final betas,
-    objective traces, converged flags).
-    """
-    run = _Lockstep(beta, cfg.max_iters)
-    obj, dz = _loss_from_linear(X @ beta, y, cfg.loss, w)
-    _require_finite(obj, "loss")
-    penalized = bool(np.any(lam))
-    if penalized:
-        _, slope = _penalty_terms(op.apply(beta * beta), cfg.eps_den)
-    for i in range(1, cfg.max_iters + 1):
-        grad = X.T @ dz
-        if penalized:
-            grad += lam * op.apply_T(slope) * beta
-        beta_new = beta - cfg.learning_rate(i) * grad
-        obj, dz = _loss_from_linear(X @ beta_new, y, cfg.loss, w)
-        if penalized:
-            penalty, slope = _penalty_terms(op.apply(beta_new * beta_new), cfg.eps_den)
-            obj += lam * penalty
-        keep = run.record(i, obj, beta_new, _small_steps(beta_new - beta, beta, cfg.eps_tol))
-        beta = beta_new
-        if keep is not None:
-            if not keep.any():
-                break
-            beta, dz, lam, w = beta[:, keep], dz[:, keep], lam[keep], w[:, keep]
-            if penalized:
-                slope = slope[:, keep]
-    return run.finish(beta)
-
-
 def _draw_blocks(rngs, iters, p, q):
     """The blocks of `iters` iterations for the columns whose generators are
     `rngs`: an (iters, q, F) array whose [i, :, k] is column k's block at
@@ -307,12 +274,24 @@ def _draw_blocks(rngs, iters, p, q):
 
 def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     """Stochastic block coordinate descent on each column of beta in
-    lockstep, with the shapes of _sd_lockstep. Column k draws its blocks
-    from its own stream seeded by seeds[k], so it follows the trajectory of
-    its single fit."""
+    lockstep; subgradient descent when cfg.block_size is None or p.
+
+    beta is (p,) for one fit or (p, F) for F fits. Column k fits penalty
+    weight lam[k] to the loss sum_i w[i, k] l(z_ik, y_i), so a CV fold's
+    column weights its training rows only; y and w are (n,) and a scalar
+    for one fit, (n, 1) and (n, F) for F fits. The config's rate, block
+    size, tolerance and max_iters apply to every column. Column k draws its
+    blocks from its own stream seeded by seeds[k], so it follows the
+    trajectory of its single fit; full blocks draw nothing. Returns (p x F
+    final betas, objective traces, converged flags).
+    """
     p = X.shape[1]
     q = p if cfg.block_size is None else cfg.block_size
-    XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
+    full = q == p  # every block is all p coordinates: no draws, the full products
+    if full:
+        block, kblock = ColumnBlocks(None, p, X.dot, X.T.dot), op.blocks(None)
+    else:
+        XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
     rngs = [np.random.default_rng(np.random.SeedSequence([s & 0xFFFFFFFF, 0xB10C]))
             for s in seeds]
     run = _Lockstep(beta, cfg.max_iters)
@@ -323,30 +302,33 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     penalized = bool(np.any(lam))
     if penalized:
         h = op.apply(beta * beta)  # kept equal to K (beta^2)
-        _, slope = _penalty_terms(h, cfg.eps_den)
-    blocks = np.empty((0,))  # the drawn blocks of the iterations ahead
+        _, slope = _penalty_terms(h)
+    blocks = np.empty((0, q, len(rngs)), np.intp)  # the drawn blocks of the iterations ahead
     for i in range(1, cfg.max_iters + 1):
-        if not len(blocks):
-            iters = min(max(_DRAW_CHUNK // (len(rngs) * p), 1), cfg.max_iters - i + 1)
-            blocks = _draw_blocks(rngs, iters, p, q)
-        S = blocks[0] if beta.ndim == 2 else blocks[0, :, 0]
-        blocks = blocks[1:]
-        block = ColumnBlocks(S, p, X.dot, XT.dot, XT)  # products with X[:, S_k]
-        kblock = op.blocks(S)  # and with K[:, S_k]
-        old = beta[block.cells]
+        if not full:
+            if not len(blocks):
+                iters = min(max(_DRAW_CHUNK // (len(rngs) * p), 1), cfg.max_iters - i + 1)
+                blocks = _draw_blocks(rngs, iters, p, q)
+            S = blocks[0] if beta.ndim == 2 else blocks[0, :, 0]
+            blocks = blocks[1:]
+            block = ColumnBlocks(S, p, X.dot, XT.dot, XT)  # products with X[:, S_k]
+            kblock = op.blocks(S)  # and with K[:, S_k]
+        old = beta[block.cells]  # a view for a full block: used up before beta is written
         grad = block.rmatvec(dz)
         if penalized:
             grad += lam * kblock.rmatvec(slope) * old
         new = old - cfg.learning_rate(i) * grad
-        beta[block.cells] = new
         step = new - old
+        small = _small_steps(step, old, cfg.eps_tol)
+        if penalized:
+            h += kblock.matvec(new * new - old * old)
+        beta[block.cells] = new
         z += block.matvec(step)
         obj, dz = _loss_from_linear(z, y, cfg.loss, w)
         if penalized:
-            h += kblock.matvec(new * new - old * old)
-            penalty, slope = _penalty_terms(h, cfg.eps_den)
+            penalty, slope = _penalty_terms(h)
             obj += lam * penalty
-        keep = run.record(i, obj, beta, _small_steps(step, old, cfg.eps_tol))
+        keep = run.record(i, obj, beta, small)
         if keep is not None:
             if not keep.any():
                 break
@@ -358,16 +340,15 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     return run.finish(beta)
 
 
-def _single_fit(lockstep, X, y, semigroup, cfg, beta0):
-    """One fit: the one-column case of an optimizer's lockstep core, run on
-    a (p,) beta. lockstep(X, y, op, cfg, lam, w, beta) runs the core."""
+def _single_fit(X, y, semigroup, cfg, beta0):
+    """One fit: the one-column case of _cd_lockstep, run on a (p,) beta."""
     X, y = _check_data(X, y, cfg)
     n, p = X.shape
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, np.float64)
     if beta.shape != (p,):
         raise ShapeMismatch(f"beta0 has shape {beta.shape}, expected ({p},)")
     op = _compile(semigroup, p)
-    betas, traces, converged = lockstep(X, y, op, cfg, cfg.lam, 1.0 / n, beta)
+    betas, traces, converged = _cd_lockstep(X, y, op, cfg, cfg.lam, 1.0 / n, beta, [cfg.seed])
     return FitResult(
         beta_hat=betas[:, 0],
         beta_thresholded=threshold_kmeans(betas[:, 0]),
@@ -379,11 +360,13 @@ def _single_fit(lockstep, X, y, semigroup, cfg, beta0):
 
 
 def subgradient_descent(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
-    """Full subgradient descent on the penalized loss.
+    """Full subgradient descent on the penalized loss: block coordinate
+    descent whose block is all p coordinates. cfg.block_size and cfg.seed
+    are ignored.
 
     beta0 is the starting point (default: the zero vector).
     """
-    return _single_fit(_sd_lockstep, X, y, semigroup, cfg, beta0)
+    return _single_fit(X, y, semigroup, replace(cfg, block_size=None), beta0)
 
 
 def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
@@ -396,8 +379,7 @@ def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     The stream does not depend on that batching, so a fit's blocks are the
     same whatever the chunk length, and a column of a cross-validation run
     draws the blocks of its single fit."""
-    return _single_fit(lambda *args: _cd_lockstep(*args, [cfg.seed]),
-                       X, y, semigroup, cfg, beta0)
+    return _single_fit(X, y, semigroup, cfg, beta0)
 
 
 def threshold_kmeans(beta) -> np.ndarray:
@@ -437,9 +419,9 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     One HeatFlowMatrix is simulated and compiled per t value and shared
     across all folds and lam values. For each t, the |lambda_grid| x folds
     fits run in lockstep as the columns of one p x F beta (see
-    _sd_lockstep and _cd_lockstep): a fold is a mask of training rows over
-    the full X, each column keeps its own lam and, for block CD, its own
-    per-cell seed, and every column ends where its single fit on the
+    _cd_lockstep; SD runs it with full blocks): a fold is a mask of training
+    rows over the full X, each column keeps its own lam and, for block CD,
+    its own per-cell seed, and every column ends where its single fit on the
     fold's training rows would. The held-out losses of all columns come
     from one product with the complementary masks. Returns (best_lam,
     best_t, table) where table rows are {"lam", "t", "cv_loss"}; ties break
@@ -447,6 +429,8 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     """
     if optimizer not in ("sd", "cd"):
         raise ValueError(f"optimizer must be 'sd' or 'cd', got {optimizer!r}")
+    if optimizer == "sd":
+        cfg = replace(cfg, block_size=None)
     lambda_grid = list(lambda_grid)
     t_grid = list(t_grid)
     if not lambda_grid or not t_grid:
@@ -477,14 +461,11 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
         h_seed = int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF10, ti])
                      .generate_state(1)[0])
         op = _compile(simulate_heat_flow(g, t, cfg.B, seed=h_seed), X.shape[1])
-        args = (X, y[:, None], op, cfg, lams, w_train, np.zeros((X.shape[1], lams.size)))
-        if optimizer == "sd":
-            betas = _sd_lockstep(*args)[0]
-        else:
-            seeds = [int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, ti, li, fi])
-                         .generate_state(1)[0])
-                     for li in range(len(lambda_grid)) for fi in range(folds)]
-            betas = _cd_lockstep(*args, seeds)[0]
+        seeds = [int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, ti, li, fi])
+                     .generate_state(1)[0])
+                 for li in range(len(lambda_grid)) for fi in range(folds)]
+        betas = _cd_lockstep(X, y[:, None], op, cfg, lams, w_train,
+                             np.zeros((X.shape[1], lams.size)), seeds)[0]
         held_out_losses = _loss_from_linear(X @ betas, y[:, None], cfg.loss, w_test)[0]
         cv_losses = held_out_losses.reshape(len(lambda_grid), folds).mean(axis=1)
         table += [{"lam": lam, "t": t, "cv_loss": float(c)}

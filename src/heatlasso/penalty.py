@@ -21,6 +21,10 @@ import numpy as np
 from .errors import LengthMismatch
 from .heatflow import SmoothingOperator
 
+# The slope's denominator sqrt(|h_j|) is clamped here, so a step from a zero
+# coefficient (h_j = 0) is finite.
+_EPS_DEN = 1e-8
+
 
 class GroupStructure:
     """Partition of the p variables into groups labelled 1..k."""
@@ -72,13 +76,13 @@ def _check_length(beta, p):
     return beta
 
 
-def _penalty_terms(h, eps_den):
+def _penalty_terms(h):
     """For the smoothed squared coefficients h (per column of a (p, F) h):
     the penalty sum_j sqrt(|h_j|) and the slope r_j = sgn(h_j) / sqrt(|h_j|)
     whose smoothing K^T r gives the subgradient, the denominator clamped at
-    eps_den."""
+    _EPS_DEN."""
     root = np.sqrt(np.abs(h))
-    return root.sum(axis=0), np.sign(h) / np.maximum(root, eps_den)
+    return root.sum(axis=0), np.sign(h) / np.maximum(root, _EPS_DEN)
 
 
 def penalty_value(beta, kernel_or_H) -> float:
@@ -88,17 +92,17 @@ def penalty_value(beta, kernel_or_H) -> float:
     return float(np.sqrt(np.abs(op.apply(beta * beta))).sum())
 
 
-def penalty_subgradient(beta, kernel_or_H, eps_den: float = 1e-8) -> np.ndarray:
+def penalty_subgradient(beta, kernel_or_H) -> np.ndarray:
     """Subgradient of the heat-flow penalty at beta.
 
     With h = K (beta (.) beta) the smoothed squared coefficients, the
     subgradient is (K^T r) (.) beta where r_j = sgn(h_j) / sqrt(|h_j|); the
-    denominator is clamped at eps_den so the subgradient stays bounded where
+    denominator is clamped at _EPS_DEN so the subgradient stays bounded where
     h vanishes.
     """
     op = SmoothingOperator.compile(kernel_or_H)
     beta = _check_length(beta, op.p)
-    return op.apply_T(_penalty_terms(op.apply(beta * beta), eps_den)[1]) * beta
+    return op.apply_T(_penalty_terms(op.apply(beta * beta))[1]) * beta
 
 
 def group_lasso_penalty(beta, groups: GroupStructure) -> float:

@@ -240,6 +240,15 @@ class TestSimulate:
         run_dir = tmp_path / "run"
         assert not run_dir.exists() or not any(run_dir.iterdir())
 
+    @pytest.mark.parametrize("field, value", [("max_iters", 50.0), ("B", 20.0)])
+    def test_float_integer_field_exits_one(self, tmp_path, capsys, field, value):
+        cfg = small_sim_config(tmp_path / "run")
+        cfg["fit"][field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert f"error: {field} must be an integer" in capsys.readouterr().err
+
     def test_gff_design_with_auto_mass_and_design_graph(self, tmp_path):
         config = {
             "design": {"kind": "gff", "sizes": [5, 5], "n": 60,

@@ -20,7 +20,6 @@ from heatlasso.optimize import (
     FitResult,
     _cd_lockstep,
     _draw_blocks,
-    _sd_lockstep,
     block_cd,
     cross_validate,
     loss_and_grad,
@@ -195,20 +194,28 @@ class TestSubgradientDescent:
             for bad in (float("inf"), float("nan"), -1.0):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     FitConfig(**{field: bad}).validate()
+        # a JSON config may hold 50.0 where an integer belongs
+        for field in ("B", "max_iters", "block_size"):
+            for bad in (20.0, "20", True):
+                with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                    FitConfig(**{field: bad}).validate()
+        FitConfig(B=np.int64(20), max_iters=np.int32(5), block_size=np.int64(2)).validate(p=10)
 
     def test_tolerances_are_validated(self):
-        # eps_den = 0 would divide 0/0 in the first penalized step from zero
-        for bad in ({"eps_den": 0.0}, {"eps_den": -1e-8}, {"eps_den": float("nan")}):
-            with pytest.raises(ValueError, match="eps_den"):
-                FitConfig(**bad).validate()
         for bad in ({"eps_tol": -1e-6}, {"eps_tol": float("nan")}):
             with pytest.raises(ValueError, match="eps_tol"):
                 FitConfig(**bad).validate()
         FitConfig(eps_tol=0.0).validate()
-        rng = np.random.default_rng(26)
-        X, y, _ = well_conditioned_instance(rng, n=20, p=3)
-        with pytest.raises(ValueError, match="eps_den"):
-            subgradient_descent(X, y, np.eye(3), FitConfig(lam=0.1, eps_den=0.0))
+
+    def test_ignores_block_size_and_seed(self):
+        X, y, H, _ = TestLockstep.instance("squared_error", 3)
+        cfg = FitConfig(lam=0.1, alpha0=0.05, max_iters=50, eps_tol=0.0)
+        want = subgradient_descent(X, y, H, cfg)
+        # block_size 99 > p would be rejected by block CD
+        for change in ({"block_size": 2}, {"block_size": 99}, {"seed": 9}):
+            res = subgradient_descent(X, y, H, replace(cfg, **change))
+            assert np.array_equal(res.beta_hat, want.beta_hat)
+            assert res.objective_trace == want.objective_trace
 
     def test_custom_starting_point(self):
         rng = np.random.default_rng(21)
@@ -224,18 +231,22 @@ class TestSubgradientDescent:
 
 
 class TestBlockCD:
-    def test_full_block_first_step_equals_subgradient_step(self):
-        rng = np.random.default_rng(10)
-        X, y, _ = well_conditioned_instance(rng, n=30, p=6)
-        K = exact_heat_kernel(figure_graph(), 1.0)
-        K6 = np.kron(np.eye(2), K)  # any 6x6 kernel works here
-        cfg = FitConfig(lam=0.1, alpha0=0.05, max_iters=1, eps_tol=0.0,
-                        block_size=6, seed=3)
-        res_cd = block_cd(X, y, K6, cfg)
-        res_sd = subgradient_descent(X, y, K6,
-                                     FitConfig(lam=0.1, alpha0=0.05, max_iters=1,
-                                               eps_tol=0.0, seed=3))
-        assert np.allclose(res_cd.beta_hat, res_sd.beta_hat, atol=1e-14)
+    def test_full_block_trajectory_equals_subgradient_descent(self):
+        # block CD whose block is all p coordinates is subgradient descent,
+        # bit for bit, on an exact dense kernel and on a walk table (p > 8B)
+        X, y, H, _ = TestLockstep.instance("squared_error", 3)
+        p = X.shape[1]
+        K = exact_heat_kernel(sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3), 1.0)
+        assert SmoothingOperator.compile(H)._table is not None
+        cfg = FitConfig(lam=0.1, alpha0=0.05, rate_protocol="constant",
+                        max_iters=200, eps_tol=0.0, seed=3)
+        for semigroup in (K, H):
+            sd = subgradient_descent(X, y, semigroup, cfg)
+            assert sd.iterations == 200
+            for block_size in (None, p):
+                cd = block_cd(X, y, semigroup, replace(cfg, block_size=block_size))
+                assert np.array_equal(cd.beta_hat, sd.beta_hat)
+                assert cd.objective_trace == sd.objective_trace
 
     def test_single_coordinate_blocks_reach_least_squares(self):
         rng = np.random.default_rng(11)
@@ -483,12 +494,10 @@ class TestLockstep:
         for k, rows in enumerate(train):
             w[rows, k] = 1.0 / rows.size
         seeds = list(range(100, 100 + len(cells)))
-        args = (X, y[:, None], SmoothingOperator.compile(H), cfg,
-                np.array([lam for lam, _ in cells]), w, np.zeros((p, len(cells))))
-        if name == "sd":
-            betas, traces, converged = _sd_lockstep(*args)
-        else:
-            betas, traces, converged = _cd_lockstep(*args, seeds)
+        core_cfg = replace(cfg, block_size=None) if name == "sd" else cfg
+        betas, traces, converged = _cd_lockstep(
+            X, y[:, None], SmoothingOperator.compile(H), core_cfg,
+            np.array([lam for lam, _ in cells]), w, np.zeros((p, len(cells))), seeds)
         single = {"sd": subgradient_descent, "cd": block_cd}[name]
         iterations = []
         for k, ((lam, _), rows) in enumerate(zip(cells, train)):
