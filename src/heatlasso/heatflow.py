@@ -211,10 +211,9 @@ class ColumnBlocks:
     holds the block S_k of fit k. `matvec(v)` gives M[:, S_k] v_k and
     `rmatvec(r)` gives (M^T r_k)[S_k], for all columns at once, from the
     full products `apply` (M x) and `apply_T` (M^T r). S = None is the full
-    block, all m coordinates: its products are the full products, and
-    `cells` indexes the whole vector, so a vector's block is a view of it.
-    Given MT = M^T, blocks holding fewer than m entries in all gather their
-    rows of MT once; otherwise a block is scattered into a full vector for
+    block, all m coordinates, whose `cells` index the whole vector. Given
+    MT = M^T, blocks holding fewer than m entries in all gather their rows
+    of MT once; otherwise a block is scattered into a full vector for
     `apply`, and read off the full `apply_T`."""
 
     def __init__(self, S, m, apply, apply_T, MT=None):
@@ -230,8 +229,6 @@ class ColumnBlocks:
         """M[:, S_k] v_k per column k, for block values v of S's shape."""
         if self._rows is not None:
             return (v.T[..., None, :] @ self._rows)[..., 0, :].T
-        if self.cells is ...:
-            return self._apply(v)
         full = np.zeros((self._m,) + v.shape[1:])
         full[self.cells] = v
         return self._apply(full)

@@ -24,8 +24,10 @@ h = K (beta (.) beta) current with h += K[:, S] (beta_S,new^2 - beta_S,old^2),
 and reads the loss off z and the penalty off h, so an iteration of one
 fit costs O((n + p) q) on a dense operator. Block products gather the
 block's rows when the blocks of all columns hold fewer than p coordinates,
-and otherwise use the full products (see heatflow.ColumnBlocks); a full
-block (block_size None or p) is the full products with X, X^T, K and K^T.
+and otherwise use the full products (see heatflow.ColumnBlocks). A full
+block (block_size None or p) draws nothing, takes the full products with
+X^T and K^T, and recomputes z = X beta and h = K (beta (.) beta): one
+product each, as an update would cost, with no drift.
 
 With q < p, block CD draws its blocks in chunks of iterations
 (_draw_blocks): each live column takes p uniforms per iteration from its
@@ -296,7 +298,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
             for s in seeds]
     run = _Lockstep(beta, cfg.max_iters)
     beta = beta.copy()
-    z = X @ beta  # kept equal to X @ beta by incremental updates
+    z = X @ beta  # kept equal to X @ beta
     obj, dz = _loss_from_linear(z, y, cfg.loss, w)
     _require_finite(obj, "loss")
     penalized = bool(np.any(lam))
@@ -313,17 +315,23 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
             blocks = blocks[1:]
             block = ColumnBlocks(S, p, X.dot, XT.dot, XT)  # products with X[:, S_k]
             kblock = op.blocks(S)  # and with K[:, S_k]
-        old = beta[block.cells]  # a view for a full block: used up before beta is written
+        old = beta[block.cells]
         grad = block.rmatvec(dz)
         if penalized:
             grad += lam * kblock.rmatvec(slope) * old
         new = old - cfg.learning_rate(i) * grad
         step = new - old
         small = _small_steps(step, old, cfg.eps_tol)
-        if penalized:
-            h += kblock.matvec(new * new - old * old)
-        beta[block.cells] = new
-        z += block.matvec(step)
+        if full:  # recomputing z or h costs the one product an update would, with no drift
+            beta = new
+            z = X @ beta
+            if penalized:
+                h = op.apply(beta * beta)
+        else:
+            beta[block.cells] = new
+            z += block.matvec(step)
+            if penalized:
+                h += kblock.matvec(new * new - old * old)
         obj, dz = _loss_from_linear(z, y, cfg.loss, w)
         if penalized:
             penalty, slope = _penalty_terms(h)

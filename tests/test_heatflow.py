@@ -281,6 +281,11 @@ class TestSmoothingOperator:
             for op in (dense, table):
                 assert np.abs(op.blocks(S).matvec(d) - want).max() <= 1e-12
                 assert np.abs(op.blocks(S).rmatvec(rF) - want_T).max() <= 1e-12
+        for op in (dense, table):  # S = None, the full block: the full products
+            full = op.blocks(None)
+            assert np.array_equal(full.matvec(f), op.apply(f))
+            assert np.array_equal(full.rmatvec(r), op.apply_T(r))
+            assert np.shares_memory(f[full.cells], f)
         with pytest.raises(LengthMismatch):
             heatflow_apply(H, np.zeros((29, 2)))
 
