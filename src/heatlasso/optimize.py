@@ -52,7 +52,7 @@ from .errors import (
     NonFiniteObjective,
     ShapeMismatch,
 )
-from .heatflow import ColumnBlocks, SmoothingOperator, simulate_heat_flow
+from .heatflow import ColumnBlocks, SmoothingOperator, _is_integer, simulate_heat_flow
 from .penalty import _penalty_terms
 
 RATE_PROTOCOLS = ("constant", "inv_sqrt")
@@ -62,11 +62,6 @@ LOSSES = ("squared_error", "logistic")
 # 20 columns at p = 100. The cap bounds the draw's working memory (the
 # uniforms and their argpartition, 512 KiB).
 _DRAW_CHUNK = 1 << 15
-
-
-def _is_integer(v):
-    """A Python or numpy integer; not a bool, nor a float such as 50.0 from JSON."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass

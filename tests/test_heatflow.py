@@ -17,6 +17,7 @@ from heatlasso.graphs import (
     sample_block_graph,
 )
 from heatlasso.heatflow import (
+    _CARRY,
     _CHUNK,
     SmoothingOperator,
     empirical_kernel,
@@ -107,6 +108,23 @@ class TestSimulation:
             with pytest.raises(ValueError, match="t must be finite"):
                 exact_heat_kernel(EDGE, t)
 
+    @pytest.mark.parametrize("B", [2.5, 20.0, True, "3"])
+    def test_non_integer_B_rejected(self, B):
+        with pytest.raises(ValueError, match="B must be an integer >= 1"):
+            simulate_heat_flow(EDGE, 1.0, B=B)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_heat_flow(EDGE, 1.0, B=3, seed=seed)
+
+    def test_numpy_integer_B_and_seed(self):
+        g = figure_graph()
+        a = simulate_heat_flow(g, 1.5, B=np.int32(20), seed=np.int64(-12345))
+        b = simulate_heat_flow(g, 1.5, B=20, seed=-12345)
+        assert a.terminals.tobytes() == b.terminals.tobytes()
+        assert (a.B, a.seed) == (20, -12345) and type(a.B) is int and type(a.seed) is int
+
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -159,10 +177,32 @@ def reference_walks(g, t, B, seed):
     return terminals.reshape(p, B), steps.reshape(p, B)
 
 
+def carried_at_compactions(g, H):
+    """Replays the chunk schedule from a table's step counts: a walk from a
+    vertex of nonzero degree stops in the round equal to its step count.
+    Returns, per chunk, the number of walks carried from earlier rounds at
+    each compaction, in order."""
+    steps = H.step_counts.ravel()
+    moving = np.repeat(g.degrees > 0, H.B)
+    chunks = []
+    for start in range(0, steps.size, _CHUNK):
+        rounds = steps[start:start + _CHUNK][moving[start:start + _CHUNK]]
+        n, carried, compactions = rounds.size, 0, []
+        for k in np.bincount(rounds):
+            if k and (carried + k) * _CARRY >= n:
+                compactions.append(int(carried))
+                n, carried = n - carried - k, 0
+            else:
+                carried += k
+        chunks.append(compactions)
+    return chunks
+
+
 class TestChunkedScheduleMatchesReference:
-    """The chunked, compacted simulation gives the reference's table byte
-    for byte. Compared with a reference run, not with stored hashes: np.log
-    may differ in the last bit between CPUs."""
+    """The chunked simulation, which carries stopped walks until a chunk is
+    compacted, gives the reference's table byte for byte. Compared with a
+    reference run, not with stored hashes: np.log may differ in the last
+    bit between CPUs."""
 
     @staticmethod
     def assert_same_table(g, t, B, seed):
@@ -171,6 +211,7 @@ class TestChunkedScheduleMatchesReference:
         assert H.terminals.dtype == terminals.dtype and H.step_counts.dtype == steps.dtype
         assert H.terminals.tobytes() == terminals.tobytes()
         assert H.step_counts.tobytes() == steps.tobytes()
+        return H
 
     @pytest.mark.parametrize("t", [0.0, 2.5])
     def test_figure_graph_with_isolated_vertex(self, t):
@@ -194,6 +235,40 @@ class TestChunkedScheduleMatchesReference:
         assert p * B > _CHUNK and (p * B) % _CHUNK != 0
         g = sample_block_graph([100, 120, 80], 0.1, 0.01, seed=9)
         self.assert_same_table(g, 0.8, B, seed=31)
+
+    def test_every_walk_stops_in_round_zero(self):
+        g = sample_block_graph([8, 12, 10], 0.4, 0.05, seed=6)
+        H = self.assert_same_table(g, 1e-12, 600, seed=4)
+        assert H.p * H.B > _CHUNK and not H.step_counts.any()
+        assert carried_at_compactions(g, H) == [[0], [0]]
+
+    def test_star_leaves_carry_stopped_walks_through_compactions(self):
+        # a leaf holds for Exp(1), the centre for Exp(8): stop rounds spread
+        # wide, so stopped walks ride along for rounds between compactions
+        g = Graph(9, [(0, j) for j in range(1, 9)])
+        H = self.assert_same_table(g, 6.0, 1500, seed=17)
+        [compactions] = carried_at_compactions(g, H)
+        assert len(compactions) >= 5 and sum(c > 0 for c in compactions) >= 3
+
+    def test_last_walks_stop_at_the_compaction_that_ends_a_chunk(self):
+        # p * B = 2 * _CHUNK + 1: the last chunk is a single walk, which moves
+        # alone for rounds; its stop is the compaction that ends the chunk
+        g = Graph(3, [(0, 1), (1, 2)])
+        B = (2 * _CHUNK + 1) // 3
+        assert 3 * B == 2 * _CHUNK + 1
+        H = self.assert_same_table(g, 3.0, B, seed=23)
+        chunks = carried_at_compactions(g, H)
+        assert len(chunks) == 3 and chunks[2] == [0] and H.step_counts[-1, -1] > 1
+
+    def test_isolated_vertices_across_chunks(self):
+        # two vertices per chunk: vertices 0 and 1 fill the first chunk with
+        # walks that never move, and vertex 4 the first half of the third
+        g = Graph(7, [(2, 3), (3, 5), (2, 5), (5, 6)])
+        B = _CHUNK // 2
+        H = self.assert_same_table(g, 1.7, B, seed=29)
+        assert not H.step_counts[[0, 1, 4]].any()
+        assert H.step_counts[[2, 3, 5, 6]].any(axis=1).all()
+        assert carried_at_compactions(g, H)[0] == []
 
 
 class TestHeatflowApply:
@@ -427,6 +502,17 @@ class TestSerialization:
             return raw
         with pytest.raises(ValueError, match="t must be finite"):
             self._corrupt(tmp_path, header_t)
+
+    def test_seed_outside_header_writes_nothing(self, tmp_path):
+        # simulate_heat_flow accepts any integer seed; the header holds an i64
+        path = tmp_path / "flow.hfm"
+        H = simulate_heat_flow(EDGE, 0.5, B=2, seed=2 ** 63)
+        with pytest.raises(ValueError, match=f"seed {2 ** 63}"):
+            save_heatflow(H, path)
+        assert not path.exists()
+        for seed in (-2 ** 63, 2 ** 63 - 1):
+            save_heatflow(simulate_heat_flow(EDGE, 0.5, B=2, seed=seed), path)
+            assert load_heatflow(path).seed == seed
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.hfm"
