@@ -40,8 +40,8 @@ _CHUNK = 1 << 14
 # A chunk is compacted when 1/_CARRY of its walks have stopped. Walks stop
 # in almost every round, and compacting in each such round (a copy of every
 # array) cost more than carrying the stopped ones: at p = 2000, B = 100,
-# t = 0.1 (~1e7 steps) the table took 0.48 s instead of 0.62 s, median of
-# 9 alternating runs in one process on a 2-vCPU Xeon.
+# t = 0.1 (~1e7 steps) the table took 0.45 s instead of 0.59 s, median of
+# 11 alternating runs in one process on a 2-vCPU x86-64 VM.
 _CARRY = 8
 
 

@@ -252,7 +252,7 @@ class TestChunkedScheduleMatchesReference:
 
     def test_last_walks_stop_at_the_compaction_that_ends_a_chunk(self):
         # p * B = 2 * _CHUNK + 1: the last chunk is a single walk, which moves
-        # alone for rounds; its stop is the compaction that ends the chunk
+        # alone; its stop is the compaction that ends the chunk
         g = Graph(3, [(0, 1), (1, 2)])
         B = (2 * _CHUNK + 1) // 3
         assert 3 * B == 2 * _CHUNK + 1
