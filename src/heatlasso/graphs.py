@@ -32,8 +32,13 @@ ZERO_EIGENVALUE_TOL = 1e-9
 # 125k (32 bytes an edge).
 _MASK_EDGE_BYTES = 16
 
-# Rows of |corr| per GEMM when the graph is estimated from data.
+# Rows of |corr| per block when a graph is estimated: one GEMM each from
+# data, kept as computed until the threshold is known.
 _CORR_ROWS = 256
+
+# The threshold's selection copies the entries that share its bits found so
+# far once at most this many are left (512 KiB of float64).
+_BAND = 1 << 16
 
 
 class Graph:
@@ -70,18 +75,28 @@ class Graph:
             A = np.zeros((p, p), dtype=bool)
             A[e[:, 0], e[:, 1]] = True
             A[e[:, 1], e[:, 0]] = True
-            self.degrees = np.count_nonzero(A, axis=1)
-            cols = np.flatnonzero(A)
-            np.remainder(cols, p, out=cols)
+            keys = np.flatnonzero(A)
         else:
             both = np.concatenate([e, e[~loop, ::-1]])
             keys = np.sort(both[:, 0] * p + both[:, 1])
             keys = keys[np.diff(keys, prepend=-1) != 0]
-            rows, cols = np.divmod(keys, p)
-            self.degrees = np.bincount(rows, minlength=p)
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=self.indptr[1:])
+        self._store_keys(keys)
+
+    @classmethod
+    def _from_mask(cls, A):
+        """The loop-free graph of a symmetric p x p boolean adjacency mask."""
+        g = cls.__new__(cls)
+        g.p, g.allow_self_loops = len(A), False
+        g._store_keys(np.flatnonzero(A))
+        return g
+
+    def _store_keys(self, keys):
+        """CSR from the sorted keys i * p + j of every edge, both directions."""
+        p = self.p
+        self.indptr = np.searchsorted(keys, np.arange(0, p * p + 1, p)).astype(np.int64)
+        self.degrees = np.diff(self.indptr)
+        keys -= keys // p * p  # the column; np.remainder is slower
+        self.indices = keys.astype(np.int32)
 
     def neighbors(self, i):
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -187,22 +202,73 @@ def _check_alpha(alpha):
         raise InvalidQuantile(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _threshold_graph(p, upper, alpha) -> Graph:
+def _row_blocks(p):
+    """(i0, i1) of each block of at most _CORR_ROWS rows i0..i1-1 that hold
+    pairs i < j (row p - 1 holds none)."""
+    return [(i0, min(i0 + _CORR_ROWS, p - 1)) for i0 in range(0, p - 1, _CORR_ROWS)]
+
+
+def _within(block, key, bit):
+    """The entries of block whose float64 bits from `bit` up are key."""
+    lo, hi = np.array([key << bit, (key + 1) << bit]).view(np.float64)
+    return (block >= lo) & (block < hi)
+
+
+def _digit_counts(block, key, high, low):
+    """How many entries of block, among those whose bits from `high` up are
+    key, hold each value of bits low..high-1."""
+    if high == 62:  # bit 62 and up are 0 for every entry in [0, 2)
+        digits = block.view(np.int64).ravel() >> low
+    else:
+        digits = block.view(np.int64)[_within(block, key, high)]
+        digits -= key << high
+        digits >>= low
+    return np.bincount(digits, minlength=1 << (high - low))
+
+
+def _select(blocks, rank):
+    """The rank-th smallest (1-based) entry of the blocks, all in [0, 2),
+    without a copy of them all: a radix select on their float64 bits,
+    which never decrease with the value. Each pass counts per digit the
+    entries whose higher bits are those found so far and keeps the digit
+    that holds the rank. Once at most _BAND entries are left, np.partition
+    takes the rank among them; after the last digit the bits are the value,
+    so entries tied at the threshold are never copied."""
+    key = 0  # the bits found so far, from bit 61 down
+    for high, low in ((62, 48), (48, 32), (32, 16), (16, 0)):
+        counts = sum(_digit_counts(b, key, high, low) for b in blocks)
+        below = np.cumsum(counts)
+        digit = int(np.searchsorted(below, rank))
+        rank -= int(below[digit - 1]) if digit else 0
+        key = key << (high - low) | digit
+        if counts[digit] <= _BAND:
+            band = np.concatenate([b[_within(b, key, low)] for b in blocks])
+            return np.partition(band, rank - 1)[rank - 1]
+    return np.int64(key).view(np.float64)
+
+
+def _threshold_graph(p, blocks, alpha) -> Graph:
     """The graph of the pairs i < j whose |corr_ij| exceeds the nearest-rank
-    alpha-quantile of them all, given those values in `upper` in row-major
-    order: row i holds (i, i + 1), ..., (i, p - 1)."""
-    if upper.size == 0:
+    alpha-quantile of them all. blocks[k] holds |corr| of rows i0..i1-1
+    against columns i0+1..p-1 for the k-th (i0, i1) of _row_blocks(p); the
+    entries that are not pairs (column index below row index) are zeroed
+    here, and the list is emptied to free the blocks before the mask is
+    made symmetric."""
+    pairs = p * (p - 1) // 2
+    if pairs == 0:
         return Graph(p)
-    rank = int(np.ceil(alpha * upper.size))  # nearest-rank, 1-based
-    theta = np.partition(upper, rank - 1)[rank - 1]
-    cols = np.flatnonzero(upper > theta)
-    # row i starts at position i * p - i * (i + 1) / 2 of `upper`, and holds
-    # column j at that start plus j - i - 1
-    i = np.arange(p, dtype=np.int64)
-    starts = i * p - i * (i + 1) // 2
-    counts = np.diff(np.searchsorted(cols, starts))
-    cols -= np.repeat(starts[:-1] - i[:-1] - 1, counts)
-    return Graph(p, edges=np.column_stack((np.repeat(i[:-1], counts), cols)))
+    zeros = 0
+    for (i0, i1), b in zip(_row_blocks(p), blocks):
+        b[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
+        zeros += (i1 - i0) * (i1 - i0 - 1) // 2
+    # the zeros sort first, so the pairs' rank-th value is the (zeros + rank)-th
+    theta = _select(blocks, zeros + int(np.ceil(alpha * pairs)))
+    A = np.zeros((p, p), dtype=bool)
+    for (i0, i1), b in zip(_row_blocks(p), blocks):
+        np.greater(b, theta, out=A[i0:i1, i0 + 1:])
+    blocks.clear()
+    A |= A.T
+    return Graph._from_mask(A)
 
 
 def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
@@ -220,18 +286,21 @@ def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
         raise NotACorrelation("matrix contains non-finite entries")
     if np.abs(np.diag(corr) - 1.0).max() > 1e-8:
         raise NotACorrelation("diagonal entries must equal 1 within 1e-8")
-    if np.abs(corr - corr.T).max() > 1e-8:
+    # corr - corr.T is antisymmetric, so its largest entry is its largest
+    # |entry|; taken in row blocks, without a p x p temporary
+    if max((corr[i0:i0 + _CORR_ROWS] - corr[:, i0:i0 + _CORR_ROWS].T).max()
+           for i0 in range(0, p, _CORR_ROWS)) > 1e-8:
         raise NotACorrelation("matrix must be symmetric")
-    if np.abs(corr).max() > 1.0 + 1e-12:
+    if max(corr.max(), -corr.min()) > 1.0 + 1e-12:
         raise NotACorrelation("entries must satisfy |corr_ij| <= 1")
-    above = np.arange(p) > np.arange(p)[:, None]
-    return _threshold_graph(p, np.abs(corr[above]), alpha)
+    return _threshold_graph(p, [np.abs(corr[i0:i1, i0 + 1:]) for i0, i1 in _row_blocks(p)],
+                            alpha)
 
 
-def _upper_abs_corr(X) -> np.ndarray:
-    """|corr_ij| for i < j of the columns of X, in _threshold_graph's order,
-    clipped at 1. A column whose centred norm is 0 or not finite (constant,
-    non-finite, or overflowing) correlates 0 with every other."""
+def _abs_corr_blocks(X):
+    """|corr| of the columns of X in _threshold_graph's blocks, one GEMM
+    each, clipped at 1. A column whose centred norm is 0 or not finite
+    (constant, non-finite, or overflowing) correlates 0 with every other."""
     Z = np.array(X, dtype=np.float64)
     p = Z.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # such columns' norms
@@ -240,18 +309,13 @@ def _upper_abs_corr(X) -> np.ndarray:
     live = (norms > 0) & np.isfinite(norms)
     Z[:, ~live] = 0.0
     Z *= np.divide(1.0, norms, out=np.zeros(p), where=live)
-    upper = np.empty(p * (p - 1) // 2)
-    start = 0
-    for i0 in range(0, p - 1, _CORR_ROWS):
-        i1 = min(i0 + _CORR_ROWS, p - 1)
-        # rows i0..i1-1 against columns i0+1..p-1; keep the part with j > i
+    blocks = []
+    for i0, i1 in _row_blocks(p):
         block = Z[:, i0:i1].T @ Z[:, i0 + 1:]
         np.abs(block, out=block)
         np.minimum(block, 1.0, out=block)
-        kept = block[np.arange(p - i0 - 1) >= np.arange(i1 - i0)[:, None]]
-        upper[start:start + kept.size] = kept
-        start += kept.size
-    return upper
+        blocks.append(block)
+    return blocks
 
 
 def estimate_graph_from_data(X, alpha: float) -> Graph:
@@ -263,7 +327,7 @@ def estimate_graph_from_data(X, alpha: float) -> Graph:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"X must be an (n, p) array with p >= 1, got shape {X.shape}")
-    return _threshold_graph(X.shape[1], _upper_abs_corr(X), alpha)
+    return _threshold_graph(X.shape[1], _abs_corr_blocks(X), alpha)
 
 
 def _block_labels(sizes):

@@ -128,8 +128,9 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     """
     if not (_is_integer(B) and B >= 1):
         raise ValueError(f"B must be an integer >= 1, got {B!r}")
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (_is_integer(seed) and -(1 << 63) <= seed < 1 << 63):
+        raise ValueError("seed must be an integer in [-2**63, 2**63), the range a "
+                         f"stored table's header holds, got {seed!r}")
     _check_time(t)
     p = g.p
     terminals = np.repeat(np.arange(p, dtype=np.int32), B)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from heatlasso import graphs
 from heatlasso.errors import (
     DimensionTooLarge,
     InvalidProbability,
@@ -15,6 +16,8 @@ from heatlasso.graphs import (
     disjoint_union,
     _CORR_ROWS,
     _MASK_EDGE_BYTES,
+    _abs_corr_blocks,
+    _row_blocks,
     estimate_graph,
     estimate_graph_from_data,
     figure_graph,
@@ -248,6 +251,68 @@ class TestEstimateGraph:
     def test_single_vertex(self):
         assert estimate_graph(np.eye(1), 0.5).edge_count == 0
 
+    @pytest.mark.parametrize("band", [graphs._BAND, 1])
+    @pytest.mark.parametrize("p", [1, 2, 37, _CORR_ROWS + 44])
+    def test_ties_at_threshold_match_partition(self, p, band, monkeypatch):
+        # five distinct |corr| values, so the threshold is tied many times;
+        # with a band of 1 the selection runs to the last digit
+        monkeypatch.setattr(graphs, "_BAND", band)
+        rng = np.random.default_rng(p)
+        corr = rng.choice([0.0, 0.25, -0.25, 0.5, 1.0], size=(p, p))
+        corr = np.triu(corr, 1) + np.triu(corr, 1).T + np.eye(p)
+        for alpha in (0.1, 0.5, 0.75, 0.99):
+            assert_same_graph(estimate_graph(corr, alpha), partition_graph(corr, alpha))
+
+    @pytest.mark.parametrize("band", [graphs._BAND, 1])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_rank_at_either_end_of_the_threshold_digit(self, end, band, monkeypatch):
+        # 40 distinct values (and repeats) share the selection's first digit,
+        # the float64 bits from 48 up, with the threshold; the rank falls on
+        # the smallest or the largest of them
+        monkeypatch.setattr(graphs, "_BAND", band)
+        rng = np.random.default_rng(17)
+        high = np.float64(0.3).view(np.int64) >> 48
+        offsets = rng.choice(1 << 48, size=40, replace=False)
+        shared = ((high << 48) + offsets).view(np.float64)
+        shared = np.concatenate([shared, np.sort(shared)[10:20]])  # repeats, not at the ends
+        p = 40
+        pairs = p * (p - 1) // 2
+        below = rng.uniform(0.0, 0.2, size=300)
+        next_digit = ((high + 1) << 48).view(np.float64)  # the first value past them
+        vals = np.concatenate([below, shared, [next_digit],
+                               rng.uniform(0.5, 1.0, pairs - below.size - shared.size - 1)])
+        corr = np.eye(p)
+        i, j = np.triu_indices(p, k=1)
+        corr[i, j] = corr[j, i] = rng.permutation(vals) * rng.choice([-1.0, 1.0], pairs)
+        rank = below.size + (1 if end == "first" else shared.size)
+        g = estimate_graph(corr, (rank - 0.5) / pairs)
+        assert_same_graph(g, partition_graph(corr, (rank - 0.5) / pairs))
+        theta = shared.min() if end == "first" else shared.max()
+        assert g.edge_count == np.count_nonzero(vals > theta)
+
+
+def partition_graph(corr, alpha):
+    """Reference: np.partition's nearest-rank threshold over every |corr_ij|,
+    i < j, and an edge where |corr_ij| exceeds it."""
+    p = len(corr)
+    i, j = np.triu_indices(p, k=1)
+    vals = np.abs(corr[i, j])
+    if vals.size == 0:
+        return Graph(p)
+    rank = int(np.ceil(alpha * vals.size))
+    keep = vals > np.partition(vals, rank - 1)[rank - 1]
+    return Graph(p, edges=np.column_stack((i[keep], j[keep])))
+
+
+def data_abs_corr(X):
+    """The |corr| matrix that estimate_graph_from_data thresholds, unit diagonal."""
+    p = X.shape[1]
+    upper = np.zeros((p, p))
+    for (i0, i1), block in zip(_row_blocks(p), _abs_corr_blocks(X)):
+        upper[i0:i1, i0 + 1:] = block
+    upper = np.triu(upper, 1)
+    return upper + upper.T + np.eye(p)
+
 
 def corrcoef_graph(X, alpha):
     """Reference: estimate_graph on np.corrcoef with NaN set to 0, a unit
@@ -311,6 +376,22 @@ class TestEstimateGraphFromData:
         Y[0, 5] = 1.7e308
         assert estimate_graph_from_data(Y, 0.5).degrees[5] == 0
 
+    @pytest.mark.parametrize("band", [graphs._BAND, 1])
+    @pytest.mark.parametrize("p", [1, 2, 37, _CORR_ROWS + 44])
+    def test_quantized_data_ties_match_partition(self, p, band, monkeypatch):
+        # three levels and repeated columns: many |corr| are equal; the
+        # np.corrcoef reference rounds them differently, so the reference
+        # here thresholds the values the estimate computes
+        monkeypatch.setattr(graphs, "_BAND", band)
+        rng = np.random.default_rng(p)
+        base = rng.integers(0, 3, size=(12, max(1, p // 4))).astype(np.float64)
+        X = base[:, rng.integers(0, base.shape[1], size=p)]
+        corr = data_abs_corr(X)
+        for alpha in (0.1, 0.5, 0.75, 0.99):
+            g = estimate_graph_from_data(X, alpha)
+            assert_same_graph(g, partition_graph(corr, alpha))
+            assert_same_graph(g, estimate_graph(corr, alpha))
+
     def test_single_row_gives_empty_graph(self):
         assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0
 
@@ -322,24 +403,33 @@ class TestEstimateGraphFromData:
             with pytest.raises(ValueError, match=r"\(n, p\)"):
                 estimate_graph_from_data(X, 0.5)
 
-    def test_peak_memory_below_16_bytes_per_pair(self):
-        # no p x p float matrix and no sort over the edges' keys: the
-        # corrcoef path peaked at 33.75 p^2 bytes here
+    def test_peak_memory_below_7_bytes_per_pair(self):
+        # at p = 2000, n = 200 (the wide_graph benchmark's design): no p x p
+        # float matrix, no copy of the p(p - 1)/2 values for a selection and
+        # no edge list; the np.corrcoef route peaked at ~34 p^2 bytes and
+        # the one copy for np.partition at ~11. With every other column
+        # constant, 3/4 of the pairs tie at the threshold 0.
         import tracemalloc
 
         from heatlasso.designs import DesignSpec, sample_design_and_response
 
-        spec = DesignSpec(kind="block_equicorr", sizes=(160, 240, 400, 200), n=200,
+        spec = DesignSpec(kind="block_equicorr", sizes=(320, 480, 800, 400), n=200,
                           noise_sigma=0.5, seed=1, rhos=(0.6, 0.9, 0.7, 0.4))
         X = sample_design_and_response(spec)[0]
+        corr = np.corrcoef(X, rowvar=False)
+        tied = X.copy()
+        tied[:, ::2] = 1.0
         p = X.shape[1]
-        tracemalloc.start()
-        try:
-            estimate_graph_from_data(X, 0.75)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * p * p
+        for estimate, data, alpha in ((estimate_graph_from_data, X, 0.75),
+                                      (estimate_graph, corr, 0.75),
+                                      (estimate_graph_from_data, tied, 0.5)):
+            tracemalloc.start()
+            try:
+                estimate(data, alpha)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 7 * p * p, (estimate.__name__, alpha, peak / p / p)
 
 
 class TestBlockGraphSampling:

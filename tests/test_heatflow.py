@@ -1,4 +1,5 @@
 """Walk simulation against the exact semigroup oracle."""
+import dataclasses
 import struct
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestSimulation:
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, None])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_heat_flow(EDGE, 1.0, B=3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 2 ** 64])
+    def test_seed_outside_int64_rejected(self, seed):
+        # seeds were reduced mod 2**64, so 0 and 2**64 gave one table
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[-2\*\*63, 2\*\*63\)"):
             simulate_heat_flow(EDGE, 1.0, B=3, seed=seed)
 
     def test_numpy_integer_B_and_seed(self):
@@ -504,9 +511,10 @@ class TestSerialization:
             self._corrupt(tmp_path, header_t)
 
     def test_seed_outside_header_writes_nothing(self, tmp_path):
-        # simulate_heat_flow accepts any integer seed; the header holds an i64
+        # simulate_heat_flow refuses such a seed; a matrix built by hand can
+        # still carry one, and the header holds an i64
         path = tmp_path / "flow.hfm"
-        H = simulate_heat_flow(EDGE, 0.5, B=2, seed=2 ** 63)
+        H = dataclasses.replace(simulate_heat_flow(EDGE, 0.5, B=2), seed=2 ** 63)
         with pytest.raises(ValueError, match=f"seed {2 ** 63}"):
             save_heatflow(H, path)
         assert not path.exists()
