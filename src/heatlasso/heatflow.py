@@ -11,13 +11,17 @@ compiles a table (or an exact kernel) once per fit and serves every
 smoothing an optimization run needs.
 
 Randomness is counter-based: every draw is a pure hash of
-(seed, walk index, draw index), so the terminals table is bit-identical
-for a given (graph, t, B, seed) no matter how the walks are scheduled.
-Each walk hashes (seed, walk index) once into a key, and each draw is one
-SplitMix64 finalizer of key ^ draw index. The walks run in cache-sized
-chunks of consecutive indices, each to completion. A walk that stops writes
-its result once and rides along in the chunk's arrays, inert, until an
-eighth of them have stopped; only then are the arrays compacted.
+(seed, walk index, round), so the terminals table is bit-identical for a
+given (graph, t, B, seed) no matter how the walks are scheduled. Each walk
+hashes (seed, walk index) once into a key, and round d of a walk draws once:
+one SplitMix64 finalizer of key ^ d, whose high 32 bits give the hold and
+whose low 32 bits give the neighbour. Both have a resolution of 2^-32: the
+hold at vertex v is capped at 32 ln 2 / deg(v), and each neighbour's
+probability is off 1/deg(v) by less than 2^-32 (a relative bias of at most
+deg(v) / 2^32). The walks run in cache-sized chunks of consecutive indices,
+each to completion. A walk that stops writes its result once and rides
+along in the chunk's arrays, inert, until an eighth of them have stopped;
+only then are the arrays compacted.
 """
 
 import math
@@ -34,7 +38,9 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
-_INV53 = float(2.0 ** -53)
+_HALF = _U64(32)
+_LOW = _U64(0xFFFFFFFF)
+_INV32 = float(2.0 ** -32)
 # walks per chunk: its working arrays, ~60 bytes a walk, stay in a core's L2 cache
 _CHUNK = 1 << 14
 # A chunk is compacted when 1/_CARRY of its walks have stopped. Walks stop
@@ -53,22 +59,17 @@ def _mix(x):
     return x ^ (x >> _U64(31))
 
 
-def _uniforms_into(keys, draw, out, scratch):
-    """Uniforms in (0, 1] written to `out`, one per walk key: the draw-th
-    variate of each walk, _mix(key ^ draw), computed in place. `scratch` is
-    a uint64 array of out's size."""
-    x = np.bitwise_xor(keys, _U64(draw), out=scratch)
-    y = out.view(np.uint64)  # out doubles as the shift buffer
+def _hash_into(keys, d, out, scratch):
+    """_mix(key ^ d) for every walk key, computed in `out`; `scratch` is a
+    uint64 array of out's size for the shifts."""
+    x = np.bitwise_xor(keys, _U64(d), out=out)
     x += _GOLDEN
-    x ^= np.right_shift(x, _U64(30), out=y)
+    x ^= np.right_shift(x, _U64(30), out=scratch)
     x *= _MIX1
-    x ^= np.right_shift(x, _U64(27), out=y)
+    x ^= np.right_shift(x, _U64(27), out=scratch)
     x *= _MIX2
-    x ^= np.right_shift(x, _U64(31), out=y)
-    x >>= _U64(11)
-    np.add(x, 1.0, out=out)
-    out *= _INV53
-    return out
+    x ^= np.right_shift(x, _U64(31), out=scratch)
+    return x
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,23 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     Exponential(deg) holding times make the walk's law the e^{-tL}
     semigroup, which every fidelity test enforces. Walk w is the w-th of
     the p*B walks in row-major order (start vertex w // B). Walks run in
-    chunks of _CHUNK consecutive ids, each chunk to completion; in round d
-    every walk of the chunk still moving takes its hold from draw 2d and,
-    if the hold ends before t, its jump from draw 2d + 1. A chunk keeps
-    arrays of its walks (id, vertex, its degree, time left, key), without
-    those starting at a degree-0 vertex. A walk whose hold outlasts its
-    time left writes its terminal and its step count d once and gets an
-    infinite time left, so it never stops again; it keeps drawing and
-    jumping, but writes nothing. When the stopped walks reach 1/_CARRY of
-    the arrays, they are dropped from them with one `take` per array.
+    chunks of _CHUNK consecutive ids, each chunk to completion. In round d
+    every walk of the chunk still moving hashes key ^ d once and splits the
+    64-bit output: the high half hi gives u = (hi + 1) 2^-32 in (0, 1] and
+    the hold -log(u) / deg, the low half lo gives the neighbour index
+    (lo * deg) >> 32, exact in uint64 and below deg, taken if the hold ends
+    before t. A chunk keeps arrays of its walks (id, vertex, its degree,
+    time left, key), without those starting at a degree-0 vertex. A walk
+    whose hold outlasts its time left writes its terminal and its step
+    count d once and gets an infinite time left, so it never stops again;
+    it keeps drawing and jumping, but writes nothing. When the stopped
+    walks reach 1/_CARRY of the arrays, they are dropped from them with one
+    `take` per array.
 
     The table is bit-identical per (graph, t, B, seed) to any other
-    schedule of the same walks: a variate is a pure function of (seed,
-    walk id, draw index), a walk uses draw 2d or 2d + 1 only in its d-th
-    step, and each walk's arithmetic never touches another walk's.
+    schedule of the same walks: a draw is a pure function of (seed, walk
+    id, round), a walk uses round d's draw only in its d-th step, and each
+    walk's arithmetic never touches another walk's.
     """
     if not (_is_integer(B) and B >= 1):
         raise ValueError(f"B must be an integer >= 1, got {B!r}")
@@ -136,26 +140,34 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     terminals = np.repeat(np.arange(p, dtype=np.int32), B)
     steps = np.zeros(p * B, dtype=np.int32)
     if t > 0:
-        degf = g.degrees.astype(np.float64)
+        degu = g.degrees.astype(np.uint64)
         flat, offsets = g.flat_adjacency()
         with np.errstate(over="ignore"):
             seed_key = _mix(_U64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-        u = np.empty(_CHUNK)
+        hashed = np.empty(_CHUNK, dtype=np.uint64)
         scratch = np.empty(_CHUNK, dtype=np.uint64)
+        u = np.empty(_CHUNK)
         for start in range(0, p * B, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, p * B))
             cur = terminals[ids]
-            deg = degf.take(cur)
-            moving = np.flatnonzero(deg > 0)  # a degree-0 vertex holds forever
+            deg = degu.take(cur)
+            moving = np.flatnonzero(deg)  # a degree-0 vertex holds forever
             ids, cur, deg = ids.take(moving), cur.take(moving), deg.take(moving)
             rem = np.full(len(ids), float(t))
             key = _mix(seed_key ^ ids.astype(np.uint64))
             n, stopped, d = len(ids), 0, 0
             while stopped < n:  # some walk of the chunk is still moving
-                hold = _uniforms_into(key, 2 * d, u[:n], scratch[:n])
+                x = _hash_into(key, d, hashed[:n], scratch[:n])
+                # the hold -log(u) / deg, u = (hi + 1) 2^-32 in (0, 1]
+                hold = np.add(np.right_shift(x, _HALF, out=scratch[:n]), 1.0, out=u[:n])
+                hold *= _INV32
                 np.log(hold, out=hold)
                 np.negative(hold, out=hold)
                 hold /= deg
+                # the neighbour index (lo * deg) >> 32, exact in uint64 and below deg
+                x &= _LOW
+                x *= deg
+                x >>= _HALF
                 done = np.flatnonzero(~(hold < rem))
                 if len(done):
                     w = ids.take(done)
@@ -165,18 +177,12 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
                     stopped += len(done)
                     if stopped * _CARRY >= n:
                         keep = np.flatnonzero(rem != math.inf)
-                        ids, cur, deg, rem, key, hold = (
-                            a.take(keep) for a in (ids, cur, deg, rem, key, hold))
+                        ids, cur, deg, rem, key, hold, x = (
+                            a.take(keep) for a in (ids, cur, deg, rem, key, hold, x))
                         n, stopped = len(ids), 0
                 rem -= hold
-                # jump to neighbour min(floor(u * deg), deg - 1) of the vertex;
-                # the index adds in integers, as a float offset + u * deg
-                # could round up to the next neighbour
-                choice = _uniforms_into(key, 2 * d + 1, u[:n], scratch[:n])
-                choice *= deg
-                np.minimum(choice, deg - 1, out=choice)
-                cur = flat.take(offsets.take(cur) + choice.astype(np.intp))
-                deg = degf.take(cur)
+                cur = flat.take(offsets.take(cur) + x.view(np.int64))
+                deg = degu.take(cur)
                 d += 1
     return HeatFlowMatrix(
         terminals=terminals.reshape(p, B),

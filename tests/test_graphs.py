@@ -105,6 +105,23 @@ class TestGraphInvariants:
                 A[i, j] = A[j, i] = 1
             assert np.array_equal(g.adjacency(), A)
 
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_edge_count_from_degrees_matches_edge_list(self, loops):
+        # counted from the degree sum and the self-loops, without the edge array
+        rng = np.random.default_rng(23)
+        for p in (1, 2, 7, 40):
+            for _ in range(5):
+                edges = rng.integers(0, p, size=(int(rng.integers(0, 3 * p + 1)), 2))
+                if not loops:
+                    edges = edges[edges[:, 0] != edges[:, 1]]
+                else:
+                    edges = np.concatenate([edges, [[0, 0]]])  # at least one loop
+                g = Graph(p, edges=edges, allow_self_loops=loops)
+                assert g.edge_count == len(list(g.edges()))
+        # a loop-free graph that allows self-loops, and one loop alone at p = 1
+        assert Graph(3, [(0, 1), (1, 2)], allow_self_loops=True).edge_count == 2
+        assert Graph(1, [(0, 0)], allow_self_loops=True).edge_count == 1
+
     def test_mask_and_sort_paths_agree(self):
         # the same edge set, once sparse enough for the key sort and once
         # repeated past the mask cutoff p^2 <= _MASK_EDGE_BYTES * m
@@ -391,6 +408,29 @@ class TestEstimateGraphFromData:
             g = estimate_graph_from_data(X, alpha)
             assert_same_graph(g, partition_graph(corr, alpha))
             assert_same_graph(g, estimate_graph(corr, alpha))
+
+    def test_tied_threshold_ends_when_the_entries_left_are_one_value(self, monkeypatch):
+        # every other column constant: 3/4 of the pairs, well over _BAND of
+        # them, tie at the threshold 0 at alpha = 0.5. The second pass finds
+        # the entries sharing the first digit all 0 and stops there, where
+        # the digits alone would run all four passes
+        highs = []
+        counts = graphs._digit_counts
+
+        def counting(block, key, high, low):
+            highs.append(high)
+            return counts(block, key, high, low)
+
+        monkeypatch.setattr(graphs, "_digit_counts", counting)
+        p = 600
+        X = np.random.default_rng(31).standard_normal((50, p))
+        X[:, ::2] = 1.0
+        assert 3 * (p // 2) ** 2 > graphs._BAND
+        g = estimate_graph_from_data(X, 0.5)
+        blocks = len(_row_blocks(p))
+        assert highs == [62] * blocks + [48] * blocks
+        assert_same_graph(g, partition_graph(data_abs_corr(X), 0.5))
+        assert g.edge_count == np.count_nonzero(np.triu(data_abs_corr(X), 1))
 
     def test_single_row_gives_empty_graph(self):
         assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0

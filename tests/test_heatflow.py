@@ -10,6 +10,7 @@ from heatlasso.errors import (
     LengthMismatch,
     ShapeMismatch,
 )
+from heatlasso import heatflow
 from heatlasso.graphs import (
     Graph,
     complete_graph,
@@ -143,11 +144,14 @@ def _reference_mix(x):
     return x ^ (x >> np.uint64(31))
 
 
-def _reference_uniforms(seed, walk_ids, draw):
+def _reference_draw(seed, walk_ids, d):
+    """Round d's draw of each walk, one hash of key ^ d: the hold uniform
+    u = (hi + 1) 2^-32 from its high 32 bits, and its low 32 bits."""
     with np.errstate(over="ignore"):
         h = _reference_mix(_reference_mix(
-            _reference_mix(np.uint64(seed & _MASK64)) ^ walk_ids) ^ np.uint64(draw))
-    return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * float(2.0 ** -53)
+            _reference_mix(np.uint64(seed & _MASK64)) ^ walk_ids) ^ np.uint64(d))
+    u = ((h >> np.uint64(32)).astype(np.float64) + 1.0) * float(2.0 ** -32)
+    return u, h & np.uint64(0xFFFFFFFF)
 
 
 def reference_walks(g, t, B, seed):
@@ -167,16 +171,15 @@ def reference_walks(g, t, B, seed):
         while active.any():
             idx = np.flatnonzero(active)
             cur = terminals[idx]
-            u = _reference_uniforms(seed, walk_ids[idx], 2 * draw)
+            u, lo = _reference_draw(seed, walk_ids[idx], draw)
             hold = -np.log(u) / deg[cur].astype(np.float64)
             alive = hold < remaining[idx]
             if alive.any():
                 jidx = idx[alive]
                 cur_j = terminals[jidx]
-                u2 = _reference_uniforms(seed, walk_ids[jidx], 2 * draw + 1)
-                dj = deg[cur_j]
-                choice = np.minimum((u2 * dj).astype(np.int64), dj - 1)
-                terminals[jidx] = flat[offsets[cur_j] + choice]
+                # multiply-shift: floor(lo * deg / 2^32), exact in uint64
+                choice = (lo[alive] * deg[cur_j].astype(np.uint64)) >> np.uint64(32)
+                terminals[jidx] = flat[offsets[cur_j] + choice.astype(np.int64)]
                 remaining[jidx] -= hold[alive]
                 steps[jidx] += 1
             active[idx[~alive]] = False
@@ -276,6 +279,69 @@ class TestChunkedScheduleMatchesReference:
         assert not H.step_counts[[0, 1, 4]].any()
         assert H.step_counts[[2, 3, 5, 6]].any(axis=1).all()
         assert carried_at_compactions(g, H)[0] == []
+
+
+class TestDrawMapping:
+    """How one round's 64-bit hash becomes a hold and a jump, at the ends
+    of both halves, on a star whose centre has the largest degree (8)."""
+
+    STAR = Graph(9, [(0, j) for j in range(1, 9)])
+
+    @staticmethod
+    def run_with_hashes(monkeypatch, t, hashes):
+        """The table of one walk per vertex when round d's hash is
+        hashes[min(d, len(hashes) - 1)] for every walk; the rounds hashed."""
+        rounds = []
+
+        def fixed(keys, d, out, scratch):
+            rounds.append(d)
+            out[:] = np.uint64(hashes[min(d, len(hashes) - 1)])
+            return out
+
+        monkeypatch.setattr(heatflow, "_hash_into", fixed)
+        return simulate_heat_flow(TestDrawMapping.STAR, t, B=1), rounds
+
+    def test_top_of_both_halves_jumps_at_once_to_the_last_neighbour(self, monkeypatch):
+        # round 0: hi = 2^32 - 1 gives u = 1, a hold of 0 that every walk
+        # ends before t; lo = 2^32 - 1 gives index deg - 1: the centre goes
+        # to its last leaf, 8, and each leaf (deg 1) to its only neighbour.
+        # round 1: hi = 0, a hold of 32 ln 2 / deg >= 2.77 > t, so all stop.
+        H, rounds = self.run_with_hashes(monkeypatch, 1.0, [2 ** 64 - 1, 0])
+        assert H.terminals.ravel().tolist() == [8] + [0] * 8
+        assert H.step_counts.ravel().tolist() == [1] * 9
+        assert rounds == [0, 1]
+
+    def test_bottom_of_both_halves_holds_finitely_then_takes_the_first_neighbour(
+            self, monkeypatch):
+        # hi = 0 gives u = 2^-32: the centre holds 32 ln 2 / 8 ~ 2.77, finite
+        # and below t = 5, then lo = 0 takes index 0, leaf 1; a leaf holds
+        # 32 ln 2 ~ 22.2 > 5 and stays
+        H, _ = self.run_with_hashes(monkeypatch, 5.0, [0])
+        assert H.terminals.ravel().tolist() == [1, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert H.step_counts.ravel().tolist() == [1] + [0] * 8
+
+    @pytest.mark.parametrize("scale, jumps", [(1 - 1e-12, False), (1 + 1e-12, True)])
+    def test_hold_is_capped_at_32_ln2_over_degree(self, monkeypatch, scale, jumps):
+        cap = 32 * np.log(2) / 8
+        H, _ = self.run_with_hashes(monkeypatch, cap * scale, [0])
+        assert H.step_counts[0, 0] == jumps
+
+    def test_one_hash_of_key_xor_round_per_round(self, monkeypatch):
+        # a single chunk: round d hashes each moving walk's key ^ d once, for
+        # d = 0 up to the most steps a walk takes, and the table equals the
+        # reference, which splits that one hash into the hold and the jump
+        real, hashed = heatflow._hash_into, []
+
+        def recording(keys, d, out, scratch):
+            x = real(keys, d, out, scratch)
+            with np.errstate(over="ignore"):
+                assert np.array_equal(x, _reference_mix(keys ^ np.uint64(d)))
+            hashed.append(d)
+            return x
+
+        monkeypatch.setattr(heatflow, "_hash_into", recording)
+        H = TestChunkedScheduleMatchesReference.assert_same_table(self.STAR, 2.0, 50, seed=3)
+        assert hashed == list(range(H.step_counts.max() + 1))
 
 
 class TestHeatflowApply:
