@@ -222,31 +222,14 @@ def _within(block, key, bit):
 
 def _digit_counts(block, key, high, low):
     """How many entries of block, among those whose bits from `high` up are
-    key, hold each value of bits low..high-1; and the least and the
-    greatest bits among those entries. The first pass (high 62, every
-    entry) and a block without such entries give the empty range
-    (2^62, -1) instead."""
+    key, hold each value of bits low..high-1."""
     if high == 62:  # bit 62 and up are 0 for every entry in [0, 2)
         digits = block.view(np.int64).ravel() >> low
-        return np.bincount(digits, minlength=1 << (high - low)), 1 << 62, -1
-    digits = block.view(np.int64)[_within(block, key, high)]
-    least, most = int(digits.min(initial=1 << 62)), int(digits.max(initial=-1))
-    digits -= key << high
-    digits >>= low
-    return np.bincount(digits, minlength=1 << (high - low)), least, most
-
-
-def _rank_digit(counts, rank):
-    """The digit whose cumulative count first reaches rank, and the count
-    of the digits below it: cumulative counts of the row sums of a square
-    view of counts, then of one row, not of every digit."""
-    rows = counts.reshape(1 << (counts.size.bit_length() - 1) // 2, -1)
-    row_ends = np.cumsum(rows.sum(axis=1))
-    r = int(np.searchsorted(row_ends, rank))
-    below = int(row_ends[r - 1]) if r else 0
-    ends = np.cumsum(rows[r])
-    c = int(np.searchsorted(ends, rank - below))
-    return r * rows.shape[1] + c, below + (int(ends[c - 1]) if c else 0)
+    else:
+        digits = block.view(np.int64)[_within(block, key, high)]
+        digits -= key << high
+        digits >>= low
+    return np.bincount(digits, minlength=1 << (high - low))
 
 
 def _select(blocks, rank):
@@ -254,20 +237,15 @@ def _select(blocks, rank):
     without a copy of them all: a radix select on their float64 bits,
     which never decrease with the value. Each pass counts per digit the
     entries whose higher bits are those found so far and keeps the digit
-    that holds the rank. It ends early when those entries are all one
-    value, which is then the rank's. Once at most _BAND entries are left,
-    np.partition takes the rank among them; after the last digit the bits
-    are the value, so entries tied at the threshold are never copied."""
+    that holds the rank. Once at most _BAND entries are left, np.partition
+    takes the rank among them; after the last digit the bits are the value,
+    so entries tied at the threshold are never copied."""
     key = 0  # the bits found so far, from bit 61 down
     for high, low in ((62, 48), (48, 32), (32, 16), (16, 0)):
-        counts, least, most = 0, 1 << 62, -1
-        for b in blocks:
-            c, lo, hi = _digit_counts(b, key, high, low)
-            counts, least, most = counts + c, min(least, lo), max(most, hi)
-        if least == most:  # the entries left are one value
-            return np.int64(least).view(np.float64)
-        digit, below = _rank_digit(counts, rank)
-        rank -= below
+        counts = sum(_digit_counts(b, key, high, low) for b in blocks)
+        below = np.cumsum(counts)
+        digit = int(np.searchsorted(below, rank))
+        rank -= int(below[digit - 1]) if digit else 0
         key = key << (high - low) | digit
         if counts[digit] <= _BAND:
             band = np.concatenate([b[_within(b, key, low)] for b in blocks])

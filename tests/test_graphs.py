@@ -409,29 +409,6 @@ class TestEstimateGraphFromData:
             assert_same_graph(g, partition_graph(corr, alpha))
             assert_same_graph(g, estimate_graph(corr, alpha))
 
-    def test_tied_threshold_ends_when_the_entries_left_are_one_value(self, monkeypatch):
-        # every other column constant: 3/4 of the pairs, well over _BAND of
-        # them, tie at the threshold 0 at alpha = 0.5. The second pass finds
-        # the entries sharing the first digit all 0 and stops there, where
-        # the digits alone would run all four passes
-        highs = []
-        counts = graphs._digit_counts
-
-        def counting(block, key, high, low):
-            highs.append(high)
-            return counts(block, key, high, low)
-
-        monkeypatch.setattr(graphs, "_digit_counts", counting)
-        p = 600
-        X = np.random.default_rng(31).standard_normal((50, p))
-        X[:, ::2] = 1.0
-        assert 3 * (p // 2) ** 2 > graphs._BAND
-        g = estimate_graph_from_data(X, 0.5)
-        blocks = len(_row_blocks(p))
-        assert highs == [62] * blocks + [48] * blocks
-        assert_same_graph(g, partition_graph(data_abs_corr(X), 0.5))
-        assert g.edge_count == np.count_nonzero(np.triu(data_abs_corr(X), 1))
-
     def test_single_row_gives_empty_graph(self):
         assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0
 
