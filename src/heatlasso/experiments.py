@@ -5,9 +5,11 @@ A JSON config drives everything. Sections:
   design   DesignSpec fields; for gff designs a "graph" subsection gives
            either {"path": ...} or SBM parameters to sample per repeat, and
            "theta" may be the string "auto" for the canonical mass.
-  fit      FitConfig fields plus "optimizer" ("sd", "cd" or "both") and an
-           optional "cv" block {"lambda_grid", "t_grid", "folds"}; without
-           "cv" the fixed lam/t of the config are used.
+  fit      FitConfig fields plus "optimizer" ("sd", "cd" or "both"), an
+           optional "cv" block {"lambda_grid", "t_grid", "folds",
+           "max_iters"} (without it the fixed lam/t of the config are used)
+           and "sd" / "cd" subsections of per-optimizer overrides. Any other
+           key is an error.
   graph    the graph driving the penalty: "from-design", "estimate"
            (optionally {"estimate": alpha}), or {"path": ...}.
   repeats  number of independent repetitions (derived seeds).
@@ -23,7 +25,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -48,6 +50,10 @@ from .optimize import FitConfig, block_cd, cross_validate, subgradient_descent
 
 _OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
 _OPTIMIZER_TAG = {"sd": 1, "cd": 2}
+# The keys a fit section sets FitConfig fields by (the seed is derived), and
+# those of its cv block.
+_FIT_KEYS = tuple(f.name for f in fields(FitConfig) if f.name != "seed")
+_CV_KEYS = ("lambda_grid", "t_grid", "folds", "max_iters")
 
 
 def _derived_seed(*parts):
@@ -79,12 +85,27 @@ def design_spec_from_config(section: dict, seed: int) -> DesignSpec:
 
 def fit_config_from_config(section: dict, seed: int) -> FitConfig:
     cfg = FitConfig(seed=seed)
-    for key in ("lam", "t", "B", "alpha0", "rate_protocol", "eps_tol",
-                "max_iters", "block_size", "loss"):
+    for key in _FIT_KEYS:
         if key in section:
             setattr(cfg, key, section[key])
     cfg.validate()
     return cfg
+
+
+def _check_fit_section(section: dict):
+    """Raise ValueError naming every key of a fit section, its "sd" / "cd"
+    subsections and their cv blocks that no fit reads."""
+    unread = []
+    for where, sub, keys in (("fit", section, _FIT_KEYS + ("optimizer", "cv", "sd", "cd")),
+                             ("fit.sd", section.get("sd"), _FIT_KEYS + ("cv",)),
+                             ("fit.cd", section.get("cd"), _FIT_KEYS + ("cv",))):
+        if not isinstance(sub, dict):
+            continue
+        unread += [f"{where}.{key}" for key in sub if key not in keys]
+        if isinstance(sub.get("cv"), dict):
+            unread += [f"{where}.cv.{key}" for key in sub["cv"] if key not in _CV_KEYS]
+    if unread:
+        raise ValueError(f"unknown fit config keys: {', '.join(unread)}")
 
 
 def _design_graph(section: dict, spec: DesignSpec, repeat_seed: int):
@@ -146,8 +167,10 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
     table may be passed as `flow` (its t and B then apply); ignored when a
     cv block selects t itself.
 
-    Returns (FitResult, chosen lam, chosen t, cv table or None).
+    Returns (FitResult, chosen lam, chosen t, cv table or None). A key that
+    no fit reads raises ValueError before any fit runs.
     """
+    _check_fit_section(fit_section)
     merged = dict(fit_section)
     per_opt = fit_section.get(optimizer)
     if isinstance(per_opt, dict):

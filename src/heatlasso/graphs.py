@@ -25,13 +25,6 @@ DENSE_LIMIT = 2048
 # Eigenvalues at or below this are counted as zero (connected components).
 ZERO_EIGENVALUE_TOL = 1e-9
 
-# Graph builds its CSR through a p x p boolean mask, not a key sort, when the
-# mask takes at most this many bytes per input edge: the sort's int64 keys
-# (both directions) take 16. On a 2-vCPU Xeon at p = 2000 the mask took 26 ms
-# against the sort's 60 at 500k edges (8 bytes an edge) and 16 against 12 at
-# 125k (32 bytes an edge).
-_MASK_EDGE_BYTES = 16
-
 # Rows of |corr| per block when a graph is estimated: one GEMM each from
 # data, kept as computed until the threshold is known.
 _CORR_ROWS = 256
@@ -46,11 +39,10 @@ class Graph:
 
     The sorted neighbours of vertex i are indices[indptr[i]:indptr[i + 1]]
     (indices int32, indptr int64 of length p + 1). Built from an (m, 2)
-    array of edges in any order and direction; duplicates collapse, and a
-    self-loop (rejected unless allow_self_loops is set) is stored once, so
-    degree(i) counts it once. A dense edge set (see _MASK_EDGE_BYTES) is
-    collected in a p x p mask, a sparse one by sorting its keys; both give
-    the same arrays.
+    array of edges in any order and direction by sorting the keys i * p + j
+    of both directions; duplicates collapse, and a self-loop (rejected
+    unless allow_self_loops is set) is stored once, so degree(i) counts it
+    once.
     """
 
     def __init__(self, p, edges=(), allow_self_loops=False):
@@ -70,17 +62,9 @@ class Graph:
         if loop.any() and not self.allow_self_loops:
             raise ValueError(f"self-loop at vertex {e[loop.argmax(), 0]} "
                              "but allow_self_loops is false")
-        if p * p <= _MASK_EDGE_BYTES * len(e):
-            # dense edge sets: a p x p mask costs no more than the sort's keys
-            A = np.zeros((p, p), dtype=bool)
-            A[e[:, 0], e[:, 1]] = True
-            A[e[:, 1], e[:, 0]] = True
-            keys = np.flatnonzero(A)
-        else:
-            both = np.concatenate([e, e[~loop, ::-1]])
-            keys = np.sort(both[:, 0] * p + both[:, 1])
-            keys = keys[np.diff(keys, prepend=-1) != 0]
-        self._store_keys(keys)
+        both = np.concatenate([e, e[~loop, ::-1]])
+        keys = np.sort(both[:, 0] * p + both[:, 1])
+        self._store_keys(keys[np.diff(keys, prepend=-1) != 0])
 
     @classmethod
     def _from_mask(cls, A):

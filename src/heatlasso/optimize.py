@@ -13,10 +13,12 @@ coordinates, so both optimizers run one lockstep core, _cd_lockstep. It
 runs F fits side by side as the columns of a p x F beta: column k has its
 own penalty weight, its own row weights (the training rows of a CV fold)
 and its own block stream, and each iteration does one GEMM per smoothing
-or loss product for all live columns. A column that meets eps_tol stops
-there, with the beta, trace, iteration count and converged flag of its
-single fit; subgradient_descent and block_cd are the one-column case, and
-cross_validate runs a whole lambda x fold grid per t.
+or loss product for all columns. A column that meets eps_tol stops there,
+with the beta, trace, iteration count and converged flag of its single
+fit: from then on its step is scaled by 0, so its beta stays put while it
+keeps its place in every product, until all columns have stopped or
+max_iters is reached. subgradient_descent and block_cd are the one-column
+case, and cross_validate runs a whole lambda x fold grid per t.
 
 An iteration steps the block S along the restricted subgradient, keeps
 z = X beta current with z += X[:, S] (beta_S,new - beta_S,old) and
@@ -30,12 +32,12 @@ X^T and K^T, and recomputes z = X beta and h = K (beta (.) beta): one
 product each, as an update would cost, with no drift.
 
 With q < p, block CD draws its blocks in chunks of iterations
-(_draw_blocks): each live column takes p uniforms per iteration from its
-own generator, and the indices of the q smallest, sorted, are its block, a
+(_draw_blocks): each column takes p uniforms per iteration from its own
+generator, and the indices of the q smallest, sorted, are its block, a
 uniform q-subset of [0, p). A column's uniforms are consecutive doubles of
 its own stream, and the stream does not depend on how it is cut into
 chunks, so its blocks do not depend on F, on the chunk length or on when
-other columns retire.
+other columns stop.
 """
 
 import json
@@ -57,7 +59,7 @@ from .penalty import _penalty_terms
 
 RATE_PROTOCOLS = ("constant", "inv_sqrt")
 LOSSES = ("squared_error", "logistic")
-# Block CD draws at most this many uniforms (all live columns together) per
+# Block CD draws at most this many uniforms (all columns together) per
 # chunk of iterations, and at least one iteration's worth: 16 iterations for
 # 20 columns at p = 100. The cap bounds the draw's working memory (the
 # uniforms and their argpartition, 512 KiB).
@@ -212,44 +214,31 @@ class _Lockstep:
 
     beta is a (p,) vector for one fit or a (p, F) matrix for F fits; each
     fit's penalty weight, objective and stop flag is then a scalar or an
-    (F,) array. Holds the live columns (those still iterating), each fit's
-    objective trace, and, once a fit stops, its final beta, iteration count
-    and `converged` flag. `record` logs one iteration and retires the
-    columns that met the tolerance; the optimizer then keeps only the live
-    columns of its own state.
+    (F,) array. Holds each fit's objective trace, iteration count and
+    `converged` flag, and the step factor `moving`: 1.0 until a column
+    stops, then an (F,) array that is 0 on the stopped columns. A stopped
+    column's steps are then exact zeros, so its beta stays as it was when
+    it stopped while the other columns go on.
     """
 
-    def __init__(self, beta, max_iters):
-        F = beta[0].size
-        self.live = np.arange(F)
-        self.beta = beta.reshape(-1, F).copy()
+    def __init__(self, F, max_iters):
+        self.moving = 1.0
         self.trace = np.empty((max_iters, F))
         self.iterations = np.full(F, max_iters)
         self.converged = np.zeros(F, dtype=bool)
 
-    def record(self, i, obj, beta, done):
-        """Log iteration i's objectives of the live columns, whose betas are
-        `beta`; retire those flagged `done`. Returns the mask of live columns
-        that go on, or None when all of them do."""
+    def record(self, i, obj, done):
+        """Log iteration i's objectives and stop the columns flagged `done`
+        (a stopped column stays flagged). Returns whether all have stopped."""
         _require_finite(obj, "objective")
-        self.trace[i - 1, self.live] = obj
+        self.trace[i - 1] = obj
         if not np.count_nonzero(done):
-            return None
-        done = np.reshape(done, -1)
-        stop = self.live[done]
-        self.beta[:, stop] = beta.reshape(len(beta), -1)[:, done]
+            return False
+        stop = np.reshape(done, -1) & ~self.converged
         self.iterations[stop] = i
-        self.converged[stop] = True
-        self.live = self.live[~done]
-        return ~done
-
-    def finish(self, beta):
-        """(p x F betas, per-fit objective traces, converged flags), given
-        the betas of the columns still live."""
-        if self.live.size:
-            self.beta[:, self.live] = beta.reshape(len(beta), -1)
-        traces = [self.trace[:k, j].tolist() for j, k in enumerate(self.iterations)]
-        return self.beta, traces, self.converged
+        self.converged |= stop
+        self.moving = 1.0 - self.converged
+        return self.converged.all()
 
 
 def _small_steps(step, old, tol):
@@ -279,8 +268,10 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     for one fit, (n, 1) and (n, F) for F fits. The config's rate, block
     size, tolerance and max_iters apply to every column. Column k draws its
     blocks from its own stream seeded by seeds[k], so it follows the
-    trajectory of its single fit; full blocks draw nothing. Returns (p x F
-    final betas, objective traces, converged flags).
+    trajectory of its single fit; full blocks draw nothing. A column that
+    has stopped keeps drawing blocks and takes zero steps (see _Lockstep):
+    its beta and trace end where its single fit's do. Returns (p x F final
+    betas, objective traces, converged flags).
     """
     p = X.shape[1]
     q = p if cfg.block_size is None else cfg.block_size
@@ -291,7 +282,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
     rngs = [np.random.default_rng(np.random.SeedSequence([s & 0xFFFFFFFF, 0xB10C]))
             for s in seeds]
-    run = _Lockstep(beta, cfg.max_iters)
+    run = _Lockstep(beta[0].size, cfg.max_iters)
     beta = beta.copy()
     z = X @ beta  # kept equal to X @ beta
     obj, dz = _loss_from_linear(z, y, cfg.loss, w)
@@ -314,7 +305,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         grad = block.rmatvec(dz)
         if penalized:
             grad += lam * kblock.rmatvec(slope) * old
-        new = old - cfg.learning_rate(i) * grad
+        new = old - cfg.learning_rate(i) * run.moving * grad
         step = new - old
         small = _small_steps(step, old, cfg.eps_tol)
         if full:  # recomputing z or h costs the one product an update would, with no drift
@@ -331,16 +322,10 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         if penalized:
             penalty, slope = _penalty_terms(h)
             obj += lam * penalty
-        keep = run.record(i, obj, beta, small)
-        if keep is not None:
-            if not keep.any():
-                break
-            beta, z, dz, lam, w = beta[:, keep], z[:, keep], dz[:, keep], lam[keep], w[:, keep]
-            if penalized:
-                h, slope = h[:, keep], slope[:, keep]
-            rngs = [rng for rng, k in zip(rngs, keep) if k]
-            blocks = blocks[:, :, keep]
-    return run.finish(beta)
+        if run.record(i, obj, small):
+            break
+    traces = [run.trace[:k, j].tolist() for j, k in enumerate(run.iterations)]
+    return beta.reshape(p, -1), traces, run.converged
 
 
 def _single_fit(X, y, semigroup, cfg, beta0):
@@ -474,10 +459,5 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
         table += [{"lam": lam, "t": t, "cv_loss": float(c)}
                   for lam, c in zip(lambda_grid, cv_losses)]
 
-    best = None
-    for lam in sorted(set(lambda_grid)):
-        for t in sorted(set(t_grid)):
-            row = next(r for r in table if r["lam"] == lam and r["t"] == t)
-            if best is None or row["cv_loss"] < best["cv_loss"]:
-                best = row
+    best = min(table, key=lambda r: (r["cv_loss"], r["lam"], r["t"]))
     return best["lam"], best["t"], table

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from heatlasso import optimize
 from heatlasso.cli import CliError, main, read_dataset_csv
 from heatlasso.figures import levelset_segments
 
@@ -248,6 +249,27 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert f"error: {field} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key", [
+        ("fit", "max_iter"), ("fit.cd", "rate"), ("fit.cv", "fold")])
+    def test_unknown_fit_key_exits_one(self, tmp_path, capsys, monkeypatch, block, key):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(optimize, "_cd_lockstep", no_fit)
+        cfg = small_sim_config(tmp_path / "run")
+        cfg["fit"]["cv"] = {"lambda_grid": [0.0], "t_grid": [0.5], "folds": 2}
+        cfg["fit"]["cd"] = {"block_size": 4}
+        section = cfg["fit"]
+        for part in block.split(".")[1:]:
+            section = section[part]
+        section[key] = 5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert f"unknown fit config keys: {block}.{key}" in capsys.readouterr().err
+        run_dir = tmp_path / "run"
+        assert not run_dir.exists() or not any(run_dir.iterdir())
 
     def test_gff_design_with_auto_mass_and_design_graph(self, tmp_path):
         config = {

@@ -15,7 +15,6 @@ from heatlasso.graphs import (
     connected_components,
     disjoint_union,
     _CORR_ROWS,
-    _MASK_EDGE_BYTES,
     _abs_corr_blocks,
     _row_blocks,
     estimate_graph,
@@ -122,18 +121,18 @@ class TestGraphInvariants:
         assert Graph(3, [(0, 1), (1, 2)], allow_self_loops=True).edge_count == 2
         assert Graph(1, [(0, 0)], allow_self_loops=True).edge_count == 1
 
-    def test_mask_and_sort_paths_agree(self):
-        # the same edge set, once sparse enough for the key sort and once
-        # repeated past the mask cutoff p^2 <= _MASK_EDGE_BYTES * m
+    def test_tiled_reversed_edges_give_the_same_csr(self):
+        # the same edge set once, and reversed and repeated until the list
+        # holds at least p^2 / 16 edges, many times over each distinct one
         rng = np.random.default_rng(22)
         for p in (20, 40, 64):
             for loops in (False, True):
                 edges = rng.integers(0, p, size=(p, 2))
                 if not loops:
                     edges = edges[edges[:, 0] != edges[:, 1]]
-                repeats = p * p // (_MASK_EDGE_BYTES * len(edges)) + 1
-                assert p * p > _MASK_EDGE_BYTES * len(edges)
-                assert p * p <= _MASK_EDGE_BYTES * len(edges) * repeats
+                repeats = p * p // (16 * len(edges)) + 1
+                assert p * p > 16 * len(edges)
+                assert p * p <= 16 * len(edges) * repeats
                 sparse = Graph(p, edges=edges, allow_self_loops=loops)
                 dense = Graph(p, edges=np.tile(edges[:, ::-1], (repeats, 1)),
                               allow_self_loops=loops)
@@ -141,6 +140,14 @@ class TestGraphInvariants:
                 assert np.array_equal(sparse.indptr, dense.indptr)
                 assert np.array_equal(sparse.degrees, dense.degrees)
                 assert dense.indices.dtype == np.int32 and dense.indptr.dtype == np.int64
+                if not loops:  # the estimator's route, from an adjacency mask
+                    A = np.zeros((p, p), dtype=bool)
+                    A[edges[:, 0], edges[:, 1]] = A[edges[:, 1], edges[:, 0]] = True
+                    masked = Graph._from_mask(A)
+                    assert np.array_equal(sparse.indices, masked.indices)
+                    assert np.array_equal(sparse.indptr, masked.indptr)
+                    assert masked.indices.dtype == np.int32
+                    assert masked.indptr.dtype == np.int64
 
     def test_flat_adjacency_layout(self):
         g = sample_clustered_network([6, 9], 0.5, self_loops=True, seed=4)

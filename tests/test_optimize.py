@@ -483,25 +483,29 @@ class TestLockstep:
         return X, y, simulate_heat_flow(g, 1.0, B=B, seed=4), folds
 
     @staticmethod
-    def columns_against_single_fits(name, cfg, X, y, H, folds):
+    def cells(n, folds):
+        """The lam x fold cells of a lockstep run, one per column, lam = 0
+        first: (lams, row weights, training rows, block seeds)."""
+        lams = np.repeat([0.0, 0.01, 0.1], len(folds))
+        train = [np.setdiff1d(np.arange(n), rows) for rows in folds] * 3
+        w = np.zeros((n, lams.size))
+        for k, rows in enumerate(train):
+            w[rows, k] = 1.0 / rows.size
+        return lams, w, train, list(range(100, 100 + lams.size))
+
+    def columns_against_single_fits(self, name, cfg, X, y, H, folds):
         """Run the lockstep core on every lam x fold cell, check each column
         against its single fit and return (iterations, converged) per column."""
         n, p = X.shape
-        lams = [0.0, 0.01, 0.1]
-        cells = [(lam, rows) for lam in lams for rows in folds]
-        train = [np.setdiff1d(np.arange(n), rows) for _, rows in cells]
-        w = np.zeros((n, len(cells)))
-        for k, rows in enumerate(train):
-            w[rows, k] = 1.0 / rows.size
-        seeds = list(range(100, 100 + len(cells)))
+        lams, w, train, seeds = self.cells(n, folds)
         core_cfg = replace(cfg, block_size=None) if name == "sd" else cfg
         betas, traces, converged = _cd_lockstep(
-            X, y[:, None], SmoothingOperator.compile(H), core_cfg,
-            np.array([lam for lam, _ in cells]), w, np.zeros((p, len(cells))), seeds)
+            X, y[:, None], SmoothingOperator.compile(H), core_cfg, lams, w,
+            np.zeros((p, lams.size)), seeds)
         single = {"sd": subgradient_descent, "cd": block_cd}[name]
         iterations = []
-        for k, ((lam, _), rows) in enumerate(zip(cells, train)):
-            res = single(X[rows], y[rows], H, replace(cfg, lam=lam, seed=seeds[k]))
+        for k, rows in enumerate(train):
+            res = single(X[rows], y[rows], H, replace(cfg, lam=lams[k], seed=seeds[k]))
             assert np.abs(betas[:, k] - res.beta_hat).max() <= 1e-8
             assert len(traces[k]) == res.iterations
             assert np.allclose(traces[k], res.objective_trace, rtol=1e-10, atol=1e-12)
@@ -512,24 +516,58 @@ class TestLockstep:
     @pytest.mark.parametrize("loss", ["squared_error", "logistic"])
     @pytest.mark.parametrize("B", [20, 3])
     @pytest.mark.parametrize("name, settings", [
-        # tolerances at which some columns converge, at different
-        # iterations, and others run to max_iters
-        ("sd", {"eps_tol": 5e-3, "max_iters": 80}),
+        ("sd", {}),
         # 9 blocks of 8 hold 72 >= p coordinates: dense block products
-        # (at eps_tol 1e-2 no logistic column on the B = 3 table stops early)
-        ("cd", {"eps_tol": 1.1e-2, "max_iters": 110, "block_size": 8}),
+        ("cd", {"block_size": 8}),
         # 9 blocks of 2 hold 18 < p: gathered block products
-        ("cd", {"eps_tol": 3e-2, "max_iters": 110, "block_size": 2}),
+        ("cd", {"block_size": 2}),
     ])
     def test_columns_equal_single_fits(self, name, settings, B, loss):
         X, y, H, folds = self.instance(loss, B)
         assert (SmoothingOperator.compile(H)._table is None) == (B == 20)
         cfg = FitConfig(alpha0=0.5 if loss == "logistic" else 0.05,
-                        rate_protocol="constant", loss=loss, **settings)
+                        rate_protocol="constant", loss=loss, eps_tol=1e-2,
+                        max_iters=400, **settings)
+        # The lam = 0 fits read no walk table. A run that ends one iteration
+        # before the last of them stops has columns that converge, at
+        # different iterations, and columns that run to max_iters, whatever
+        # the table.
+        lams, _, train, seeds = self.cells(X.shape[0], folds)
+        single = {"sd": subgradient_descent, "cd": block_cd}[name]
+        stops = [single(X[rows], y[rows], H, replace(cfg, lam=0.0, seed=seed)).iterations
+                 for lam, rows, seed in zip(lams, train, seeds) if lam == 0.0]
+        assert min(stops) < max(stops) - 1 < cfg.max_iters - 1
+        cfg = replace(cfg, max_iters=max(stops) - 1)
         iterations, converged = self.columns_against_single_fits(name, cfg, X, y, H, folds)
         # columns stop at different iterations, and not all of them converge
         assert len(set(iterations)) > 1
         assert converged.any() and not converged.all()
+
+    @pytest.mark.parametrize("B", [20, 3])
+    @pytest.mark.parametrize("name", ["sd", "cd"])
+    def test_stopped_column_ends_as_a_run_cut_at_its_stop(self, name, B):
+        # a column that stops keeps its place in every product while the
+        # others go on, and ends bit for bit as in a run cut at its stop
+        X, y, H, folds = self.instance("squared_error", B)
+        lams, w, _, seeds = self.cells(X.shape[0], folds)
+        cfg = FitConfig(alpha0=0.05, rate_protocol="constant", eps_tol=1e-2,
+                        max_iters=400, block_size=None if name == "sd" else 8)
+        op = SmoothingOperator.compile(H)
+        assert (op._table is None) == (B == 20)
+
+        def run(max_iters):
+            return _cd_lockstep(X, y[:, None], op, replace(cfg, max_iters=max_iters),
+                                lams, w, np.zeros((X.shape[1], lams.size)), seeds)
+
+        betas, traces, converged = run(cfg.max_iters)
+        last = max(len(trace) for trace in traces)
+        # the lam = 0 columns, which read no table, stop at different iterations
+        stopped = [k for k, trace in enumerate(traces) if len(trace) < last]
+        assert converged[stopped].all() and any(lams[k] == 0.0 for k in stopped)
+        for k in stopped:
+            cut_betas, cut_traces, cut_converged = run(len(traces[k]))
+            assert betas[:, k].tobytes() == cut_betas[:, k].tobytes()
+            assert traces[k] == cut_traces[k] and cut_converged[k]
 
     @pytest.mark.parametrize("name", ["sd", "cd"])
     @pytest.mark.parametrize("y_scale, eps_tol", [
