@@ -226,6 +226,8 @@ def cmd_levelset(args):
     t_values = [float(v) for v in args.t.split(",")]
     if any(v < 0 for v in t_values):
         raise CliError("levelset flow times must be >= 0")
+    if args.grid < 3:
+        raise CliError(f"--grid must be >= 3 points per contour, got {args.grid}")
     write_levelset_svg(t_values, args.out, grid_n=args.grid)
     print(f"level-set montage with {len(t_values)} panels -> {args.out}")
     return 0
@@ -330,7 +332,8 @@ def build_parser():
     lvl = sub.add_parser("levelset", help="render penalty unit-ball panels")
     lvl.add_argument("--t", required=True, help="comma-separated flow times")
     lvl.add_argument("--out", required=True, help="output SVG path")
-    lvl.add_argument("--grid", type=int, default=201)
+    lvl.add_argument("--grid", type=int, default=201,
+                     help="points on each contour (>= 3)")
     lvl.set_defaults(func=cmd_levelset)
 
     ver = sub.add_parser("verify", help="run the quick diagnostics battery")

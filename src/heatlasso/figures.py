@@ -3,92 +3,46 @@
 Renders, for each requested flow time, the curve {penalty = 1} in the
 (beta_1, beta_2) plane at beta_3 = 0 on the hard-wired three-vertex graph
 (one edge plus an isolated vertex). Output is a plain SVG with exactly one
-contour path per panel so tests can assert path counts and bounding boxes.
+closed contour path per panel so tests can assert path counts and bounding
+boxes.
+
+The curve is drawn from its closed form, not traced on a grid. The penalty
+P(beta) = sum_j sqrt((K beta^2)_j) is positively homogeneous of degree 1,
+P(c beta) = c P(beta) for c >= 0, and positive away from 0: the heat kernel
+K = e^{-tL} is entrywise nonnegative with unit column sums, so
+sum_j (K beta^2)_j = ||beta||^2 > 0 and some term is positive. So along each
+unit direction u the ray c u meets {P = 1} exactly once, at c = 1 / P(u),
+and the points u / P(u) lie on the unit sphere up to rounding.
 """
 
 import numpy as np
 
 from .graphs import figure_graph
 from .heatflow import exact_heat_kernel
+from .penalty import _penalty_terms
 
-# Standard marching-squares connectivity. Corners are numbered 0..3
-# counterclockwise from (x0, y0); edges a=0-1, b=1-2, c=2-3, d=3-0.
-_EDGE_CORNERS = {"a": (0, 1), "b": (1, 2), "c": (2, 3), "d": (3, 0)}
-_CASES = {
-    1: [("d", "a")], 2: [("a", "b")], 3: [("d", "b")], 4: [("b", "c")],
-    6: [("a", "c")], 7: [("d", "c")], 8: [("c", "d")], 9: [("a", "c")],
-    11: [("b", "c")], 12: [("b", "d")], 13: [("a", "b")], 14: [("d", "a")],
-}
+EXTENT = 1.25  # each panel shows [-EXTENT, EXTENT]^2
+PANEL_PX = 260
 
 
-def penalty_grid(kernel, xs, ys):
-    """Penalty values on the (beta_1, beta_2) grid with beta_3 = 0."""
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    squares = np.stack([gx.ravel() ** 2, gy.ravel() ** 2,
-                        np.zeros(gx.size)])
-    smoothed = kernel @ squares
-    vals = np.sqrt(np.abs(smoothed)).sum(axis=0)
-    return vals.reshape(gx.shape)
+def levelset_points(t, points):
+    """The unit penalty sphere on the figure graph at flow time t: an
+    (points, 2) closed polygon, u / P(u) for the unit directions u at
+    `points` evenly spaced angles on [0, 2 pi], the first at angle 0 and the
+    last at 2 pi."""
+    theta = np.linspace(0.0, 2.0 * np.pi, points)
+    u = np.stack([np.cos(theta), np.sin(theta)])  # (2, points), beta_3 = 0
+    K = exact_heat_kernel(figure_graph(), t)
+    return (u / _penalty_terms(K[:, :2] @ (u * u))[0]).T
 
 
-def marching_segments(xs, ys, values, level=1.0):
-    """Line segments of the contour {values = level} in world coordinates."""
-    F = values - level
-    segments = []
-    for ix in range(len(xs) - 1):
-        for iy in range(len(ys) - 1):
-            corners = [
-                (xs[ix], ys[iy], F[ix, iy]),
-                (xs[ix + 1], ys[iy], F[ix + 1, iy]),
-                (xs[ix + 1], ys[iy + 1], F[ix + 1, iy + 1]),
-                (xs[ix], ys[iy + 1], F[ix, iy + 1]),
-            ]
-            case = sum(1 << c for c in range(4) if corners[c][2] > 0)
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                # saddle: split by the cell-center sign
-                center = np.mean([c[2] for c in corners])
-                if case == 5:
-                    pairs = [("d", "c"), ("a", "b")] if center > 0 else \
-                        [("d", "a"), ("b", "c")]
-                else:
-                    pairs = [("a", "b"), ("c", "d")] if center > 0 else \
-                        [("d", "a"), ("b", "c")]
-            else:
-                pairs = _CASES[case]
-            for e1, e2 in pairs:
-                p1 = _edge_crossing(corners, e1)
-                p2 = _edge_crossing(corners, e2)
-                if p1 is not None and p2 is not None:
-                    segments.append((p1, p2))
-    return segments
-
-
-def _edge_crossing(corners, edge):
-    i, j = _EDGE_CORNERS[edge]
-    x1, y1, v1 = corners[i]
-    x2, y2, v2 = corners[j]
-    if (v1 > 0) == (v2 > 0):
-        return None
-    s = v1 / (v1 - v2)
-    return (x1 + s * (x2 - x1), y1 + s * (y2 - y1))
-
-
-def levelset_segments(t, grid_n=201, extent=1.25):
-    """Contour of the unit penalty ball on the figure graph at flow time t."""
-    kernel = exact_heat_kernel(figure_graph(), t)
-    xs = np.linspace(-extent, extent, grid_n)
-    ys = np.linspace(-extent, extent, grid_n)
-    return marching_segments(xs, ys, penalty_grid(kernel, xs, ys))
-
-
-def write_levelset_svg(t_values, path, grid_n=201, extent=1.25, panel_px=260):
-    """One SVG montage, one panel (and one contour path) per flow time."""
+def write_levelset_svg(t_values, path, grid_n=201):
+    """One SVG montage, one panel (and one closed contour path of grid_n
+    points) per flow time."""
     t_values = list(t_values)
     pad = 30
-    width = len(t_values) * (panel_px + pad) + pad
-    height = panel_px + 2 * pad + 16
+    width = len(t_values) * (PANEL_PX + pad) + pad
+    height = PANEL_PX + 2 * pad + 16
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -97,21 +51,18 @@ def write_levelset_svg(t_values, path, grid_n=201, extent=1.25, panel_px=260):
         'text{font-family:sans-serif;font-size:13px}</style>',
     ]
     for idx, t in enumerate(t_values):
-        ox = pad + idx * (panel_px + pad)
+        ox = pad + idx * (PANEL_PX + pad)
         oy = pad
-
-        def to_px(pt, ox=ox, oy=oy):
-            x = ox + (pt[0] + extent) / (2 * extent) * panel_px
-            y = oy + (extent - pt[1]) / (2 * extent) * panel_px
-            return f"{x:.2f} {y:.2f}"
-
-        segments = levelset_segments(t, grid_n=grid_n, extent=extent)
-        d = " ".join(f"M {to_px(p1)} L {to_px(p2)}" for p1, p2 in segments)
+        pts = levelset_points(t, grid_n)
+        xs = ox + (pts[:, 0] + EXTENT) / (2 * EXTENT) * PANEL_PX
+        ys = oy + (EXTENT - pts[:, 1]) / (2 * EXTENT) * PANEL_PX
+        coords = [f"{x:.2f} {y:.2f}" for x, y in zip(xs, ys)]
+        d = f"M {coords[0]} L {' '.join(coords[1:])} Z"
         parts.append(f'<rect class="frame" x="{ox}" y="{oy}" '
-                     f'width="{panel_px}" height="{panel_px}"/>')
+                     f'width="{PANEL_PX}" height="{PANEL_PX}"/>')
         parts.append(f'<path class="contour" d="{d}"/>')
-        parts.append(f'<text x="{ox + panel_px / 2:.0f}" '
-                     f'y="{oy + panel_px + 18}" text-anchor="middle">'
+        parts.append(f'<text x="{ox + PANEL_PX / 2:.0f}" '
+                     f'y="{oy + PANEL_PX + 18}" text-anchor="middle">'
                      f't = {t:g}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

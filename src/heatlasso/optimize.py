@@ -13,12 +13,16 @@ coordinates, so both optimizers run one lockstep core, _cd_lockstep. It
 runs F fits side by side as the columns of a p x F beta: column k has its
 own penalty weight, its own row weights (the training rows of a CV fold)
 and its own block stream, and each iteration does one GEMM per smoothing
-or loss product for all columns. A column that meets eps_tol stops there,
-with the beta, trace, iteration count and converged flag of its single
-fit: from then on its step is scaled by 0, so its beta stays put while it
-keeps its place in every product, until all columns have stopped or
-max_iters is reached. subgradient_descent and block_cd are the one-column
-case, and cross_validate runs a whole lambda x fold grid per t.
+or loss product for all columns. A step is small when
+||step|| <= eps_tol ||beta_S|| over the coordinates S it moves. A column
+stops on one small step with full blocks, and with blocks of q < p only
+after ceil(p / q) small steps in a row, so that one block that happens to
+move little does not stop it. It stops with the beta, trace, iteration
+count and converged flag of its single fit: from then on its step is
+scaled by 0, so its beta stays put while it keeps its place in every
+product, until all columns have stopped or max_iters is reached.
+subgradient_descent and block_cd are the one-column case, and
+cross_validate runs a whole lambda x fold grid per t.
 
 An iteration steps the block S along the restricted subgradient, keeps
 z = X beta current with z += X[:, S] (beta_S,new - beta_S,old) and
@@ -218,20 +222,31 @@ class _Lockstep:
     `converged` flag, and the step factor `moving`: 1.0 until a column
     stops, then an (F,) array that is 0 on the stopped columns. A stopped
     column's steps are then exact zeros, so its beta stays as it was when
-    it stopped while the other columns go on.
+    it stopped while the other columns go on. A column stops after
+    `streak` small steps in a row: ceil(p / q) for blocks of q, and 1 for
+    full blocks, whose runs are not counted.
     """
 
-    def __init__(self, F, max_iters):
+    def __init__(self, F, max_iters, streak):
         self.moving = 1.0
         self.trace = np.empty((max_iters, F))
         self.iterations = np.full(F, max_iters)
         self.converged = np.zeros(F, dtype=bool)
+        self.streak = streak
+        self.run_length = np.zeros(F, dtype=np.int64)  # small steps in a row
+        self.counting = False  # some run_length > 0; if not, only a small step counts
 
-    def record(self, i, obj, done):
-        """Log iteration i's objectives and stop the columns flagged `done`
-        (a stopped column stays flagged). Returns whether all have stopped."""
+    def record(self, i, obj, small):
+        """Log iteration i's objectives and stop the columns whose last
+        `streak` steps were all flagged `small` (a stopped column stays
+        flagged). Returns whether all have stopped."""
         _require_finite(obj, "objective")
         self.trace[i - 1] = obj
+        done = small
+        if self.streak > 1 and (self.counting or np.count_nonzero(small)):
+            self.run_length = (self.run_length + 1) * small
+            self.counting = bool(np.count_nonzero(self.run_length))
+            done = self.run_length >= self.streak
         if not np.count_nonzero(done):
             return False
         stop = np.reshape(done, -1) & ~self.converged
@@ -282,7 +297,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
     rngs = [np.random.default_rng(np.random.SeedSequence([s & 0xFFFFFFFF, 0xB10C]))
             for s in seeds]
-    run = _Lockstep(beta[0].size, cfg.max_iters)
+    run = _Lockstep(beta[0].size, cfg.max_iters, -(-p // q))
     beta = beta.copy()
     z = X @ beta  # kept equal to X @ beta
     obj, dz = _loss_from_linear(z, y, cfg.loss, w)
@@ -363,8 +378,10 @@ def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
 
     The blocks come from cfg.seed's stream: an iteration's block holds the
     indices of the block_size smallest of p uniforms, drawn for many
-    iterations at once.
-    The stream does not depend on that batching, so a fit's blocks are the
+    iterations at once. A block step meets eps_tol relative to the block's
+    own coordinates, so the fit stops, `converged`, only after
+    ceil(p / block_size) such steps in a row: one block that happens to move
+    little is not enough. The stream does not depend on that batching, so a fit's blocks are the
     same whatever the chunk length, and a column of a cross-validation run
     draws the blocks of its single fit."""
     return _single_fit(X, y, semigroup, cfg, beta0)

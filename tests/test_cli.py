@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,10 @@ import pytest
 
 from heatlasso import optimize
 from heatlasso.cli import CliError, main, read_dataset_csv
-from heatlasso.figures import levelset_segments
+from heatlasso.figures import levelset_points
+from heatlasso.graphs import figure_graph
+from heatlasso.heatflow import exact_heat_kernel
+from heatlasso.penalty import penalty_value
 
 
 def write_toy_csv(path, n=60, seed=0, logistic=False):
@@ -339,14 +343,12 @@ class TestLevelset:
         assert svg.count("<rect") == 3
 
     def test_time_zero_is_the_l1_diamond(self):
-        pts = np.array([p for seg in levelset_segments(0.0, grid_n=101)
-                        for p in seg])
+        pts = levelset_points(0.0, 101)
         l1 = np.abs(pts).sum(axis=1)
         assert np.abs(l1 - 1.0).max() < 1e-6
 
     def test_long_time_is_the_group_ball(self):
-        pts = np.array([p for seg in levelset_segments(50.0, grid_n=101)
-                        for p in seg])
+        pts = levelset_points(50.0, 101)
         radii = np.hypot(pts[:, 0], pts[:, 1])
         assert np.abs(radii - 1 / np.sqrt(2)).max() < 1e-3
 
@@ -354,8 +356,7 @@ class TestLevelset:
         # the contour shrinks from the diamond toward the group ball along
         # the axes and stays put on the diagonal direction
         def axis_crossing(t):
-            pts = np.array([p for seg in levelset_segments(t, grid_n=121)
-                            for p in seg])
+            pts = levelset_points(t, 121)
             on_axis = pts[np.abs(pts[:, 1]) < 1e-9]
             return np.abs(on_axis[:, 0]).max()
 
@@ -363,6 +364,29 @@ class TestLevelset:
         assert all(a > b for a, b in zip(xs, xs[1:]))
         assert xs[0] == pytest.approx(1.0, abs=0.1)
         assert xs[-1] == pytest.approx(1 / np.sqrt(2), abs=0.05)
+
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 50.0])
+    def test_every_point_has_unit_penalty(self, t):
+        K = exact_heat_kernel(figure_graph(), t)
+        pts = levelset_points(t, 201)
+        values = [penalty_value(np.append(pt, 0.0), K) for pt in pts]
+        assert np.abs(np.array(values) - 1.0).max() <= 1e-12
+
+    def test_contour_is_closed(self, tmp_path):
+        pts = levelset_points(0.5, 201)
+        assert pts.shape == (201, 2)
+        assert np.abs(pts[0] - pts[-1]).max() <= 1e-12
+        out = tmp_path / "ball.svg"
+        assert main(["levelset", "--t", "0.5", "--out", str(out), "--grid", "5"]) == 0
+        d = re.search(r'<path class="contour" d="([^"]*)"', out.read_text()).group(1)
+        assert d.startswith("M ") and d.endswith(" Z") and d.count("L") == 1
+        assert len(d[2:-2].replace("L ", "").split()) == 2 * 5
+
+    def test_too_few_points_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ball.svg"
+        assert main(["levelset", "--t", "0.5", "--out", str(out), "--grid", "2"]) == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateGraphCommand:

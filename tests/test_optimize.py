@@ -324,13 +324,14 @@ class TestBlockDraw:
 
     def test_chunk_length_does_not_change_fits(self, monkeypatch):
         # against the default cap (the whole single fit in one chunk): caps of
-        # 1 and 7 uniforms give one iteration per chunk, and 7 * p gives 2, 3
-        # or 7 iterations for 3, 2 or 1 live columns; max_iters = 103 is a
-        # multiple of no chunk length, and lockstep columns retire mid-chunk
+        # 1 and 7 uniforms give one iteration per chunk, and 7 * p gives 2
+        # iterations for the 3 columns and 7 for the single fit; max_iters =
+        # 139 is a multiple of no chunk length, and lockstep columns stop
+        # mid-chunk
         X, y, H, folds = TestLockstep.instance("squared_error", 20)
         n, p = X.shape
         cfg = FitConfig(alpha0=0.05, rate_protocol="constant", eps_tol=1e-2,
-                        max_iters=103, block_size=8, lam=0.05)
+                        max_iters=139, block_size=8, lam=0.05)
         w = np.zeros((n, len(folds)))
         for k, rows in enumerate(folds):
             w[np.setdiff1d(np.arange(n), rows), k] = 1.0 / (n - rows.size)
@@ -472,7 +473,7 @@ class TestLockstep:
     """F fits run as the columns of one p x F beta match the single fits."""
 
     @staticmethod
-    def instance(loss, B):
+    def instance(loss, B, walk_seed=4):
         # p = 30: B = 20 compiles to the dense K^ (p <= 8B), B = 3 keeps the table
         rng = np.random.default_rng(27)
         g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
@@ -480,7 +481,7 @@ class TestLockstep:
         z = X[:, :10] @ np.full(10, 0.5) + 0.3 * rng.standard_normal(48)
         y = (z > 0).astype(float) if loss == "logistic" else z
         folds = np.array_split(rng.permutation(48), 3)
-        return X, y, simulate_heat_flow(g, 1.0, B=B, seed=4), folds
+        return X, y, simulate_heat_flow(g, 1.0, B=B, seed=walk_seed), folds
 
     @staticmethod
     def cells(n, folds):
@@ -527,11 +528,12 @@ class TestLockstep:
         assert (SmoothingOperator.compile(H)._table is None) == (B == 20)
         cfg = FitConfig(alpha0=0.5 if loss == "logistic" else 0.05,
                         rate_protocol="constant", loss=loss, eps_tol=1e-2,
-                        max_iters=400, **settings)
+                        max_iters=2000, **settings)
         # The lam = 0 fits read no walk table. A run that ends one iteration
         # before the last of them stops has columns that converge, at
         # different iterations, and columns that run to max_iters, whatever
-        # the table.
+        # the table. (Blocks of 2 stop only after 15 small block steps in a
+        # row, at 752-1,208 iterations here.)
         lams, _, train, seeds = self.cells(X.shape[0], folds)
         single = {"sd": subgradient_descent, "cd": block_cd}[name]
         stops = [single(X[rows], y[rows], H, replace(cfg, lam=0.0, seed=seed)).iterations
@@ -542,6 +544,22 @@ class TestLockstep:
         # columns stop at different iterations, and not all of them converge
         assert len(set(iterations)) > 1
         assert converged.any() and not converged.all()
+
+    @pytest.mark.parametrize("B", [20, 3])
+    def test_one_small_block_step_does_not_stop_a_fit(self, B):
+        # at lam = 100 beta oscillates around 0 and neither SD nor blocks of
+        # 8 settle within 400 iterations; a block of 2 of p = 30 coordinates
+        # still takes an occasional step that meets eps_tol, and that one
+        # step alone stopped 9 of these 60 fits (at iterations 94-395) when
+        # a single small step was the stop rule
+        for walk_seed in range(10):
+            X, y, H, folds = self.instance("logistic", B, walk_seed)
+            train = np.setdiff1d(np.arange(X.shape[0]), folds[0])
+            cfg = FitConfig(alpha0=0.5, rate_protocol="constant", loss="logistic",
+                            eps_tol=1e-2, max_iters=400, lam=100.0, block_size=2)
+            for seed in (100, 101, 102):
+                res = block_cd(X[train], y[train], H, replace(cfg, seed=seed))
+                assert not res.converged and res.iterations == cfg.max_iters
 
     @pytest.mark.parametrize("B", [20, 3])
     @pytest.mark.parametrize("name", ["sd", "cd"])
