@@ -14,14 +14,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import verify_spectral_bounds
-from .errors import HeatLassoError, NonFiniteObjective
-from .experiments import (
-    _estimated_graph,
-    fit_config_from_config,
-    fit_walk_table,
-    fit_with_config,
-    run_experiment,
-)
+from .errors import NonFiniteObjective
+from .experiments import _FIT_KEYS, _estimated_graph, fit_with_config, run_experiment
 from .figures import write_levelset_svg
 from .graphs import Graph, read_graph, write_graph
 from .heatflow import (
@@ -34,7 +28,7 @@ from .heatflow import (
 from .optimize import threshold_kmeans
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage or input-format error; maps to exit code 1."""
 
 
@@ -84,14 +78,7 @@ def _read_rows(path, header, lines):
 
 
 def _fit_section_from_args(args):
-    section = {}
-    for attr, key in (("lam", "lam"), ("t", "t"), ("walks", "B"),
-                      ("alpha0", "alpha0"), ("rate", "rate_protocol"),
-                      ("eps_tol", "eps_tol"), ("max_iters", "max_iters"),
-                      ("block_size", "block_size")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            section[key] = value
+    section = {k: v for k, v in vars(args).items() if k in _FIT_KEYS and v is not None}
     section["loss"] = {"squared": "squared_error",
                        "logistic": "logistic"}[args.loss]
     return section
@@ -157,26 +144,21 @@ def cmd_simulate(args):
 def cmd_fit(args):
     y, X = read_dataset_csv(args.data)
     g = _graph_for_fit(args, X)
-    section = _fit_section_from_args(args)
     flow = None
-    stored = bool(args.flow) and os.path.exists(args.flow)
-    if stored:
+    if args.flow and os.path.exists(args.flow):
         flow = load_heatflow(args.flow)
         if flow.p != X.shape[1]:
             raise CliError(f"{args.flow}: walk table is for p={flow.p}, "
                            f"data has p={X.shape[1]}")
         for flag, name, given, held in (("--t", "t", args.t, flow.t),
-                                        ("--walks", "B", args.walks, flow.B)):
+                                        ("--walks", "B", args.B, flow.B)):
             if given is not None and given != held:
                 raise CliError(f"{args.flow}: walk table has {name}={held}, "
                                f"{flag} {given} was given")
-    elif args.flow:
-        # simulate the table here, so the fit uses the one stored below
-        flow = fit_walk_table(g, fit_config_from_config(section, args.seed), args.seed)
-    result, lam, t, _ = fit_with_config(X, y, g, section, args.seed,
-                                        args.optimizer, flow=flow)
-    if args.flow and not stored:
-        save_heatflow(flow, args.flow)
+    result, lam, t, _, H = fit_with_config(X, y, g, _fit_section_from_args(args),
+                                           args.seed, args.optimizer, flow=flow)
+    if args.flow and flow is None:
+        save_heatflow(H, args.flow)
     out_dir = args.out or "."
     fit_path = _write_fit_outputs(out_dir, f"fit_{args.optimizer}", result,
                                   lam, t, g.edge_count)
@@ -194,8 +176,8 @@ def cmd_cv(args):
         "t_grid": [float(v) for v in args.ts.split(",")],
         "folds": args.folds,
     }
-    result, lam, t, table = fit_with_config(X, y, g, section, args.seed,
-                                            args.optimizer)
+    result, lam, t, table, _ = fit_with_config(X, y, g, section, args.seed,
+                                               args.optimizer)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     cv_path = os.path.join(out_dir, "cv.json")
@@ -224,8 +206,6 @@ def cmd_estimate_graph(args):
 
 def cmd_levelset(args):
     t_values = [float(v) for v in args.t.split(",")]
-    if any(v < 0 for v in t_values):
-        raise CliError("levelset flow times must be >= 0")
     if args.grid < 3:
         raise CliError(f"--grid must be >= 3 points per contour, got {args.grid}")
     write_levelset_svg(t_values, args.out, grid_n=args.grid)
@@ -243,24 +223,22 @@ def cmd_verify(args):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
         failures += 0 if ok else 1
 
+    def random_graph(low, high, density):
+        p = int(rng.integers(low, high))
+        mask = rng.random((p, p)) < density
+        return Graph(p, edges=[(i, j) for i in range(p) for j in range(i + 1, p) if mask[i, j]])
+
     # spectral bounds on random graphs
     bad = 0
     for _ in range(20):
-        p = int(rng.integers(2, 11))
-        mask = rng.random((p, p)) < 0.4
-        edges = [(i, j) for i in range(p) for j in range(i + 1, p) if mask[i, j]]
-        rep = verify_spectral_bounds(Graph(p, edges=edges))
-        bad += 0 if rep.all_ok else 1
+        bad += 0 if verify_spectral_bounds(random_graph(2, 11, 0.4)).all_ok else 1
     report("spectral bounds on 20 random graphs", bad == 0, f"{bad} failures")
 
     # Monte Carlo semigroup fidelity on a few small graphs
     worst = 0.0
     for trial in range(5):
-        p = int(rng.integers(3, 9))
-        mask = rng.random((p, p)) < 0.5
-        edges = [(i, j) for i in range(p) for j in range(i + 1, p) if mask[i, j]]
-        g = Graph(p, edges=edges)
-        f = rng.random(p)
+        g = random_graph(3, 9, 0.5)
+        f = rng.random(g.p)
         H = simulate_heat_flow(g, 0.5, B=4000, seed=int(rng.integers(2 ** 31)))
         err = np.abs(heatflow_apply(H, f) - exact_heat_kernel(g, 0.5) @ f).max()
         worst = max(worst, err)
@@ -296,9 +274,9 @@ def build_parser():
                        help="estimate the graph from |corr| at this quantile")
         p.add_argument("--lambda", dest="lam", type=float, help="penalty weight")
         p.add_argument("--t", type=float, help="flow time")
-        p.add_argument("--walks", type=int, help="walks per vertex (B)")
+        p.add_argument("--walks", dest="B", type=int, help="walks per vertex (B)")
         p.add_argument("--alpha0", type=float, help="base learning rate")
-        p.add_argument("--rate", choices=("constant", "inv_sqrt"))
+        p.add_argument("--rate", dest="rate_protocol", choices=("constant", "inv_sqrt"))
         p.add_argument("--eps-tol", dest="eps_tol", type=float)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--block-size", dest="block_size", type=int)
@@ -347,15 +325,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NonFiniteObjective, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except HeatLassoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

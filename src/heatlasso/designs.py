@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import NotPositiveDefinite
 from .graphs import Graph, laplacian, spectral_decompose
+from .heatflow import _is_integer
 from .penalty import GroupStructure
 
 DESIGN_KINDS = ("block_equicorr", "gff", "sbm_cov")
@@ -52,11 +53,10 @@ class DesignSpec:
         raise ValueError("beta_scheme must be given explicitly unless k == 4")
 
     def validate(self):
-        if not (len(self.sizes) > 0 and all(
-                isinstance(d, (int, np.integer)) and d >= 1 for d in self.sizes)):
+        if not (len(self.sizes) > 0 and all(_is_integer(d) and d >= 1 for d in self.sizes)):
             raise ValueError(f"sizes must be integers >= 1, got {self.sizes}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
+        if not (_is_integer(self.n) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")

@@ -3,17 +3,22 @@
 A JSON config drives everything. Sections:
 
   design   DesignSpec fields; for gff designs a "graph" subsection gives
-           either {"path": ...} or SBM parameters to sample per repeat, and
-           "theta" may be the string "auto" for the canonical mass.
+           either {"path": ...} or SBM parameters ("sizes", "a", "b",
+           "self_loops") to sample per repeat, and "theta" may be the
+           string "auto" for the canonical mass.
   fit      FitConfig fields plus "optimizer" ("sd", "cd" or "both"), an
            optional "cv" block {"lambda_grid", "t_grid", "folds",
            "max_iters"} (without it the fixed lam/t of the config are used)
-           and "sd" / "cd" subsections of per-optimizer overrides. Any other
-           key is an error.
+           and "sd" / "cd" subsections of per-optimizer overrides.
   graph    the graph driving the penalty: "from-design", "estimate"
            (optionally {"estimate": alpha}), or {"path": ...}.
   repeats  number of independent repetitions (derived seeds).
   output   output directory (CLI --out overrides).
+
+Every section refuses a key that nothing reads, and the counts (the
+design's sizes and n, repeats, and the fit's B, max_iters, block_size and
+cv folds) must be integers: a ValueError names the key before any walk is
+simulated or any file written.
 
 Every run writes per-repeat dataset CSVs and fit JSONs, a metrics CSV with
 one row per (repeat, optimizer) plus aggregate mean rows, and a manifest
@@ -45,8 +50,8 @@ from .graphs import (
     read_graph,
     sample_block_graph,
 )
-from .heatflow import simulate_heat_flow
-from .optimize import FitConfig, block_cd, cross_validate, subgradient_descent
+from .heatflow import _is_integer, simulate_heat_flow
+from .optimize import FitConfig, _derived_seed, block_cd, cross_validate, subgradient_descent
 
 _OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
 _OPTIMIZER_TAG = {"sd": 1, "cd": 2}
@@ -54,11 +59,6 @@ _OPTIMIZER_TAG = {"sd": 1, "cd": 2}
 # those of its cv block.
 _FIT_KEYS = tuple(f.name for f in fields(FitConfig) if f.name != "seed")
 _CV_KEYS = ("lambda_grid", "t_grid", "folds", "max_iters")
-
-
-def _derived_seed(*parts):
-    return int(np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
-               .generate_state(1)[0])
 
 
 def config_hash(config: dict) -> str:
@@ -70,8 +70,8 @@ def design_spec_from_config(section: dict, seed: int) -> DesignSpec:
     theta = section.get("theta")
     return DesignSpec(
         kind=section["kind"],
-        sizes=tuple(int(s) for s in section["sizes"]),
-        n=int(section["n"]),
+        sizes=tuple(section["sizes"]),
+        n=section["n"],
         noise_sigma=float(section.get("noise_sigma", 0.0)),
         seed=seed,
         rhos=tuple(section["rhos"]) if "rhos" in section else None,
@@ -83,29 +83,35 @@ def design_spec_from_config(section: dict, seed: int) -> DesignSpec:
     )
 
 
-def fit_config_from_config(section: dict, seed: int) -> FitConfig:
-    cfg = FitConfig(seed=seed)
-    for key in _FIT_KEYS:
-        if key in section:
-            setattr(cfg, key, section[key])
-    cfg.validate()
-    return cfg
+def _refuse_unknown_keys(kind, checks):
+    """Raise ValueError naming every key that no reader takes, over the
+    (where, section, keys) checks whose section is a dict."""
+    unread = [f"{where}{key}" for where, sub, keys in checks if isinstance(sub, dict)
+              for key in sub if key not in keys]
+    if unread:
+        raise ValueError(f"unknown {kind} config keys: {', '.join(unread)}")
 
 
 def _check_fit_section(section: dict):
-    """Raise ValueError naming every key of a fit section, its "sd" / "cd"
-    subsections and their cv blocks that no fit reads."""
-    unread = []
-    for where, sub, keys in (("fit", section, _FIT_KEYS + ("optimizer", "cv", "sd", "cd")),
-                             ("fit.sd", section.get("sd"), _FIT_KEYS + ("cv",)),
-                             ("fit.cd", section.get("cd"), _FIT_KEYS + ("cv",))):
-        if not isinstance(sub, dict):
-            continue
-        unread += [f"{where}.{key}" for key in sub if key not in keys]
-        if isinstance(sub.get("cv"), dict):
-            unread += [f"{where}.cv.{key}" for key in sub["cv"] if key not in _CV_KEYS]
-    if unread:
-        raise ValueError(f"unknown fit config keys: {', '.join(unread)}")
+    """Refuse every key of a fit section, its "sd" / "cd" subsections and
+    their cv blocks that no fit reads."""
+    checks = [("fit.", section, _FIT_KEYS + ("optimizer", "cv", "sd", "cd")),
+              ("fit.sd.", section.get("sd"), _FIT_KEYS + ("cv",)),
+              ("fit.cd.", section.get("cd"), _FIT_KEYS + ("cv",))]
+    checks += [(f"{where}cv.", sub.get("cv"), _CV_KEYS)
+               for where, sub, _ in checks if isinstance(sub, dict)]
+    _refuse_unknown_keys("fit", checks)
+
+
+def _check_experiment(config: dict):
+    """Refuse every key of a config, its design section, the design's graph
+    subsection and a graph dict that nothing reads."""
+    design = config.get("design", {})
+    _refuse_unknown_keys("experiment", [
+        ("", config, ("design", "graph", "fit", "repeats", "output")),
+        ("design.", design, [f.name for f in fields(DesignSpec)] + ["graph"]),
+        ("design.graph.", design.get("graph"), ("path", "sizes", "a", "b", "self_loops")),
+        ("graph.", config.get("graph"), ("path", "estimate"))])
 
 
 def _design_graph(section: dict, spec: DesignSpec, repeat_seed: int):
@@ -165,27 +171,29 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
     shared ones for that optimizer; the cv block may set its own (cheaper)
     max_iters used only while ranking grid points. A pre-simulated walk
     table may be passed as `flow` (its t and B then apply); ignored when a
-    cv block selects t itself.
+    cv block selects t itself. Otherwise the final fit simulates its table
+    at the chosen t with the seed _derived_seed(seed, 0x4EA7).
 
-    Returns (FitResult, chosen lam, chosen t, cv table or None). A key that
-    no fit reads raises ValueError before any fit runs.
+    Returns (FitResult, chosen lam, chosen t, cv table or None, the walk
+    table of the final fit: `flow` or the one simulated). A key that no fit
+    reads, or a bad value, raises ValueError before any walk is simulated.
     """
     _check_fit_section(fit_section)
     merged = dict(fit_section)
     per_opt = fit_section.get(optimizer)
     if isinstance(per_opt, dict):
         merged.update(per_opt)
-    cfg = fit_config_from_config(merged, seed)
+    cfg = FitConfig(seed=seed, **{k: merged[k] for k in _FIT_KEYS if k in merged})
+    cfg.validate()
     cv_section = merged.get("cv")
     table = None
     if cv_section:
-        cv_cfg = replace(cfg, max_iters=int(cv_section.get("max_iters",
-                                                           cfg.max_iters)))
+        cv_cfg = replace(cfg, max_iters=cv_section.get("max_iters", cfg.max_iters))
         lam, t, table = cross_validate(
             X, y, g,
             lambda_grid=cv_section["lambda_grid"],
             t_grid=cv_section["t_grid"],
-            folds=int(cv_section.get("folds", 5)),
+            folds=cv_section.get("folds", 5),
             cfg=cv_cfg,
             optimizer=optimizer,
         )
@@ -195,14 +203,9 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
         cfg = replace(cfg, t=flow.t, B=flow.B)
         H = flow
     else:
-        H = fit_walk_table(g, cfg, seed)
+        H = simulate_heat_flow(g, cfg.t, cfg.B, seed=_derived_seed(seed, 0x4EA7))
     result = _OPTIMIZERS[optimizer](X, y, H, cfg)
-    return result, cfg.lam, cfg.t, table
-
-
-def fit_walk_table(g: Graph, cfg: FitConfig, seed: int):
-    """The walk table fit_with_config simulates for a final fit at cfg.t, cfg.B."""
-    return simulate_heat_flow(g, cfg.t, cfg.B, seed=_derived_seed(seed, 0x4EA7))
+    return result, cfg.lam, cfg.t, table, H
 
 
 def _run_repeat(config, repeat, base_seed):
@@ -217,8 +220,8 @@ def _run_repeat(config, repeat, base_seed):
     fits = {}
     for name in optimizers:
         fit_seed = _derived_seed(repeat_seed, 0xF17, _OPTIMIZER_TAG[name])
-        result, lam, t, table = fit_with_config(X, y, g, fit_section,
-                                                fit_seed, name)
+        result, lam, t, table, _ = fit_with_config(X, y, g, fit_section,
+                                                   fit_seed, name)
         metrics = evaluate_fit(result.beta_thresholded, beta_star, X)
         fits[name] = {"result": result, "lam": lam, "t": t,
                       "cv_table": table, "metrics": metrics}
@@ -238,9 +241,10 @@ def run_experiment(config: dict, out_dir: str) -> dict:
     Returns a summary dict with per-optimizer mean metrics. On error, any
     partially written outputs are removed before the exception propagates.
     """
-    repeats = int(config.get("repeats", 1))
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    _check_experiment(config)
+    repeats = config.get("repeats", 1)
+    if not (_is_integer(repeats) and repeats >= 1):
+        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     base_seed = int(config.get("design", {}).get("seed", 0))
     os.makedirs(out_dir, exist_ok=True)
     written = []

@@ -338,12 +338,18 @@ class SmoothingOperator:
 
 
 def exact_heat_kernel(g: Graph, t: float, limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Dense e^{-tL} via eigendecomposition; symmetric, rows sum to 1."""
+    """Dense e^{-tL} via eigendecomposition; symmetric, rows sum to 1.
+
+    Eigenvalues at or below the spectrum's zero tolerance count as 0, so each
+    component's constant vector keeps weight 1 at any t; e^{-t lambda} of a
+    positive one goes to 0 as t grows, with no overflow warning."""
     _check_time(t)
     if t == 0:
         return np.eye(g.p)
     spec = spectral_decompose(g, limit=limit)
-    weights = np.exp(-t * np.maximum(spec.eigenvalues, 0.0))
+    eigenvalues = np.where(spec.eigenvalues > spec.zero_tol, spec.eigenvalues, 0.0)
+    with np.errstate(over="ignore"):  # t * lambda = inf gives weight 0
+        weights = np.exp(-t * eigenvalues)
     K = (spec.eigenvectors * weights) @ spec.eigenvectors.T
     return (K + K.T) / 2.0
 

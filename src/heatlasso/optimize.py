@@ -213,6 +213,16 @@ def _compile(semigroup, p):
     return op
 
 
+def _seed_sequence(*parts):
+    """The SeedSequence of a seed and its tags, each taken mod 2^32."""
+    return np.random.SeedSequence([part & 0xFFFFFFFF for part in parts])
+
+
+def _derived_seed(*parts):
+    """A 32-bit seed derived from a seed and its tags."""
+    return int(_seed_sequence(*parts).generate_state(1)[0])
+
+
 class _Lockstep:
     """The bookkeeping of fits run side by side, one per column of beta.
 
@@ -295,8 +305,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         block, kblock = ColumnBlocks(None, p, X.dot, X.T.dot), op.blocks(None)
     else:
         XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
-    rngs = [np.random.default_rng(np.random.SeedSequence([s & 0xFFFFFFFF, 0xB10C]))
-            for s in seeds]
+    rngs = [np.random.default_rng(_seed_sequence(s, 0xB10C)) for s in seeds]
     run = _Lockstep(beta[0].size, cfg.max_iters, -(-p // q))
     beta = beta.copy()
     z = X @ beta  # kept equal to X @ beta
@@ -446,13 +455,12 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
             if not 0 <= v < math.inf:
                 raise ValueError(f"{name} values must be finite and >= 0, got {v}")
     n = X.shape[0]
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+    if not (_is_integer(folds) and folds >= 2):
+        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
     if n < folds:
         raise FoldTooSmall(f"n={n} samples cannot fill {folds} folds")
 
-    perm = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF01D])).permutation(n)
+    perm = np.random.default_rng(_seed_sequence(cfg.seed, 0xF01D)).permutation(n)
     held_out = np.zeros((n, folds), dtype=bool)
     for fi, test_rows in enumerate(np.array_split(perm, folds)):
         held_out[test_rows, fi] = True
@@ -463,11 +471,9 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
 
     table = []
     for ti, t in enumerate(t_grid):
-        h_seed = int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, 0xF10, ti])
-                     .generate_state(1)[0])
+        h_seed = _derived_seed(cfg.seed, 0xF10, ti)
         op = _compile(simulate_heat_flow(g, t, cfg.B, seed=h_seed), X.shape[1])
-        seeds = [int(np.random.SeedSequence([cfg.seed & 0xFFFFFFFF, ti, li, fi])
-                     .generate_state(1)[0])
+        seeds = [_derived_seed(cfg.seed, ti, li, fi)
                  for li in range(len(lambda_grid)) for fi in range(folds)]
         betas = _cd_lockstep(X, y[:, None], op, cfg, lams, w_train,
                              np.zeros((X.shape[1], lams.size)), seeds)[0]

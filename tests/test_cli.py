@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from heatlasso import optimize
+from heatlasso import experiments, optimize
 from heatlasso.cli import CliError, main, read_dataset_csv
+from heatlasso.errors import HeatLassoError, NonFiniteObjective
 from heatlasso.figures import levelset_points
-from heatlasso.graphs import figure_graph
-from heatlasso.heatflow import exact_heat_kernel
+from heatlasso.graphs import figure_graph, sample_block_graph
+from heatlasso.heatflow import exact_heat_kernel, simulate_heat_flow
 from heatlasso.penalty import penalty_value
 
 
@@ -206,6 +207,40 @@ class TestFit:
                      "--out", str(tmp_path / "o")]) == 1
 
 
+class TestFitWithConfig:
+    def test_returns_the_table_the_fit_used(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 6))
+        y = X[:, 0] + 0.1 * rng.standard_normal(30)
+        g = sample_block_graph([3, 3], 0.9, 0.0, seed=2)
+        section = {"lam": 0.01, "t": 0.7, "B": 20, "max_iters": 15}
+        result, lam, t, table, H = experiments.fit_with_config(X, y, g, section, 9, "sd")
+        want = simulate_heat_flow(g, 0.7, 20, seed=experiments._derived_seed(9, 0x4EA7))
+        assert np.array_equal(H.terminals, want.terminals)
+        assert result.total_walk_steps == H.total_steps > 0
+        assert (lam, t, table) == (0.01, 0.7, None)
+        again = experiments.fit_with_config(X, y, g, section, 9, "sd", flow=H)
+        assert again[4] is H
+        assert np.array_equal(again[0].beta_hat, result.beta_hat)
+
+
+@pytest.mark.parametrize("error, code", [
+    (CliError("bad usage"), 1),
+    (HeatLassoError("bad input"), 1),
+    (ValueError("bad value"), 1),
+    (NonFiniteObjective("objective is not finite"), 2),
+])
+def test_exit_code_per_error(monkeypatch, capsys, error, code):
+    import heatlasso.cli as cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_verify", failing)
+    assert main(["verify"]) == code
+    assert str(error) in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_outputs_and_aggregate_row(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -272,6 +307,41 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert f"unknown fit config keys: {block}.{key}" in capsys.readouterr().err
+        run_dir = tmp_path / "run"
+        assert not run_dir.exists() or not any(run_dir.iterdir())
+
+    @pytest.mark.parametrize("where, key, value, named", [
+        ("design", "sizes", [4, 6.9], "sizes must be integers"),
+        ("design", "n", 40.7, "n must be an integer"),
+        ("fit.cv", "folds", 2.9, "folds must be an integer"),
+        ("fit.cv", "max_iters", 10.5, "max_iters must be an integer"),
+        ("", "repeats", 2.0, "repeats must be an integer"),
+        ("design", "noize", 0.1, "design.noize"),
+        ("", "repeat", 3, "keys: repeat"),
+        ("design.graph", "bb", 0.1, "design.graph.bb"),
+        ("graph", "alpha", 0.5, "graph.alpha"),
+    ])
+    def test_bad_experiment_config_exits_one(self, tmp_path, capsys, monkeypatch,
+                                             where, key, value, named):
+        def no_walks(*args, **kwargs):
+            raise AssertionError("a walk table was simulated")
+
+        for module in (experiments, optimize):
+            monkeypatch.setattr(module, "simulate_heat_flow", no_walks)
+        cfg = small_sim_config(tmp_path / "run")
+        cfg["fit"]["cv"] = {"lambda_grid": [0.0], "t_grid": [0.5], "folds": 2}
+        if where == "design.graph":
+            cfg["design"]["graph"] = {"a": 0.9, "b": 0.05}
+        if where == "graph":
+            cfg["graph"] = {"estimate": 0.75}
+        section = cfg
+        for part in filter(None, where.split(".")):
+            section = section[part]
+        section[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert named in capsys.readouterr().err
         run_dir = tmp_path / "run"
         assert not run_dir.exists() or not any(run_dir.iterdir())
 
@@ -381,6 +451,12 @@ class TestLevelset:
         d = re.search(r'<path class="contour" d="([^"]*)"', out.read_text()).group(1)
         assert d.startswith("M ") and d.endswith(" Z") and d.count("L") == 1
         assert len(d[2:-2].replace("L ", "").split()) == 2 * 5
+
+    def test_negative_flow_time_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ball.svg"
+        assert main(["levelset", "--t", "0,-1", "--out", str(out)]) == 1
+        assert "t must be finite and >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_points_exits_one(self, tmp_path, capsys):
         out = tmp_path / "ball.svg"

@@ -237,6 +237,8 @@ class TestSpecValidation:
         ("noise_sigma", np.nan),
         ("noise_sigma", -0.1),
         ("noise_sigma", np.inf),
+        ("sizes", (16, True, 40, 20)),
+        ("n", True),
     ])
     def test_bad_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -16,6 +16,7 @@ from heatlasso.graphs import (
     complete_graph,
     connected_components,
     figure_graph,
+    group_clique_graph,
     sample_block_graph,
 )
 from heatlasso.heatflow import (
@@ -29,6 +30,7 @@ from heatlasso.heatflow import (
     save_heatflow,
     simulate_heat_flow,
 )
+from heatlasso.penalty import GroupStructure, group_averaging_kernel
 
 
 def random_graph(rng, p, density=0.45):
@@ -487,6 +489,18 @@ class TestExactKernel:
             assert np.abs(K.sum(axis=1) - 1).max() < 1e-10
             assert K.min() >= -1e-12
             assert np.abs(K - K.T).max() == 0.0
+
+    @pytest.mark.parametrize("t", [1.0, 1e8, 1e14, 1e300, 1e308])
+    def test_rows_keep_their_mass_at_large_t(self, t):
+        # eigh can return a zero eigenvalue a little above 0: on one LAPACK
+        # build this graph's three came out as -3e-15, 4e-16 and 9e-16
+        K = exact_heat_kernel(sample_block_graph([5, 7, 9], 0.8, 0.0, seed=1), t)
+        assert np.abs(K.sum(axis=1) - 1).max() < 1e-12
+
+    def test_huge_t_is_the_group_average(self):
+        K = exact_heat_kernel(group_clique_graph([3, 4]), 1e300)
+        groups = GroupStructure(np.repeat([1, 2], [3, 4]))
+        assert np.abs(K - group_averaging_kernel(groups)).max() < 1e-12
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionTooLarge):

@@ -431,6 +431,8 @@ class TestCrossValidate:
             cross_validate(X, y, figure_graph(), [], [1.0], folds=2, cfg=cfg)
         with pytest.raises(FoldTooSmall):
             cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=13, cfg=cfg)
+        with pytest.raises(ValueError, match="folds must be an integer"):
+            cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=2.5, cfg=cfg)
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lambda_grid"):
                 cross_validate(X, y, figure_graph(), [0.1, bad], [1.0], folds=2, cfg=cfg)
