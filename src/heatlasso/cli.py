@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import verify_spectral_bounds
 from .errors import NonFiniteObjective
-from .experiments import _FIT_KEYS, _estimated_graph, fit_with_config, run_experiment
+from .experiments import _FIT_KEYS, _estimated_graph, check_config, fit_with_config, run_experiment
 from .figures import write_levelset_svg
 from .graphs import Graph, read_graph, write_graph
 from .heatflow import (
@@ -126,10 +126,11 @@ def cmd_simulate(args):
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot load config {args.config}: {exc}") from exc
-    if "config" in config and "config_hash" in config:
+    if isinstance(config, dict) and "config" in config and "config_hash" in config:
         config = config["config"]  # a manifest was passed; re-run it
+    check_config(config)
     if args.seed is not None:
-        config.setdefault("design", {})["seed"] = args.seed
+        config["design"]["seed"] = args.seed
     out_dir = args.out or config.get("output", "out")
     summary = run_experiment(config, out_dir)
     for name, metrics in summary.items():

@@ -1,24 +1,23 @@
 """Batch experiment runner: designs -> heat flow -> optimization -> metrics.
 
-A JSON config drives everything. Sections:
+A JSON config drives everything. _EXPERIMENT below is its schema: it writes
+each key's place and JSON type once, and a whole config is checked against it
+before any walk is simulated or any file written. A section that is not an
+object, an unknown or missing required key, or a value of the wrong JSON type
+raises a ValueError naming the full key, such as design.graph.sizes[1].
+Values are not cast: DesignSpec.validate, FitConfig.validate, cross_validate
+and sample_block_graph still check ranges and meaning. Sections:
 
   design   DesignSpec fields; for gff designs a "graph" subsection gives
-           either {"path": ...} or SBM parameters ("sizes", "a", "b",
-           "self_loops") to sample per repeat, and "theta" may be the
-           string "auto" for the canonical mass.
+           either {"path": ...} or SBM parameters to sample per repeat, and
+           "theta" may be the string "auto" for the canonical mass.
   fit      FitConfig fields plus "optimizer" ("sd", "cd" or "both"), an
-           optional "cv" block {"lambda_grid", "t_grid", "folds",
-           "max_iters"} (without it the fixed lam/t of the config are used)
-           and "sd" / "cd" subsections of per-optimizer overrides.
+           optional "cv" block (without it the fixed lam/t of the config are
+           used) and "sd" / "cd" subsections of per-optimizer overrides.
   graph    the graph driving the penalty: "from-design", "estimate"
-           (optionally {"estimate": alpha}), or {"path": ...}.
+           (optionally {"estimate": alpha}), or a path.
   repeats  number of independent repetitions (derived seeds).
   output   output directory (CLI --out overrides).
-
-Every section refuses a key that nothing reads, and the counts (the
-design's sizes and n, repeats, and the fit's B, max_iters, block_size and
-cv folds) must be integers: a ValueError names the key before any walk is
-simulated or any file written.
 
 Every run writes per-repeat dataset CSVs and fit JSONs, a metrics CSV with
 one row per (repeat, optimizer) plus aggregate mean rows, and a manifest
@@ -30,7 +29,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,68 +49,68 @@ from .graphs import (
     read_graph,
     sample_block_graph,
 )
-from .heatflow import _is_integer, simulate_heat_flow
+from .heatflow import simulate_heat_flow
 from .optimize import FitConfig, _derived_seed, block_cd, cross_validate, subgradient_descent
 
 _OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
 _OPTIMIZER_TAG = {"sd": 1, "cd": 2}
-# The keys a fit section sets FitConfig fields by (the seed is derived), and
-# those of its cv block.
-_FIT_KEYS = tuple(f.name for f in fields(FitConfig) if f.name != "seed")
-_CV_KEYS = ("lambda_grid", "t_grid", "folds", "max_iters")
+# The shape of a config: an object is a dict of its keys (those ending in "!" are
+# required), a list is [item], a tuple holds alternatives, a leaf is a JSON type or a literal.
+_FIT_FIELDS = {"lam": float, "t": float, "B": int, "alpha0": float, "rate_protocol": str,
+               "eps_tol": float, "max_iters": int, "block_size": (int, None), "loss": str}
+_CV = {"lambda_grid!": [float], "t_grid!": [float], "folds": int, "max_iters": int}
+_PER_OPTIMIZER = {**_FIT_FIELDS, "cv": (_CV, None)}
+_FIT = {**_PER_OPTIMIZER, "optimizer": ("sd", "cd", "both"),
+        "sd": _PER_OPTIMIZER, "cd": _PER_OPTIMIZER}
+_DESIGN = {"kind!": str, "sizes!": [int], "n!": int, "noise_sigma": float, "seed": int,
+           "rhos": [float], "theta": (float, "auto", None), "a": float, "b": float,
+           "beta_scheme": [[(str, float)]],
+           "graph": {"path": str, "sizes": [int], "a": float, "b": float, "self_loops": bool}}
+_EXPERIMENT = {"design!": _DESIGN, "graph": (str, None, {"path": str, "estimate": float}),
+               "fit": _FIT, "repeats": int, "output": str}
+_FIT_KEYS = tuple(_FIT_FIELDS)  # the FitConfig fields a fit section sets; the seed is derived
+# The values a leaf type takes (a bool is no number), and each type's name in messages.
+_TAKES = {int: (int, np.integer), float: (int, float, np.integer), str: str, bool: bool}
+_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+          dict: "an object", list: "a list"}
+
+
+def check_config(value, schema=_EXPERIMENT, where=""):
+    """Raise a ValueError naming the first part of value that does not fit the schema."""
+    options = schema if isinstance(schema, tuple) else (schema,)
+    for option in options:
+        if isinstance(option, dict) and isinstance(value, dict):
+            keys = {key.rstrip("!"): key for key in option}
+            prefix = f"{where}." if where else ""
+            unknown = [prefix + name for name in value if name not in keys]
+            if unknown:
+                raise ValueError(f"unknown {where.split('.')[0] or 'experiment'} config keys: "
+                                 f"{', '.join(unknown)}")
+            for name, key in keys.items():
+                if name in value:
+                    check_config(value[name], option[key], prefix + name)
+                elif key.endswith("!"):
+                    raise ValueError(f"{prefix}{name} is required")
+            return
+        if isinstance(option, list) and isinstance(value, list):
+            for i, item in enumerate(value):
+                check_config(item, option[0], f"{where}[{i}]")
+            return
+        if isinstance(option, type):
+            if isinstance(value, _TAKES[option]) and isinstance(value, bool) == (option is bool):
+                return
+        elif type(value) is type(option) and value == option:
+            return
+    names = [json.dumps(o) if o is None or isinstance(o, str)
+             else _NAMES[o if isinstance(o, type) else type(o)] for o in options]
+    expected = names[0] if len(names) == 1 else f"{', '.join(names[:-1])} or {names[-1]}"
+    raise ValueError(f"{where or 'the config'} must be {expected}, "
+                     f"got {json.dumps(value, default=repr)}")
 
 
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def design_spec_from_config(section: dict, seed: int) -> DesignSpec:
-    theta = section.get("theta")
-    return DesignSpec(
-        kind=section["kind"],
-        sizes=tuple(section["sizes"]),
-        n=section["n"],
-        noise_sigma=float(section.get("noise_sigma", 0.0)),
-        seed=seed,
-        rhos=tuple(section["rhos"]) if "rhos" in section else None,
-        theta=None if theta in (None, "auto") else float(theta),
-        a=float(section["a"]) if "a" in section else None,
-        b=float(section["b"]) if "b" in section else None,
-        beta_scheme=tuple(tuple(s) for s in section["beta_scheme"])
-        if "beta_scheme" in section else None,
-    )
-
-
-def _refuse_unknown_keys(kind, checks):
-    """Raise ValueError naming every key that no reader takes, over the
-    (where, section, keys) checks whose section is a dict."""
-    unread = [f"{where}{key}" for where, sub, keys in checks if isinstance(sub, dict)
-              for key in sub if key not in keys]
-    if unread:
-        raise ValueError(f"unknown {kind} config keys: {', '.join(unread)}")
-
-
-def _check_fit_section(section: dict):
-    """Refuse every key of a fit section, its "sd" / "cd" subsections and
-    their cv blocks that no fit reads."""
-    checks = [("fit.", section, _FIT_KEYS + ("optimizer", "cv", "sd", "cd")),
-              ("fit.sd.", section.get("sd"), _FIT_KEYS + ("cv",)),
-              ("fit.cd.", section.get("cd"), _FIT_KEYS + ("cv",))]
-    checks += [(f"{where}cv.", sub.get("cv"), _CV_KEYS)
-               for where, sub, _ in checks if isinstance(sub, dict)]
-    _refuse_unknown_keys("fit", checks)
-
-
-def _check_experiment(config: dict):
-    """Refuse every key of a config, its design section, the design's graph
-    subsection and a graph dict that nothing reads."""
-    design = config.get("design", {})
-    _refuse_unknown_keys("experiment", [
-        ("", config, ("design", "graph", "fit", "repeats", "output")),
-        ("design.", design, [f.name for f in fields(DesignSpec)] + ["graph"]),
-        ("design.graph.", design.get("graph"), ("path", "sizes", "a", "b", "self_loops")),
-        ("graph.", config.get("graph"), ("path", "estimate"))])
 
 
 def _design_graph(section: dict, spec: DesignSpec, repeat_seed: int):
@@ -121,18 +120,20 @@ def _design_graph(section: dict, spec: DesignSpec, repeat_seed: int):
         return None
     if "path" in graph_section:
         return read_graph(graph_section["path"])
-    return sample_block_graph(
-        sizes=[int(s) for s in graph_section.get("sizes", spec.sizes)],
-        a=float(graph_section["a"]),
-        b=float(graph_section["b"]),
-        self_loops=bool(graph_section.get("self_loops", False)),
-        seed=_derived_seed(repeat_seed, 0x6AF),
-    )
+    if "a" not in graph_section or "b" not in graph_section:
+        raise ValueError("design.graph.a and design.graph.b are required without a path")
+    return sample_block_graph(graph_section.get("sizes", spec.sizes), graph_section["a"],
+                              graph_section["b"], graph_section.get("self_loops", False),
+                              _derived_seed(repeat_seed, 0x6AF))
 
 
 def resolve_design(section: dict, repeat_seed: int):
-    """DesignSpec plus its underlying graph (with auto mass filled in)."""
-    spec = design_spec_from_config(section, repeat_seed)
+    """DesignSpec plus its underlying graph (with auto mass filled in); an
+    absent noise_sigma is 0.0."""
+    fields = {key: v for key, v in section.items() if key not in ("graph", "seed")}
+    if fields.get("theta") == "auto":
+        fields["theta"] = None
+    spec = DesignSpec(**{"noise_sigma": 0.0, **fields}, seed=repeat_seed)
     g = _design_graph(section, spec, repeat_seed)
     if spec.kind == "gff":
         if g is None:
@@ -148,7 +149,7 @@ def penalty_graph(graph_section, X, spec: DesignSpec, design_graph):
         if "path" in graph_section:
             return read_graph(graph_section["path"])
         if "estimate" in graph_section:
-            return _estimated_graph(X, float(graph_section["estimate"]))
+            return _estimated_graph(X, graph_section["estimate"])
         raise ValueError(f"unrecognized graph section {graph_section!r}")
     if graph_section in (None, "estimate"):
         return _estimated_graph(X, 0.75)
@@ -175,14 +176,12 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
     at the chosen t with the seed _derived_seed(seed, 0x4EA7).
 
     Returns (FitResult, chosen lam, chosen t, cv table or None, the walk
-    table of the final fit: `flow` or the one simulated). A key that no fit
-    reads, or a bad value, raises ValueError before any walk is simulated.
+    table of the final fit: `flow` or the one simulated). A bad optimizer
+    name, section or value raises ValueError before any walk is simulated.
     """
-    _check_fit_section(fit_section)
-    merged = dict(fit_section)
-    per_opt = fit_section.get(optimizer)
-    if isinstance(per_opt, dict):
-        merged.update(per_opt)
+    check_config(optimizer, ("sd", "cd"), "optimizer")
+    check_config(fit_section, _FIT, "fit")
+    merged = {**fit_section, **fit_section.get(optimizer, {})}
     cfg = FitConfig(seed=seed, **{k: merged[k] for k in _FIT_KEYS if k in merged})
     cfg.validate()
     cv_section = merged.get("cv")
@@ -241,11 +240,11 @@ def run_experiment(config: dict, out_dir: str) -> dict:
     Returns a summary dict with per-optimizer mean metrics. On error, any
     partially written outputs are removed before the exception propagates.
     """
-    _check_experiment(config)
+    check_config(config)
     repeats = config.get("repeats", 1)
-    if not (_is_integer(repeats) and repeats >= 1):
+    if repeats < 1:
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
-    base_seed = int(config.get("design", {}).get("seed", 0))
+    base_seed = config["design"].get("seed", 0)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:

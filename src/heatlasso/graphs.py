@@ -34,6 +34,11 @@ _CORR_ROWS = 256
 _BAND = 1 << 16
 
 
+def _is_integer(v):
+    """A Python or numpy integer; not a bool, nor a float such as 50.0 from JSON."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 class Graph:
     """Undirected graph on p vertices in CSR (compressed sparse row) form.
 
@@ -321,9 +326,9 @@ def estimate_graph_from_data(X, alpha: float) -> Graph:
 
 
 def _block_labels(sizes):
-    sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"block sizes must be positive, got {sizes}")
+    sizes = list(sizes)
+    if not (sizes and all(_is_integer(s) and s >= 1 for s in sizes)):
+        raise ValueError(f"sizes must be integers >= 1, got {sizes}")
     return np.repeat(np.arange(len(sizes)), sizes), sum(sizes)
 
 

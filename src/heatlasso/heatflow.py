@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, ShapeMismatch
-from .graphs import DENSE_LIMIT, Graph, spectral_decompose
+from .graphs import DENSE_LIMIT, Graph, _is_integer, spectral_decompose
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -94,11 +94,6 @@ class HeatFlowMatrix:
     @property
     def total_steps(self):
         return int(self.step_counts.sum()) if self.step_counts is not None else 0
-
-
-def _is_integer(v):
-    """A Python or numpy integer; not a bool, nor a float such as 50.0 from JSON."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_time(t):

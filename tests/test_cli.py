@@ -34,6 +34,13 @@ def write_toy_csv(path, n=60, seed=0, logistic=False):
     return path
 
 
+# A row value that deletes its key from the config.
+MISSING = object()
+# The changes that turn small_sim_config into a gff design on a sampled graph.
+GFF_DESIGN = {"design.kind": "gff", "design.rhos": MISSING,
+              "design.graph": {"a": 0.9, "b": 0.05}}
+
+
 def small_sim_config(out_dir, repeats=2):
     return {
         "design": {"kind": "block_equicorr", "sizes": [4, 4], "n": 40,
@@ -223,6 +230,16 @@ class TestFitWithConfig:
         assert again[4] is H
         assert np.array_equal(again[0].beta_hat, result.beta_hat)
 
+    def test_unknown_optimizer_refused_before_any_walk(self, monkeypatch):
+        def no_walks(*args, **kwargs):
+            raise AssertionError("a walk table was simulated")
+
+        monkeypatch.setattr(experiments, "simulate_heat_flow", no_walks)
+        X = np.ones((4, 2))
+        g = sample_block_graph([1, 1], 0.0, 0.0)
+        with pytest.raises(ValueError, match='optimizer must be "sd" or "cd", got "bogus"'):
+            experiments.fit_with_config(X, X[:, 0], g, {"t": 0.5}, 1, "bogus")
+
 
 @pytest.mark.parametrize("error, code", [
     (CliError("bad usage"), 1),
@@ -287,7 +304,7 @@ class TestSimulate:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(cfg_path)]) == 1
-        assert f"error: {field} must be an integer" in capsys.readouterr().err
+        assert f"error: fit.{field} must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block, key", [
         ("fit", "max_iter"), ("fit.cd", "rate"), ("fit.cv", "fold")])
@@ -311,7 +328,7 @@ class TestSimulate:
         assert not run_dir.exists() or not any(run_dir.iterdir())
 
     @pytest.mark.parametrize("where, key, value, named", [
-        ("design", "sizes", [4, 6.9], "sizes must be integers"),
+        ("design", "sizes", [4, 6.9], "design.sizes[1] must be an integer, got 6.9"),
         ("design", "n", 40.7, "n must be an integer"),
         ("fit.cv", "folds", 2.9, "folds must be an integer"),
         ("fit.cv", "max_iters", 10.5, "max_iters must be an integer"),
@@ -320,6 +337,36 @@ class TestSimulate:
         ("", "repeat", 3, "keys: repeat"),
         ("design.graph", "bb", 0.1, "design.graph.bb"),
         ("graph", "alpha", 0.5, "graph.alpha"),
+        # a section or value of the wrong JSON type
+        ("", None, [1], "the config must be an object, got [1]"),
+        ("", "design", "x", 'design must be an object, got "x"'),
+        ("", "fit", "x", 'fit must be an object, got "x"'),
+        ("", "fit", [1], "fit must be an object, got [1]"),
+        ("fit.cv", "lambda_grid", 0.1, "fit.cv.lambda_grid must be a list, got 0.1"),
+        ("fit", "cv", "x", 'fit.cv must be an object or null, got "x"'),
+        ("fit", "optimizer", ["sd"], 'fit.optimizer must be "sd", "cd" or "both"'),
+        ("design", "rhos", 0.5, "design.rhos must be a list, got 0.5"),
+        ("design", "sizes", 4, "design.sizes must be a list, got 4"),
+        ("design", "beta_scheme", 1, "design.beta_scheme must be a list, got 1"),
+        ("fit", "lam", "0.1", 'fit.lam must be a number, got "0.1"'),
+        ("fit", "sd", "x", 'fit.sd must be an object, got "x"'),
+        ("design", "seed", 5.7, "design.seed must be an integer, got 5.7"),
+        ("design", "seed", "5", 'design.seed must be an integer, got "5"'),
+        ("design", "noise_sigma", True, "design.noise_sigma must be a number, got true"),
+        ("design.graph", "sizes", [4, 4.6], "design.graph.sizes[1] must be an integer, got 4.6"),
+        ("design.graph", "self_loops", "false",
+         'design.graph.self_loops must be true or false, got "false"'),
+        ("fit", "optimizer", "bogus", 'fit.optimizer must be "sd", "cd" or "both", got "bogus"'),
+        ("design", "theta", "abc", 'design.theta must be a number, "auto" or null, got "abc"'),
+        ("graph", "estimate", "x", 'graph.estimate must be a number, got "x"'),
+        ("", "graph", 3, "graph must be a string, null or an object, got 3"),
+        ("", "graph", 0, "graph must be a string, null or an object, got 0"),
+        ("", "graph", True, "graph must be a string, null or an object, got true"),
+        # a required key that is missing
+        ("design", "kind", MISSING, "design.kind is required"),
+        ("design", "n", MISSING, "design.n is required"),
+        ("design.graph", "a", MISSING, "design.graph.a and design.graph.b are required"),
+        ("fit.cv", "t_grid", MISSING, "fit.cv.t_grid is required"),
     ])
     def test_bad_experiment_config_exits_one(self, tmp_path, capsys, monkeypatch,
                                              where, key, value, named):
@@ -337,13 +384,58 @@ class TestSimulate:
         section = cfg
         for part in filter(None, where.split(".")):
             section = section[part]
-        section[key] = value
+        if key is None:
+            cfg = value
+        elif value is MISSING:
+            del section[key]
+        else:
+            section[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        # a graph on stdin, which a graph given as a file descriptor would read
+        stdin_path = tmp_path / "stdin.txt"
+        stdin_path.write_text("p 8\n0 1\n")
+        saved = os.dup(0)
+        try:
+            with open(stdin_path, encoding="utf-8") as fh:
+                os.dup2(fh.fileno(), 0)
+            assert main(["simulate", "--config", str(cfg_path)]) == 1
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
         assert named in capsys.readouterr().err
         run_dir = tmp_path / "run"
         assert not run_dir.exists() or not any(run_dir.iterdir())
+
+    @pytest.mark.parametrize("changes", [
+        {"fit.cv": {"lambda_grid": [0, 0.1], "t_grid": [0.5, 1], "folds": 2}},
+        {"fit.cd": {"block_size": None}, "fit.optimizer": "both"},
+        {"design.noise_sigma": MISSING},
+        {"graph": "g.txt"},
+        {**GFF_DESIGN, "design.theta": "auto"},
+        {**GFF_DESIGN, "design.theta": None},
+        GFF_DESIGN,
+    ])
+    def test_well_typed_config_runs(self, tmp_path, monkeypatch, changes):
+        from heatlasso.graphs import group_clique_graph, write_graph
+
+        monkeypatch.chdir(tmp_path)
+        write_graph(group_clique_graph([4, 4]), "g.txt")
+        cfg = small_sim_config(tmp_path / "run", repeats=1)
+        cfg["fit"]["max_iters"] = 20
+        for dotted, value in changes.items():
+            *parents, key = dotted.split(".")
+            section = cfg
+            for part in parents:
+                section = section[part]
+            if value is MISSING:
+                del section[key]
+            else:
+                section[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "run" / "metrics.csv").exists()
 
     def test_gff_design_with_auto_mass_and_design_graph(self, tmp_path):
         config = {

@@ -493,6 +493,15 @@ class TestBlockGraphSampling:
         with pytest.raises(InvalidProbability):
             sample_block_graph([3, 3], 0.2, 0.5)
 
+    @pytest.mark.parametrize("sample", [
+        lambda: sample_block_graph([4, 4.6], 0.9, 0.1),
+        lambda: sample_clustered_network([3, 2.5], 0.5),
+        lambda: sample_block_graph([4, True], 0.9, 0.1),
+    ], ids=["block_float", "clustered_float", "block_bool"])
+    def test_non_integer_size_refused(self, sample):
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            sample()
+
     def test_clustered_network_allows_self_loops(self):
         g = sample_clustered_network([20], 1.0, seed=0)
         assert g.allow_self_loops
