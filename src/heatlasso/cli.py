@@ -77,6 +77,17 @@ def _read_rows(path, header, lines):
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
+def _number_list(flag, text):
+    """The numbers of a comma list; a CliError names the flag and the item."""
+    values = []
+    for k, item in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise CliError(f"{flag} item {k} is not a number: {item!r}") from None
+    return values
+
+
 def _fit_section_from_args(args):
     section = {k: v for k, v in vars(args).items() if k in _FIT_KEYS and v is not None}
     section["loss"] = {"squared": "squared_error",
@@ -169,14 +180,14 @@ def cmd_fit(args):
 
 
 def cmd_cv(args):
-    y, X = read_dataset_csv(args.data)
-    g = _graph_for_fit(args, X)
     section = _fit_section_from_args(args)
     section["cv"] = {
-        "lambda_grid": [float(v) for v in args.lambdas.split(",")],
-        "t_grid": [float(v) for v in args.ts.split(",")],
+        "lambda_grid": _number_list("--lambdas", args.lambdas),
+        "t_grid": _number_list("--ts", args.ts),
         "folds": args.folds,
     }
+    y, X = read_dataset_csv(args.data)
+    g = _graph_for_fit(args, X)
     result, lam, t, table, _ = fit_with_config(X, y, g, section, args.seed,
                                                args.optimizer)
     out_dir = args.out or "."
@@ -206,7 +217,7 @@ def cmd_estimate_graph(args):
 
 
 def cmd_levelset(args):
-    t_values = [float(v) for v in args.t.split(",")]
+    t_values = _number_list("--t", args.t)
     if args.grid < 3:
         raise CliError(f"--grid must be >= 3 points per contour, got {args.grid}")
     write_levelset_svg(t_values, args.out, grid_n=args.grid)

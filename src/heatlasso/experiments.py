@@ -219,17 +219,14 @@ def _run_repeat(config, repeat, base_seed):
     fits = {}
     for name in optimizers:
         fit_seed = _derived_seed(repeat_seed, 0xF17, _OPTIMIZER_TAG[name])
-        result, lam, t, table, _ = fit_with_config(X, y, g, fit_section,
-                                                   fit_seed, name)
+        result, lam, t, _, _ = fit_with_config(X, y, g, fit_section, fit_seed, name)
         metrics = evaluate_fit(result.beta_thresholded, beta_star, X)
-        fits[name] = {"result": result, "lam": lam, "t": t,
-                      "cv_table": table, "metrics": metrics}
+        fits[name] = {"result": result, "lam": lam, "t": t, "metrics": metrics}
     return {
         "repeat": repeat,
         "seed": repeat_seed,
         "spec": spec,
         "X": X, "y": y, "beta_star": beta_star, "groups": groups,
-        "graph_edges": g.edge_count,
         "fits": fits,
     }
 

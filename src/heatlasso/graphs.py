@@ -8,6 +8,7 @@ are exactly zero. Dense spectral routines are verification oracles and are
 capped at DENSE_LIMIT vertices; the fitting path never needs them.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,6 +403,9 @@ def write_graph(g: Graph, path):
 
 
 def read_graph(path) -> Graph:
+    """Read a write_graph file from a path; an int (a file descriptor) is refused."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise TypeError(f"read_graph takes a path, got {type(path).__name__}")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "p":

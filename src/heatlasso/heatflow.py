@@ -229,41 +229,6 @@ _DENSE_WALK_RATIO = 8
 _DENSE_BYTES = 8 << 20
 
 
-class ColumnBlocks:
-    """Block products of a linear map M on R^m, for block coordinates S: a
-    vector of q coordinates for one fit, or a (q, F) array whose column k
-    holds the block S_k of fit k. `matvec(v)` gives M[:, S_k] v_k and
-    `rmatvec(r)` gives (M^T r_k)[S_k], for all columns at once, from the
-    full products `apply` (M x) and `apply_T` (M^T r). S = None is the full
-    block, all m coordinates, whose `cells` index the whole vector. Given
-    MT = M^T, blocks holding fewer than m entries in all gather their rows
-    of MT once; otherwise a block is scattered into a full vector for
-    `apply`, and read off the full `apply_T`."""
-
-    def __init__(self, S, m, apply, apply_T, MT=None):
-        # index of the block entries of a vector, or of (m, F) with entry (S[j, k], k)
-        if S is None:
-            self.cells, self._rows = ..., None
-        else:
-            self.cells = (S,) if S.ndim == 1 else (S, np.arange(S.shape[1]))
-            self._rows = MT[S.T] if MT is not None and S.size < m else None  # (F, q, k) or (q, k)
-        self._m, self._apply, self._apply_T = m, apply, apply_T
-
-    def matvec(self, v) -> np.ndarray:
-        """M[:, S_k] v_k per column k, for block values v of S's shape."""
-        if self._rows is not None:
-            return (v.T[..., None, :] @ self._rows)[..., 0, :].T
-        full = np.zeros((self._m,) + v.shape[1:])
-        full[self.cells] = v
-        return self._apply(full)
-
-    def rmatvec(self, r) -> np.ndarray:
-        """(M^T r_k)[S_k] per column k, for r with one column per fit."""
-        if self._rows is not None:
-            return (self._rows @ r.T[..., None])[..., 0].T
-        return self._apply_T(r)[self.cells]
-
-
 class SmoothingOperator:
     """A linear smoothing operator K on R^p, compiled once per fit.
 
@@ -271,10 +236,11 @@ class SmoothingOperator:
     empirical kernel of a small walk table, whose `walk_steps` it then
     reports) or by a walk table (`table`, a HeatFlowMatrix), where K^ f is a
     gather over the table and K^T r a bincount scatter. `compile` picks the
-    backing; every penalty and optimizer computation goes through `apply`,
-    `apply_T` and the block forms of `blocks`. Each takes one vector per
-    fit, or a matrix with one column per fit, so F fits run in lockstep
-    share each product.
+    backing; every penalty and optimizer computation goes through `apply`
+    and `apply_T`, which take one vector per fit, or a matrix with one
+    column per fit, so F fits run in lockstep share each product. `KT` is
+    the dense K^T, C-contiguous so that its rows are the columns of K, for
+    block steps that gather those rows; it is None for a table.
     """
 
     def __init__(self, dense=None, table: HeatFlowMatrix | None = None,
@@ -282,7 +248,7 @@ class SmoothingOperator:
         if (dense is None) == (table is None):
             raise ValueError("give exactly one of a dense kernel or a walk table")
         self._table = table
-        self._KT = None
+        self.KT = None
         self.walk_steps = walk_steps
         if table is not None:
             self.p = table.p
@@ -293,7 +259,7 @@ class SmoothingOperator:
             if K.ndim != 2 or K.shape[0] != K.shape[1]:
                 raise ShapeMismatch(f"kernel must be square, got shape {K.shape}")
             self.p = K.shape[0]
-            self._KT = np.ascontiguousarray(K.T)  # rows of K^T are columns of K
+            self.KT = np.ascontiguousarray(K.T)
 
     @classmethod
     def compile(cls, kernel_or_H) -> "SmoothingOperator":
@@ -311,25 +277,18 @@ class SmoothingOperator:
 
     def apply(self, f) -> np.ndarray:
         """K f for f of shape (p,) or (p, F)."""
-        if self._KT is not None:
-            return self._KT.T @ f
+        if self.KT is not None:
+            return self.KT.T @ f
         return _terminal_mean(f, self._flat, self._table.B)
 
     def apply_T(self, r) -> np.ndarray:
         """K^T r for r of shape (p,) or (p, F)."""
-        if self._KT is not None:
-            return self._KT @ r
+        if self.KT is not None:
+            return self.KT @ r
         if r.ndim == 2:
             return np.stack([self.apply_T(c) for c in r.T], axis=1)
         B = self._table.B
         return np.bincount(self._flat, weights=np.repeat(r, B), minlength=self.p) / B
-
-    def blocks(self, S):
-        """The column forms of K for block coordinates S (a vector, one
-        block per column of a (q, F) array, or None for all p coordinates;
-        see ColumnBlocks): `matvec(d)` gives K[:, S_k] d_k, the change of h
-        after a block step, and `rmatvec(r)` gives (K^T r_k)[S_k]."""
-        return ColumnBlocks(S, self.p, self.apply, self.apply_T, self._KT)
 
 
 def exact_heat_kernel(g: Graph, t: float, limit: int = DENSE_LIMIT) -> np.ndarray:

@@ -24,15 +24,15 @@ product, until all columns have stopped or max_iters is reached.
 subgradient_descent and block_cd are the one-column case, and
 cross_validate runs a whole lambda x fold grid per t.
 
-An iteration steps the block S along the restricted subgradient, keeps
-z = X beta current with z += X[:, S] (beta_S,new - beta_S,old) and
-h = K (beta (.) beta) current with h += K[:, S] (beta_S,new^2 - beta_S,old^2),
-and reads the loss off z and the penalty off h, so an iteration of one
-fit costs O((n + p) q) on a dense operator. Block products gather the
-block's rows when the blocks of all columns hold fewer than p coordinates,
-and otherwise use the full products (see heatflow.ColumnBlocks). A full
-block (block_size None or p) draws nothing, takes the full products with
-X^T and K^T, and recomputes z = X beta and h = K (beta (.) beta): one
+An iteration steps each column's block S along the restricted subgradient
+and reads the loss off z = X beta and the penalty off h = K (beta (.) beta).
+If the blocks of all F columns hold fewer than p coordinates (q F < p), it
+gathers their rows of X^T, and of K^T when dense, and updates
+z += X[:, S] (beta_S,new - beta_S,old), h += K[:, S] (beta_S,new^2 - beta_S,old^2)
+(a walk table scatters the change into one apply): O((n + p) q) per
+iteration of one fit on a dense operator. Otherwise (SD, and block CD whose
+blocks cover p) it takes the full products X^T dz and K^T slope, scales each
+column's step by a 0/1 mask of its block, and recomputes z and h: one
 product each, as an update would cost, with no drift.
 
 With q < p, block CD draws its blocks in chunks of iterations
@@ -58,7 +58,7 @@ from .errors import (
     NonFiniteObjective,
     ShapeMismatch,
 )
-from .heatflow import ColumnBlocks, SmoothingOperator, _is_integer, simulate_heat_flow
+from .heatflow import SmoothingOperator, _is_integer, simulate_heat_flow
 from .penalty import _penalty_terms
 
 RATE_PROTOCOLS = ("constant", "inv_sqrt")
@@ -283,6 +283,16 @@ def _draw_blocks(rngs, iters, p, q):
     return np.ascontiguousarray(S.transpose(1, 2, 0))
 
 
+def _rows_dot(rows, r):
+    """(M^T r_k)[S_k] per column k, from the gathered rows MT[S.T] of M^T."""
+    return (rows @ r.T[..., None])[..., 0].T
+
+
+def _dot_rows(v, rows):
+    """M[:, S_k] v_k per column k, for block values v of S's shape."""
+    return (v.T[..., None, :] @ rows)[..., 0, :].T
+
+
 def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     """Stochastic block coordinate descent on each column of beta in
     lockstep; subgradient descent when cfg.block_size is None or p.
@@ -300,13 +310,11 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     """
     p = X.shape[1]
     q = p if cfg.block_size is None else cfg.block_size
-    full = q == p  # every block is all p coordinates: no draws, the full products
-    if full:
-        block, kblock = ColumnBlocks(None, p, X.dot, X.T.dot), op.blocks(None)
-    else:
-        XT = np.ascontiguousarray(X.T)  # a block's columns of X are rows of XT
+    F = beta[0].size
+    gather = q * F < p  # the module docstring's two regimes
+    XT = np.ascontiguousarray(X.T) if gather else None  # rows of XT are columns of X
     rngs = [np.random.default_rng(_seed_sequence(s, 0xB10C)) for s in seeds]
-    run = _Lockstep(beta[0].size, cfg.max_iters, -(-p // q))
+    run = _Lockstep(F, cfg.max_iters, -(-p // q))
     beta = beta.copy()
     z = X @ beta  # kept equal to X @ beta
     obj, dz = _loss_from_linear(z, y, cfg.loss, w)
@@ -315,33 +323,52 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     if penalized:
         h = op.apply(beta * beta)  # kept equal to K (beta^2)
         _, slope = _penalty_terms(h)
-    blocks = np.empty((0, q, len(rngs)), np.intp)  # the drawn blocks of the iterations ahead
+    blocks = np.empty((0, q, F), np.intp)  # the drawn blocks of the iterations ahead
     for i in range(1, cfg.max_iters + 1):
-        if not full:
+        rate = cfg.learning_rate(i) * run.moving
+        if q < p:
             if not len(blocks):
-                iters = min(max(_DRAW_CHUNK // (len(rngs) * p), 1), cfg.max_iters - i + 1)
+                iters = min(max(_DRAW_CHUNK // (F * p), 1), cfg.max_iters - i + 1)
                 blocks = _draw_blocks(rngs, iters, p, q)
             S = blocks[0] if beta.ndim == 2 else blocks[0, :, 0]
             blocks = blocks[1:]
-            block = ColumnBlocks(S, p, X.dot, XT.dot, XT)  # products with X[:, S_k]
-            kblock = op.blocks(S)  # and with K[:, S_k]
-        old = beta[block.cells]
-        grad = block.rmatvec(dz)
-        if penalized:
-            grad += lam * kblock.rmatvec(slope) * old
-        new = old - cfg.learning_rate(i) * run.moving * grad
-        step = new - old
-        small = _small_steps(step, old, cfg.eps_tol)
-        if full:  # recomputing z or h costs the one product an update would, with no drift
+            cells = (S,) if S.ndim == 1 else (S, np.arange(F))  # the block entries of beta
+        if gather:
+            xrows = XT[S.T]
+            krows = None if op.KT is None else op.KT[S.T]
+            old = beta[cells]
+            grad = _rows_dot(xrows, dz)
+            if penalized:
+                kslope = op.apply_T(slope)[cells] if krows is None else _rows_dot(krows, slope)
+                grad += lam * kslope * old
+            new = old - rate * grad
+            step = new - old
+            beta[cells] = new
+            z += _dot_rows(step, xrows)
+            if penalized:
+                change = new * new - old * old
+                if krows is None:  # a walk table: one apply of the scattered change
+                    full = np.zeros_like(beta)
+                    full[cells] = change
+                    h += op.apply(full)
+                else:
+                    h += _dot_rows(change, krows)
+        else:
+            old = beta
+            if q < p:  # a 0/1 mask of each column's block scales its step
+                mask = np.zeros_like(beta)
+                mask[cells] = 1.0
+                rate, old = rate * mask, beta * mask
+            grad = X.T.dot(dz)
+            if penalized:
+                grad += lam * op.apply_T(slope) * beta
+            new = beta - rate * grad
+            step = new - beta
             beta = new
             z = X @ beta
             if penalized:
                 h = op.apply(beta * beta)
-        else:
-            beta[block.cells] = new
-            z += block.matvec(step)
-            if penalized:
-                h += kblock.matvec(new * new - old * old)
+        small = _small_steps(step, old, cfg.eps_tol)
         obj, dz = _loss_from_linear(z, y, cfg.loss, w)
         if penalized:
             penalty, slope = _penalty_terms(h)

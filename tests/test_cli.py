@@ -493,6 +493,19 @@ class TestCV:
         assert cv["best_lam"] == 0.0
         assert len(cv["table"]) == 2
 
+    @pytest.mark.parametrize("lambdas, ts, message", [
+        ("0.1,abc", "0.5", "error: --lambdas item 2 is not a number: 'abc'"),
+        ("0.1", "0.5,,1", "error: --ts item 2 is not a number: ''"),
+        ("x", "0.5", "error: --lambdas item 1 is not a number: 'x'"),
+    ])
+    def test_bad_grid_item_exits_one(self, tmp_path, capsys, lambdas, ts, message):
+        data = write_toy_csv(tmp_path / "d.csv")
+        out = tmp_path / "out"
+        assert main(["cv", str(data), "--lambdas", lambdas, "--ts", ts,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
 
 class TestLevelset:
     def test_svg_panel_count_and_size(self, tmp_path):
@@ -548,6 +561,12 @@ class TestLevelset:
         out = tmp_path / "ball.svg"
         assert main(["levelset", "--t", "0,-1", "--out", str(out)]) == 1
         assert "t must be finite and >= 0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_flow_time_item_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "ball.svg"
+        assert main(["levelset", "--t", "0,x", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "error: --t item 2 is not a number: 'x'"
         assert not out.exists()
 
     def test_too_few_points_exits_one(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Graph representation, Laplacian/spectral oracles, generators, estimation."""
+import os
+
 import numpy as np
 import pytest
 
@@ -560,6 +562,18 @@ class TestGraphFileFormat:
         path.write_text("3 nodes\n0 1\n")
         with pytest.raises(ValueError):
             read_graph(path)
+
+    def test_file_descriptor_is_refused_and_left_open(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"p 2\n0 1\n")
+            with pytest.raises(TypeError, match="got int"):
+                read_graph(read_end)
+            os.fstat(read_end)  # still open
+            assert os.read(read_end, 64) == b"p 2\n0 1\n"
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
 
 def test_path_graph_shape():

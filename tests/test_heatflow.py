@@ -30,6 +30,7 @@ from heatlasso.heatflow import (
     save_heatflow,
     simulate_heat_flow,
 )
+from heatlasso.optimize import _dot_rows, _rows_dot
 from heatlasso.penalty import GroupStructure, group_averaging_kernel
 
 
@@ -398,20 +399,26 @@ class TestSmoothingOperator:
         f, r = rng.standard_normal(30), rng.standard_normal(30)
         S = np.array([2, 7, 11, 29])
         d = rng.standard_normal(S.size)
+        scattered = np.zeros(30)
+        scattered[S] = d
         assert np.abs(dense.apply(f) - heatflow_apply(H, f)).max() <= 1e-12
+        # a block step's products: gathered rows of the dense K^T, and the
+        # table's apply of the scattered block and read-off apply_T
         pairs = [(dense.apply(f), table.apply(f)),
                  (dense.apply_T(r), table.apply_T(r)),
-                 (dense.blocks(S).matvec(d), table.blocks(S).matvec(d)),
-                 (dense.blocks(S).rmatvec(r), table.blocks(S).rmatvec(r))]
+                 (_dot_rows(d, dense.KT[S]), table.apply(scattered)),
+                 (_rows_dot(dense.KT[S], r), table.apply_T(r)[S])]
         for a, b in pairs:
             assert np.abs(a - b).max() <= 1e-12
         K = empirical_kernel(H)
-        assert np.abs(dense.blocks(S).matvec(d) - K[:, S] @ d).max() <= 1e-12
+        assert table.KT is None and dense.KT.flags.c_contiguous
+        assert np.abs(_dot_rows(d, dense.KT[S]) - K[:, S] @ d).max() <= 1e-12
         assert np.abs(dense.apply_T(r) - K.T @ r).max() <= 1e-12
 
     def test_dense_and_table_forms_agree_on_columns(self):
-        # (p, F) inputs: K F, K^T R, and the per-column block forms, for
-        # blocks gathered (q F < p) and scattered into a dense GEMM (q F >= p)
+        # (p, F) inputs: K F, K^T R, and the per-column block products of a
+        # block step, from the gathered rows of the dense K^T and from the
+        # table's full products
         g = sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3)
         H = simulate_heat_flow(g, 1.0, B=20, seed=4)
         dense = SmoothingOperator(dense=empirical_kernel(H))
@@ -426,16 +433,16 @@ class TestSmoothingOperator:
             S = np.sort(np.stack([rng.choice(30, q, replace=False) for _ in range(F)]),
                         axis=1).T
             d, rF = rng.standard_normal((q, F)), r[:, :F]
+            cells = (S, np.arange(F))
             want = np.stack([K[:, S[:, k]] @ d[:, k] for k in range(F)], axis=1)
             want_T = np.stack([(K.T @ rF[:, k])[S[:, k]] for k in range(F)], axis=1)
+            assert np.abs(_dot_rows(d, dense.KT[S.T]) - want).max() <= 1e-12
+            assert np.abs(_rows_dot(dense.KT[S.T], rF) - want_T).max() <= 1e-12
             for op in (dense, table):
-                assert np.abs(op.blocks(S).matvec(d) - want).max() <= 1e-12
-                assert np.abs(op.blocks(S).rmatvec(rF) - want_T).max() <= 1e-12
-        for op in (dense, table):  # S = None, the full block: the full products
-            full = op.blocks(None)
-            assert np.array_equal(full.matvec(f), op.apply(f))
-            assert np.array_equal(full.rmatvec(r), op.apply_T(r))
-            assert np.shares_memory(f[full.cells], f)
+                scattered = np.zeros((30, F))
+                scattered[cells] = d
+                assert np.abs(op.apply(scattered) - want).max() <= 1e-12
+                assert np.abs(op.apply_T(rF)[cells] - want_T).max() <= 1e-12
         with pytest.raises(LengthMismatch):
             heatflow_apply(H, np.zeros((29, 2)))
 

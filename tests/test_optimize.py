@@ -271,6 +271,33 @@ class TestBlockCD:
                         block_size=2, seed=4)
         res = block_cd(X, y, np.eye(6), cfg)
         assert np.count_nonzero(res.beta_hat) <= 2
+        # lockstep runs of 9 columns, each cut after every iteration: blocks
+        # of 8 (72 >= p coordinates, the full products with masked steps) and
+        # of 2 (18 < p, gathered rows), on a dense (B = 20) and a table-backed
+        # (B = 3) operator. From one iteration to the next, a column's
+        # coordinates outside that iteration's block stay the same bits.
+        X, y, _, folds = TestLockstep.instance("squared_error", 3)
+        n, p = X.shape
+        lams, w, _, seeds = TestLockstep.cells(n, folds)
+        iters = 12
+        for B in (20, 3):
+            op = SmoothingOperator.compile(TestLockstep.instance("squared_error", B)[2])
+            assert (op.KT is None) == (B == 3)
+            for q in (8, 2):
+                cfg = FitConfig(alpha0=0.05, rate_protocol="constant", eps_tol=0.0,
+                                block_size=q)
+                rngs = [np.random.default_rng(optimize._seed_sequence(s, 0xB10C))
+                        for s in seeds]
+                blocks = _draw_blocks(rngs, iters, p, q)
+                before = np.zeros((p, lams.size))
+                for i in range(iters):
+                    after = _cd_lockstep(X, y[:, None], op, replace(cfg, max_iters=i + 1),
+                                         lams, w, np.zeros((p, lams.size)), seeds)[0]
+                    for k in range(lams.size):
+                        outside = np.setdiff1d(np.arange(p), blocks[i, :, k])
+                        assert after[outside, k].tobytes() == before[outside, k].tobytes()
+                    assert not np.array_equal(after, before)
+                    before = after
 
     def test_heatflow_restriction_matches_kernel_limit(self):
         # with B large the on-demand restricted subgradient approaches the
