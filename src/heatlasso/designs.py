@@ -14,8 +14,6 @@ from .graphs import Graph, laplacian, spectral_decompose
 from .heatflow import _is_integer
 from .penalty import GroupStructure
 
-DESIGN_KINDS = ("block_equicorr", "gff", "sbm_cov")
-
 # One scheme per group: ("uniform", lo, hi) or ("zero",). The default for
 # four groups is signal on groups 1 and 3, silence on 2 and 4.
 DEFAULT_K4_SCHEME = (("uniform", 0.5, 0.7), ("zero",),
@@ -57,6 +55,8 @@ class DesignSpec:
             raise ValueError(f"sizes must be integers >= 1, got {self.sizes}")
         if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")

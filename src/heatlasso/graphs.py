@@ -52,8 +52,8 @@ class Graph:
     """
 
     def __init__(self, p, edges=(), allow_self_loops=False):
-        if p < 1:
-            raise ValueError(f"vertex count must be >= 1, got {p}")
+        if not (_is_integer(p) and p >= 1):
+            raise ValueError(f"vertex count must be an integer >= 1, got {p!r}")
         self.p = p = int(p)
         self.allow_self_loops = bool(allow_self_loops)
         e = np.asarray(edges, dtype=np.int64)
@@ -159,37 +159,33 @@ def laplacian(g: Graph) -> np.ndarray:
     return L.astype(np.float64)
 
 
-def spectral_decompose(g: Graph, limit: int = DENSE_LIMIT) -> LaplacianSpectrum:
-    """Dense eigendecomposition oracle; raises DimensionTooLarge above limit."""
-    if g.p > limit:
-        raise DimensionTooLarge(f"p={g.p} exceeds dense-oracle limit {limit}")
+def spectral_decompose(g: Graph) -> LaplacianSpectrum:
+    """Dense eigendecomposition oracle; raises DimensionTooLarge above DENSE_LIMIT."""
+    if g.p > DENSE_LIMIT:
+        raise DimensionTooLarge(f"p={g.p} exceeds dense-oracle limit {DENSE_LIMIT}")
     vals, vecs = np.linalg.eigh(laplacian(g))
     zero_mult = int(np.count_nonzero(vals <= ZERO_EIGENVALUE_TOL))
     return LaplacianSpectrum(vals, vecs, zero_mult)
 
 
 def connected_components(g: Graph):
-    """Union-find component labelling, independent of any spectral routine.
+    """Component labelling by label propagation on the CSR arrays, independent
+    of any spectral routine: each vertex takes the smallest label among its
+    neighbours, then pointer jumping follows labels to their roots, until
+    nothing changes and each vertex holds its component's smallest vertex.
 
-    Returns (count, labels) with labels in [0, count).
+    Returns (count, labels) with labels in [0, count), numbered in order of
+    each component's smallest vertex.
     """
-    parent = list(range(g.p))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in g.edges():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    roots = {}
-    labels = np.empty(g.p, dtype=np.int64)
-    for v in range(g.p):
-        r = find(v)
-        labels[v] = roots.setdefault(r, len(roots))
+    rows = np.repeat(np.arange(g.p), g.degrees)
+    labels, before = np.arange(g.p), None
+    while not np.array_equal(labels, before):
+        before = labels.copy()
+        np.minimum.at(labels, rows, before[g.indices])
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+    roots, labels = np.unique(labels, return_inverse=True)
     return len(roots), labels
 
 

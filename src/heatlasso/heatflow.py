@@ -12,13 +12,13 @@ smoothing an optimization run needs.
 
 Randomness is counter-based: every draw is a pure hash of
 (seed, walk index, round), so the terminals table is bit-identical for a
-given (graph, t, B, seed) no matter how the walks are scheduled. Each walk
-hashes (seed, walk index) once into a key, and round d of a walk draws once:
-one SplitMix64 finalizer of key ^ d, whose high 32 bits give the hold and
-whose low 32 bits give the neighbour. Both have a resolution of 2^-32: the
-hold at vertex v is capped at 32 ln 2 / deg(v), and each neighbour's
-probability is off 1/deg(v) by less than 2^-32 (a relative bias of at most
-deg(v) / 2^32). The walks run in cache-sized chunks of consecutive indices,
+given (graph, t, B, seed) no matter how the walks are scheduled. One
+SplitMix64 finalizer does all the hashing: of the seed into a seed key, of
+seed key ^ walk index into each walk's key, and of key ^ d into round d's
+one draw of a walk, whose high 32 bits give the hold and whose low 32 bits
+give the neighbour. Both have a resolution of 2^-32: the hold at vertex v is
+capped at 32 ln 2 / deg(v), and each neighbour's probability is off
+1/deg(v) by less than 2^-32 (a relative bias of at most deg(v) / 2^32). The walks run in cache-sized chunks of consecutive indices,
 each to completion. A walk that stops writes its result once and rides
 along in the chunk's arrays, inert, until an eighth of them have stopped;
 only then are the arrays compacted.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, ShapeMismatch
-from .graphs import DENSE_LIMIT, Graph, _is_integer, spectral_decompose
+from .graphs import Graph, _is_integer, spectral_decompose
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -51,18 +51,10 @@ _CHUNK = 1 << 14
 _CARRY = 8
 
 
-def _mix(x):
-    # SplitMix64 finalizer; full-period 64-bit mixing.
-    x = x + _GOLDEN
-    x = (x ^ (x >> _U64(30))) * _MIX1
-    x = (x ^ (x >> _U64(27))) * _MIX2
-    return x ^ (x >> _U64(31))
-
-
-def _hash_into(keys, d, out, scratch):
-    """_mix(key ^ d) for every walk key, computed in `out`; `scratch` is a
-    uint64 array of out's size for the shifts."""
-    x = np.bitwise_xor(keys, _U64(d), out=out)
+def _finalize(x, scratch):
+    """The SplitMix64 finalizer (full-period 64-bit mixing) of every entry
+    of the uint64 array x, in place; `scratch` is a uint64 array of x's
+    size for the shifts."""
     x += _GOLDEN
     x ^= np.right_shift(x, _U64(30), out=scratch)
     x *= _MIX1
@@ -70,6 +62,11 @@ def _hash_into(keys, d, out, scratch):
     x *= _MIX2
     x ^= np.right_shift(x, _U64(31), out=scratch)
     return x
+
+
+def _hash_into(keys, d, out, scratch):
+    """The finalizer of key ^ d for every walk key, computed in `out`."""
+    return _finalize(np.bitwise_xor(keys, _U64(d), out=out), scratch)
 
 
 @dataclass(frozen=True)
@@ -137,10 +134,10 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     if t > 0:
         degu = g.degrees.astype(np.uint64)
         flat, offsets = g.flat_adjacency()
-        with np.errstate(over="ignore"):
-            seed_key = _mix(_U64(int(seed) & 0xFFFFFFFFFFFFFFFF))
         hashed = np.empty(_CHUNK, dtype=np.uint64)
         scratch = np.empty(_CHUNK, dtype=np.uint64)
+        seed_key = _finalize(np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                             scratch[:1])
         u = np.empty(_CHUNK)
         for start in range(0, p * B, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, p * B))
@@ -149,7 +146,7 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
             moving = np.flatnonzero(deg)  # a degree-0 vertex holds forever
             ids, cur, deg = ids.take(moving), cur.take(moving), deg.take(moving)
             rem = np.full(len(ids), float(t))
-            key = _mix(seed_key ^ ids.astype(np.uint64))
+            key = _finalize(ids.astype(np.uint64) ^ seed_key, scratch[:len(ids)])
             n, stopped, d = len(ids), 0, 0
             while stopped < n:  # some walk of the chunk is still moving
                 x = _hash_into(key, d, hashed[:n], scratch[:n])
@@ -291,7 +288,7 @@ class SmoothingOperator:
         return np.bincount(self._flat, weights=np.repeat(r, B), minlength=self.p) / B
 
 
-def exact_heat_kernel(g: Graph, t: float, limit: int = DENSE_LIMIT) -> np.ndarray:
+def exact_heat_kernel(g: Graph, t: float) -> np.ndarray:
     """Dense e^{-tL} via eigendecomposition; symmetric, rows sum to 1.
 
     Eigenvalues at or below the spectrum's zero tolerance count as 0, so each
@@ -300,7 +297,7 @@ def exact_heat_kernel(g: Graph, t: float, limit: int = DENSE_LIMIT) -> np.ndarra
     _check_time(t)
     if t == 0:
         return np.eye(g.p)
-    spec = spectral_decompose(g, limit=limit)
+    spec = spectral_decompose(g)
     eigenvalues = np.where(spec.eigenvalues > spec.zero_tol, spec.eigenvalues, 0.0)
     with np.errstate(over="ignore"):  # t * lambda = inf gives weight 0
         weights = np.exp(-t * eigenvalues)

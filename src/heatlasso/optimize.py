@@ -102,6 +102,8 @@ class FitConfig:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.eps_tol >= 0:
             raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         q = self.block_size
         if q is not None and not (_is_integer(q) and q >= 1 and (p is None or q <= p)):
             raise ValueError(f"block_size must be an integer in [1, p], got {q!r}")

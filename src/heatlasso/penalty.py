@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatch
+from .graphs import _is_integer
 from .heatflow import SmoothingOperator
 
 # The slope's denominator sqrt(|h_j|) is clamped here, so a step from a zero
@@ -45,9 +46,9 @@ class GroupStructure:
 
     @classmethod
     def from_sizes(cls, sizes):
-        sizes = [int(s) for s in sizes]
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"group sizes must be >= 1, got {sizes}")
+        sizes = list(sizes)
+        if not all(_is_integer(s) and s >= 1 for s in sizes):
+            raise ValueError(f"group sizes must be integers >= 1, got {sizes}")
         return cls(np.repeat(np.arange(1, len(sizes) + 1), sizes))
 
     def members(self, label):

@@ -13,7 +13,13 @@ from heatlasso import experiments, optimize
 from heatlasso.cli import CliError, main, read_dataset_csv
 from heatlasso.errors import HeatLassoError, NonFiniteObjective
 from heatlasso.figures import levelset_points
-from heatlasso.graphs import figure_graph, sample_block_graph
+from heatlasso.graphs import (
+    estimate_graph,
+    estimate_graph_from_data,
+    figure_graph,
+    sample_block_graph,
+    write_graph,
+)
 from heatlasso.heatflow import exact_heat_kernel, simulate_heat_flow
 from heatlasso.penalty import penalty_value
 
@@ -595,8 +601,30 @@ class TestEstimateGraphCommand:
         lines = out.read_text().strip().splitlines()
         assert lines == ["p 3", "0 1"]
 
-    def test_requires_some_input(self, tmp_path):
+    def test_requires_some_input(self, tmp_path, capsys):
         assert main(["estimate-graph", "--out", str(tmp_path / "g.txt")]) == 1
+        assert capsys.readouterr().err == "error: give a dataset CSV or --corr matrix\n"
+
+    @pytest.mark.parametrize("source", ["data", "corr"])
+    def test_writes_the_graph_the_library_estimates(self, tmp_path, source):
+        # eight columns in three correlated sets; savetxt's digits read back exactly
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((40, 3))[:, [0, 0, 1, 1, 2, 2, 0, 1]]
+        X += 0.5 * rng.standard_normal(X.shape)
+        path = tmp_path / f"{source}.csv"
+        if source == "data":
+            np.savetxt(path, np.column_stack([X[:, 0], X]), delimiter=",", comments="",
+                       header=",".join(["y"] + [f"x{j}" for j in range(8)]))
+            args, g = [str(path)], estimate_graph_from_data(X, 0.7)
+        else:
+            corr = np.corrcoef(X, rowvar=False)
+            np.savetxt(path, corr, delimiter=",")
+            args, g = ["--corr", str(path)], estimate_graph(corr, 0.7)
+        out, want = tmp_path / "g.txt", tmp_path / "want.txt"
+        assert main(["estimate-graph", *args, "--alpha", "0.7", "--out", str(out)]) == 0
+        assert 0 < g.edge_count < 28
+        write_graph(g, want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_verify_battery_passes():

@@ -239,6 +239,9 @@ class TestSpecValidation:
         ("noise_sigma", np.inf),
         ("sizes", (16, True, 40, 20)),
         ("n", True),
+        ("seed", 5.7),
+        ("seed", 5.0),
+        ("seed", True),
     ])
     def test_bad_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -52,6 +52,11 @@ class TestGraphInvariants:
         assert g.edge_count == 1
         assert g.degrees.tolist() == [1, 1, 0]
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, True, np.float64(4.0)])
+    def test_vertex_count_must_be_an_integer(self, p):
+        with pytest.raises(ValueError, match="vertex count must be an integer >= 1"):
+            Graph(p)
+
     def test_self_loop_rejected_by_default(self):
         with pytest.raises(ValueError):
             Graph(3, edges=[(1, 1)])
@@ -213,9 +218,10 @@ class TestSpectralDecompose:
         gram = spec.eigenvectors.T @ spec.eigenvectors
         assert np.abs(gram - np.eye(g.p)).max() < 1e-8
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DENSE_LIMIT", 4)
         with pytest.raises(DimensionTooLarge):
-            spectral_decompose(Graph(5), limit=4)
+            spectral_decompose(Graph(5))
 
     def test_zero_multiplicity_matches_union_find(self):
         rng = np.random.default_rng(42)
@@ -231,6 +237,58 @@ class TestSpectralDecompose:
             g = random_graph(rng, int(rng.integers(2, 30)))
             sig = np.abs(spectral_decompose(g).eigenvalues).max()
             assert sig <= 2 * g.max_degree + 1e-9
+
+
+def breadth_first_components(g):
+    """(count, labels) by breadth-first search from each unlabelled vertex in
+    index order: the numbering connected_components must give."""
+    labels, count = np.full(g.p, -1), 0
+    for s in range(g.p):
+        if labels[s] < 0:
+            labels[s], queue = count, [s]
+            for v in queue:
+                for u in g.neighbors(v):
+                    if labels[u] < 0:
+                        labels[u] = count
+                        queue.append(u)
+            count += 1
+    return count, labels
+
+
+class TestConnectedComponents:
+    @staticmethod
+    def check(g):
+        count, labels = connected_components(g)
+        assert labels.dtype == np.int64 and labels.shape == (g.p,)
+        assert labels.min() == 0 and labels.max() == count - 1
+        i, j = g._edge_array().T
+        assert np.array_equal(labels[i], labels[j])  # equal across every edge
+        # numbered in order of each component's smallest vertex
+        _, first = np.unique(labels, return_index=True)
+        assert np.all(np.diff(first) > 0)
+        want_count, want = breadth_first_components(g)
+        assert count == want_count and np.array_equal(labels, want)
+        return count, labels
+
+    def test_random_graphs_match_breadth_first_search(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            p = int(rng.integers(1, 80))
+            loops = bool(rng.integers(2))
+            edges = rng.integers(0, p, size=(int(rng.integers(0, 2 * p)), 2))
+            if not loops:
+                edges = edges[edges[:, 0] != edges[:, 1]]
+            self.check(Graph(p, edges=edges, allow_self_loops=loops))
+
+    def test_long_path_is_one_component(self):
+        count, labels = self.check(path_graph(2000))
+        assert count == 1 and not labels.any()
+
+    def test_isolated_vertices_and_a_self_loop(self):
+        count, labels = self.check(Graph(5))
+        assert count == 5 and labels.tolist() == [0, 1, 2, 3, 4]
+        count, labels = self.check(Graph(5, edges=[(1, 1), (4, 2)], allow_self_loops=True))
+        assert count == 4 and labels.tolist() == [0, 1, 2, 3, 2]
 
 
 class TestEstimateGraph:

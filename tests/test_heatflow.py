@@ -10,7 +10,7 @@ from heatlasso.errors import (
     LengthMismatch,
     ShapeMismatch,
 )
-from heatlasso import heatflow
+from heatlasso import graphs, heatflow
 from heatlasso.graphs import (
     Graph,
     complete_graph,
@@ -509,9 +509,10 @@ class TestExactKernel:
         groups = GroupStructure(np.repeat([1, 2], [3, 4]))
         assert np.abs(K - group_averaging_kernel(groups)).max() < 1e-12
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DENSE_LIMIT", 4)
         with pytest.raises(DimensionTooLarge):
-            exact_heat_kernel(complete_graph(6), 1.0, limit=4)
+            exact_heat_kernel(complete_graph(6), 1.0)
 
 
 class TestGeneratorConsistency:

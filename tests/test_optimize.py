@@ -200,6 +200,18 @@ class TestSubgradientDescent:
                 with pytest.raises(ValueError, match=f"{field} must be an integer"):
                     FitConfig(**{field: bad}).validate()
         FitConfig(B=np.int64(20), max_iters=np.int32(5), block_size=np.int64(2)).validate(p=10)
+        for bad in (5.7, 5.0, "5", True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                FitConfig(seed=bad).validate()
+        FitConfig(seed=np.int64(-5)).validate()
+        X, y = np.eye(4, 3), np.ones(4)
+        for seed in (5.7, True):
+            for fit in (subgradient_descent, block_cd):
+                with pytest.raises(ValueError, match="seed"):
+                    fit(X, y, np.eye(3), FitConfig(seed=seed))
+            with pytest.raises(ValueError, match="seed"):
+                cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=2,
+                               cfg=FitConfig(seed=seed))
 
     def test_tolerances_are_validated(self):
         for bad in ({"eps_tol": -1e-6}, {"eps_tol": float("nan")}):

@@ -44,6 +44,12 @@ class TestGroupStructure:
         g = GroupStructure.from_sizes([2, 3])
         assert g.assignment.tolist() == [1, 1, 2, 2, 2]
         assert g.sizes.tolist() == [2, 3]
+        assert GroupStructure.from_sizes(np.array([2, 3])).sizes.tolist() == [2, 3]
+
+    @pytest.mark.parametrize("sizes", [[4, 4.6], [4, 4.0], [True, 2]])
+    def test_from_sizes_refuses_non_integers(self, sizes):
+        with pytest.raises(ValueError, match="group sizes must be integers >= 1"):
+            GroupStructure.from_sizes(sizes)
 
     def test_labels_must_be_contiguous(self):
         for bad in ([1, 3, 3], [0, 1, 1], [2, 2], [-1, 1]):
