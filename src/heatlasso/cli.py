@@ -238,7 +238,7 @@ def cmd_verify(args):
     def random_graph(low, high, density):
         p = int(rng.integers(low, high))
         mask = rng.random((p, p)) < density
-        return Graph(p, edges=[(i, j) for i in range(p) for j in range(i + 1, p) if mask[i, j]])
+        return Graph(p, edges=np.argwhere(np.triu(mask, 1)))
 
     # spectral bounds on random graphs
     bad = 0

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import DimensionTooLarge, ShapeMismatch
 from .graphs import (
-    DENSE_LIMIT,
     Graph,
     connected_components,
     laplacian,
@@ -235,14 +234,13 @@ def graph_conductance(g: Graph) -> float:
 def verify_spectral_bounds(g: Graph) -> SpectralBoundsReport:
     """Check the operator-norm bounds sigma_max(L) <= 2 d_max and
     sigma_max(A) <= (sqrt(1 + 8|E|) - 1)/2, and on small connected graphs
-    the conductance lower bound sigma_low(L*) >= conductance^2 / 2."""
-    if g.p > DENSE_LIMIT:
-        raise DimensionTooLarge(f"p={g.p} exceeds dense-oracle limit {DENSE_LIMIT}")
-    L = laplacian(g)
-    sig_L = float(np.linalg.norm(L, ord=2)) if g.p else 0.0
+    the conductance lower bound sigma_low(L*) >= conductance^2 / 2. L is
+    positive semidefinite, so sigma_max(L) is the top eigenvalue of
+    spectral_decompose, which refuses p above the dense-oracle limit."""
+    sig_L = float(spectral_decompose(g).eigenvalues[-1])
     slack_deg = 2.0 * g.max_degree - sig_L
     A = g.adjacency().astype(np.float64)
-    sig_A = float(np.linalg.norm(A, ord=2)) if g.p else 0.0
+    sig_A = float(np.linalg.norm(A, ord=2))
     edge_bound = (np.sqrt(1.0 + 8.0 * g.edge_count) - 1.0) / 2.0
     slack_edge = float(edge_bound - sig_A)
     tol = 1e-9
@@ -252,7 +250,7 @@ def verify_spectral_bounds(g: Graph) -> SpectralBoundsReport:
     if n_comp == 1 and g.p <= 12 and g.edge_count > 0 and g.p >= 2:
         deg = g.degrees.astype(np.float64)
         inv_sqrt = 1.0 / np.sqrt(deg)
-        L_norm = inv_sqrt[:, None] * L * inv_sqrt[None, :]
+        L_norm = inv_sqrt[:, None] * laplacian(g) * inv_sqrt[None, :]
         vals = np.linalg.eigvalsh(L_norm)
         positive = vals[vals > 1e-9]
         sig_low = float(positive[0]) if positive.size else 0.0

@@ -111,10 +111,6 @@ class Graph:
             loops = np.count_nonzero(rows == self.indices)
         return (int(self.degrees.sum()) + loops) // 2
 
-    def edges(self):
-        """Iterate over each edge once as (i, j) with i <= j."""
-        return map(tuple, self._edge_array().tolist())
-
     def adjacency(self):
         """Dense 0/1 adjacency matrix (int64)."""
         A = np.zeros((self.p, self.p), dtype=np.int64)
@@ -134,19 +130,18 @@ class LaplacianSpectrum:
     """Dense eigendecomposition of the unnormalised Laplacian.
 
     eigenvalues are nondecreasing; eigenvectors are orthonormal columns;
-    zero_multiplicity counts eigenvalues at or below zero_tol and equals the
-    number of connected components.
+    zero_multiplicity counts eigenvalues at or below ZERO_EIGENVALUE_TOL and
+    equals the number of connected components.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     zero_multiplicity: int
-    zero_tol: float = ZERO_EIGENVALUE_TOL
 
     @property
     def spectral_gap(self):
-        """Smallest eigenvalue exceeding the zero tolerance."""
-        positive = self.eigenvalues[self.eigenvalues > self.zero_tol]
+        """Smallest eigenvalue exceeding ZERO_EIGENVALUE_TOL."""
+        positive = self.eigenvalues[self.eigenvalues > ZERO_EIGENVALUE_TOL]
         if positive.size == 0:
             raise ValueError("graph has no nonzero Laplacian eigenvalue")
         return float(positive[0])

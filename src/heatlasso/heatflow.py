@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, ShapeMismatch
-from .graphs import Graph, _is_integer, spectral_decompose
+from .graphs import ZERO_EIGENVALUE_TOL, Graph, _is_integer, spectral_decompose
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -195,14 +195,7 @@ def heatflow_apply(H: HeatFlowMatrix, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape[:1] != (H.p,) or f.ndim > 2:
         raise LengthMismatch(f"f has shape {f.shape}, expected ({H.p},) or ({H.p}, F)")
-    return _terminal_mean(f, H.terminals.ravel(), H.B)
-
-
-def _terminal_mean(f, flat, B):
-    """Per-vertex mean of f over the walk terminals `flat` (a table's
-    terminals raveled, B per vertex); equal bit for bit to
-    f[terminals].mean(axis=1), and faster through np.take."""
-    return np.take(f, flat, axis=0).reshape(-1, B, *f.shape[1:]).sum(axis=1) / B
+    return SmoothingOperator(table=H).apply(f)
 
 
 def empirical_kernel(H: HeatFlowMatrix) -> np.ndarray:
@@ -273,10 +266,13 @@ class SmoothingOperator:
         return cls(table=H)
 
     def apply(self, f) -> np.ndarray:
-        """K f for f of shape (p,) or (p, F)."""
+        """K f for f of shape (p,) or (p, F). A table's K^ f is the
+        per-vertex mean of f over its terminals, equal bit for bit to
+        f[terminals].mean(axis=1) and faster through np.take."""
         if self.KT is not None:
             return self.KT.T @ f
-        return _terminal_mean(f, self._flat, self._table.B)
+        B = self._table.B
+        return np.take(f, self._flat, axis=0).reshape(-1, B, *f.shape[1:]).sum(axis=1) / B
 
     def apply_T(self, r) -> np.ndarray:
         """K^T r for r of shape (p,) or (p, F)."""
@@ -291,14 +287,14 @@ class SmoothingOperator:
 def exact_heat_kernel(g: Graph, t: float) -> np.ndarray:
     """Dense e^{-tL} via eigendecomposition; symmetric, rows sum to 1.
 
-    Eigenvalues at or below the spectrum's zero tolerance count as 0, so each
+    Eigenvalues at or below ZERO_EIGENVALUE_TOL count as 0, so each
     component's constant vector keeps weight 1 at any t; e^{-t lambda} of a
     positive one goes to 0 as t grows, with no overflow warning."""
     _check_time(t)
     if t == 0:
         return np.eye(g.p)
     spec = spectral_decompose(g)
-    eigenvalues = np.where(spec.eigenvalues > spec.zero_tol, spec.eigenvalues, 0.0)
+    eigenvalues = np.where(spec.eigenvalues > ZERO_EIGENVALUE_TOL, spec.eigenvalues, 0.0)
     with np.errstate(over="ignore"):  # t * lambda = inf gives weight 0
         weights = np.exp(-t * eigenvalues)
     K = (spec.eigenvectors * weights) @ spec.eigenvectors.T

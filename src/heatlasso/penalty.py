@@ -90,7 +90,7 @@ def penalty_value(beta, kernel_or_H) -> float:
     """Heat-flow penalty sum_j sqrt(|h_j|), h = smoothed squared coefficients."""
     op = SmoothingOperator.compile(kernel_or_H)
     beta = _check_length(beta, op.p)
-    return float(np.sqrt(np.abs(op.apply(beta * beta))).sum())
+    return float(_penalty_terms(op.apply(beta * beta))[0])
 
 
 def penalty_subgradient(beta, kernel_or_H) -> np.ndarray:

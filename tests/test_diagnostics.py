@@ -225,3 +225,11 @@ class TestSpectralBounds:
 
         with pytest.raises(DimensionTooLarge):
             verify_spectral_bounds(Graph(DENSE_LIMIT + 1))
+
+    def test_dense_limit_read_at_call_time(self, monkeypatch):
+        # the limit spectral_decompose reads, not a copy bound at import
+        from heatlasso import graphs
+
+        monkeypatch.setattr(graphs, "DENSE_LIMIT", 4)
+        with pytest.raises(DimensionTooLarge):
+            verify_spectral_bounds(complete_graph(5))
