@@ -8,6 +8,7 @@ are exactly zero. Dense spectral routines are verification oracles and are
 capped at DENSE_LIMIT vertices; the fitting path never needs them.
 """
 
+import io
 import os
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ ZERO_EIGENVALUE_TOL = 1e-9
 # Rows of |corr| per block when a graph is estimated: one GEMM each from
 # data, kept as computed until the threshold is known.
 _CORR_ROWS = 256
+
+# Edges per %-formatted chunk of a written graph file (~0.7 MB of text).
+_GRAPH_ROWS = 1 << 16
 
 # The threshold's selection copies the entries that share its bits found so
 # far once at most this many are left (512 KiB of float64).
@@ -387,14 +391,23 @@ def group_clique_graph(sizes) -> Graph:
 
 
 def write_graph(g: Graph, path):
-    """Edge-list text format: header 'p <count>' then 0-based 'i j' lines."""
+    """Edge-list text format: header 'p <count>' then 0-based 'i j' lines,
+    each edge once with i <= j, sorted. The lines are %-formatted
+    _GRAPH_ROWS edges at a time, so the text in memory stays bounded."""
+    edges = g._edge_array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"p {g.p}\n")
-        np.savetxt(fh, g._edge_array(), fmt="%d")
+        for k in range(0, len(edges), _GRAPH_ROWS):
+            chunk = edges[k:k + _GRAPH_ROWS]
+            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_graph(path) -> Graph:
-    """Read a write_graph file from a path; an int (a file descriptor) is refused."""
+    """Read a write_graph file from a path; an int (a file descriptor) is refused.
+
+    The edge lines are parsed by one np.loadtxt call; a file it rejects is
+    read again line by line, which names the first bad line.
+    """
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise TypeError(f"read_graph takes a path, got {type(path).__name__}")
     with open(path, encoding="utf-8") as fh:
@@ -402,17 +415,32 @@ def read_graph(path) -> Graph:
         if len(header) != 2 or header[0] != "p":
             raise ValueError(f"{path}: expected header 'p <count>'")
         p = int(header[1])
-        edges = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-    loops = any(i == j for i, j in edges)
+        body = fh.read()
+    edges = None
+    if body.strip():  # loadtxt warns on no data
+        try:
+            edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if edges is None or edges.shape[1] != 2:
+        edges = _read_edge_lines(path, body)
+    loops = bool(np.any(edges[:, 0] == edges[:, 1]))
     return Graph(p, edges=edges, allow_self_loops=loops)
+
+
+def _read_edge_lines(path, body):
+    """The edge lines parsed one by one with int(), as an (m, 2) array,
+    raising a ValueError that names the first line that is not 'i j'."""
+    edges = []
+    for lineno, line in enumerate(io.StringIO(body), start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def read_correlation_csv(path) -> np.ndarray:

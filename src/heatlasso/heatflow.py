@@ -75,7 +75,8 @@ class HeatFlowMatrix:
 
     terminals[i, j] is where the j-th walk started at vertex i sits at time
     t; step_counts[i, j] is the number of jumps it took (None for matrices
-    loaded from disk, where counts are not stored).
+    loaded from disk, where only their total is stored); total_steps is
+    their sum (0 for a table loaded from an HFM1 file, which stores none).
     """
 
     terminals: np.ndarray
@@ -83,14 +84,11 @@ class HeatFlowMatrix:
     B: int
     seed: int
     step_counts: np.ndarray | None
+    total_steps: int
 
     @property
     def p(self):
         return self.terminals.shape[0]
-
-    @property
-    def total_steps(self):
-        return int(self.step_counts.sum()) if self.step_counts is not None else 0
 
 
 def _check_time(t):
@@ -182,6 +180,7 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
         B=int(B),
         seed=int(seed),
         step_counts=steps.reshape(p, B),
+        total_steps=int(steps.sum()),
     )
 
 
@@ -301,23 +300,25 @@ def exact_heat_kernel(g: Graph, t: float) -> np.ndarray:
     return (K + K.T) / 2.0
 
 
-_MAGIC = b"HFM1"
+_MAGIC = b"HFM2"
+_HEADERS = {b"HFM1": "<QQdq", _MAGIC: "<QQdqQ"}  # HFM1 stores no step total
 
 
 def save_heatflow(H: HeatFlowMatrix, path):
-    """Binary format: magic 'HFM1', little-endian u64 p, u64 B, f64 t,
-    i64 seed, then terminals row-major as i32. A seed outside i64 raises
-    before the file is opened."""
+    """Binary format: magic 'HFM2', little-endian u64 p, u64 B, f64 t,
+    i64 seed, u64 total walk steps, then terminals row-major as i32. A seed
+    outside i64 raises before the file is opened."""
     if not -(1 << 63) <= H.seed < 1 << 63:
         raise ValueError(f"seed {H.seed} does not fit the header's signed 64-bit field")
-    header = _MAGIC + struct.pack("<QQdq", H.p, H.B, H.t, H.seed)
+    header = _MAGIC + struct.pack(_HEADERS[_MAGIC], H.p, H.B, H.t, H.seed, H.total_steps)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(H.terminals, dtype="<i4").tobytes())
 
 
 def load_heatflow(path) -> HeatFlowMatrix:
-    """Load a stored matrix; step counts are not serialized and come back None.
+    """Load a stored matrix (HFM2, or HFM1 with a step total of 0); step
+    counts are not serialized and come back None.
 
     Rejects a bad magic, a header with p < 1, B < 1 or a negative or
     non-finite t, a table shorter or longer than the header says, and any
@@ -325,12 +326,13 @@ def load_heatflow(path) -> HeatFlowMatrix:
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-        header = fh.read(32)
-        if len(header) != 32:
+        if magic not in _HEADERS:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r} or b'HFM1'")
+        size = struct.calcsize(_HEADERS[magic])
+        header = fh.read(size)
+        if len(header) != size:
             raise ValueError(f"{path}: truncated header")
-        p, B, t, seed = struct.unpack("<QQdq", header)
+        p, B, t, seed, *total = struct.unpack(_HEADERS[magic], header)  # HFM1: no total
         if p < 1 or B < 1:
             raise ValueError(f"{path}: header has p={p}, B={B}; both must be >= 1")
         if not 0 <= t < math.inf:
@@ -345,4 +347,4 @@ def load_heatflow(path) -> HeatFlowMatrix:
     if terminals.min() < 0 or terminals.max() >= p:
         raise ValueError(f"{path}: terminal vertex outside [0, {p})")
     return HeatFlowMatrix(terminals=terminals, t=t, B=int(B), seed=int(seed),
-                          step_counts=None)
+                          step_counts=None, total_steps=total[0] if total else 0)

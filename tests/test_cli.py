@@ -170,6 +170,23 @@ class TestFit:
         fit_b = json.loads((tmp_path / "b" / "fit_sd.json").read_text())
         assert fit_a["beta_hat"] == fit_b["beta_hat"]
 
+    @pytest.mark.parametrize("walks", [2, 64])  # p > 8 B: a walk table; else dense
+    def test_cold_and_warm_flow_calls_write_the_same_fit(self, tmp_path, walks):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((40, 20))
+        data = tmp_path / "wide.csv"
+        np.savetxt(data, np.column_stack((X[:, 0] + X[:, 1], X)), delimiter=",",
+                   header=",".join(["y"] + [f"x{j}" for j in range(20)]), comments="")
+        args = ["fit", str(data), "--lambda", "0.01", "--t", "0.5", "--walks", str(walks),
+                "--max-iters", "30", "--estimate-graph", "--optimizer", "cd",
+                "--block-size", "5", "--flow", str(tmp_path / "walks.hfm")]
+        fits = []
+        for call in ("cold", "warm"):
+            assert main(args + ["--out", str(tmp_path / call)]) == 0
+            fits.append((tmp_path / call / "fit_cd.json").read_bytes())
+        assert json.loads(fits[0])["total_walk_steps"] > 0
+        assert fits[0] == fits[1]
+
     def test_cold_flow_call_simulates_once(self, tmp_path, monkeypatch):
         import heatlasso.cli as cli
         import heatlasso.experiments as experiments

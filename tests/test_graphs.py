@@ -1,5 +1,6 @@
 """Graph representation, Laplacian/spectral oracles, generators, estimation."""
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -614,6 +615,59 @@ class TestGraphFileFormat:
         g2 = read_graph(path)
         assert g2.allow_self_loops
         assert g2._edge_array().tolist() == [[0, 0], [1, 2]]
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_roundtrip_random_graphs(self, tmp_path, monkeypatch, loops):
+        # 7 edges per written chunk, so most files span several chunks
+        monkeypatch.setattr(graphs, "_GRAPH_ROWS", 7)
+        rng = np.random.default_rng(31)
+        path = tmp_path / "g.txt"
+        for _ in range(50):
+            p = int(rng.integers(1, 30))
+            edges = rng.integers(0, p, size=(int(rng.integers(0, 3 * p)), 2))
+            if not loops:
+                edges = edges[edges[:, 0] != edges[:, 1]]
+            g = Graph(p, edges=edges, allow_self_loops=loops)
+            e = g._edge_array()
+            write_graph(g, path)
+            assert path.read_bytes() == f"p {p}\n".encode() + b"".join(
+                b"%d %d\n" % (i, j) for i, j in e.tolist())
+            g2 = read_graph(path)
+            assert g2.p == p
+            assert np.array_equal(g2.indptr, g.indptr)
+            assert np.array_equal(g2.indices, g.indices)
+            assert g2.allow_self_loops == bool((e[:, 0] == e[:, 1]).any())
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+    def test_edgeless_file_loads_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "g.txt"
+        write_graph(Graph(4), path)
+        assert path.read_text() == "p 4\n"
+        path.write_text("p 4\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = read_graph(path)
+        assert g.p == 4 and g.edge_count == 0
+
+    def test_blank_lines_and_spacing_are_read(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("p 4\n\n  2 3 \n\t\n0\t1\n")
+        assert read_graph(path)._edge_array().tolist() == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("body, message", [
+        ("0 1\n\n1 2 3\n", "g.txt:4: expected 'i j', got '1 2 3'"),
+        ("0 1\n 2 \n", "g.txt:3: expected 'i j', got '2'"),
+        ("0 1\n2 3 # c\n", "g.txt:3: expected 'i j', got '2 3 # c'"),
+        ("0 x\n", "invalid literal for int() with base 10: 'x'"),
+        ("0 1.0\n", "invalid literal for int() with base 10: '1.0'"),
+        ("0 4\n", "edge (0, 4) outside vertex range [0, 4)"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, body, message):
+        path = tmp_path / "g.txt"
+        path.write_text("p 4\n" + body)
+        with pytest.raises(ValueError) as info:
+            read_graph(path)
+        assert str(info.value).endswith(message)
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -544,7 +544,16 @@ class TestSerialization:
         H2 = load_heatflow(path)
         assert np.array_equal(H.terminals, H2.terminals)
         assert (H2.t, H2.B, H2.seed) == (H.t, H.B, H.seed)
-        assert H2.step_counts is None and H2.total_steps == 0
+        assert H2.step_counts is None and H2.total_steps == H.total_steps > 0
+
+    def test_hfm1_file_loads_with_no_step_total(self, tmp_path):
+        H = simulate_heat_flow(EDGE, 0.8, B=3, seed=-7)
+        path = tmp_path / "flow.hfm"
+        path.write_bytes(b"HFM1" + struct.pack("<QQdq", 2, 3, 0.8, -7)
+                         + H.terminals.astype("<i4").tobytes())
+        H2 = load_heatflow(path)
+        assert np.array_equal(H2.terminals, H.terminals)
+        assert (H2.t, H2.B, H2.seed, H2.total_steps) == (0.8, 3, -7, 0)
 
     def _corrupt(self, tmp_path, edit):
         """Save a valid table, apply edit to its bytes and load the result."""
@@ -555,7 +564,7 @@ class TestSerialization:
 
     def test_negative_terminal_rejected(self, tmp_path):
         def first_terminal_minus_one(raw):
-            raw[36:40] = (-1).to_bytes(4, "little", signed=True)
+            raw[44:48] = (-1).to_bytes(4, "little", signed=True)
             return raw
         with pytest.raises(ValueError, match="outside"):
             self._corrupt(tmp_path, first_terminal_minus_one)
@@ -621,5 +630,6 @@ class TestSerialization:
         path = tmp_path / "flow.hfm"
         save_heatflow(H, path)
         raw = path.read_bytes()
-        assert raw[:4] == b"HFM1"
-        assert len(raw) == 4 + 8 + 8 + 8 + 8 + 4 * 2 * 2
+        assert raw[:4] == b"HFM2"
+        assert struct.unpack("<QQdqQ", raw[4:44]) == (2, 2, 0.25, 5, H.total_steps)
+        assert raw[44:] == H.terminals.astype("<i4").tobytes()
