@@ -399,7 +399,7 @@ def write_graph(g: Graph, path):
         fh.write(f"p {g.p}\n")
         for k in range(0, len(edges), _GRAPH_ROWS):
             chunk = edges[k:k + _GRAPH_ROWS]
-            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_graph(path) -> Graph:
