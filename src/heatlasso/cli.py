@@ -17,7 +17,7 @@ from .diagnostics import verify_spectral_bounds
 from .errors import NonFiniteObjective
 from .experiments import _FIT_KEYS, _estimated_graph, check_config, fit_with_config, run_experiment
 from .figures import write_levelset_svg
-from .graphs import Graph, read_graph, write_graph
+from .graphs import Graph, estimate_graph, read_correlation_csv, read_graph, write_graph
 from .heatflow import (
     exact_heat_kernel,
     heatflow_apply,
@@ -35,46 +35,41 @@ class CliError(ValueError):
 def read_dataset_csv(path):
     """Header row, first column the response y, remaining columns X.
 
-    The numbers are parsed by one np.loadtxt call; a file it rejects is
-    read again row by row, which names the first bad row.
+    One np.loadtxt call parses the numbers, quoted or not. Only when it
+    refuses the file are the rows read again, to name the first with a wrong
+    field count or a field float() refuses; if none is, numpy's message is
+    raised. Every refusal names the file.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+        lines = fh.readlines()
+    if len(header) < 2:
+        raise CliError(f"{path}: need a header row with y plus at least one covariate column")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None or len(header) < 2:
-                raise CliError(f"{path}: need a header row with y plus at "
-                               f"least one covariate column")
-            lines = fh.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    data = None
-    if any(line.strip() for line in lines):  # loadtxt warns on no data
-        try:
-            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if data is None or data.shape[1] != len(header):
-        data = _read_rows(path, header, lines)
-    if len(data) < 2:
-        raise CliError(f"{path}: need at least 2 data rows, got {len(data)}")
+        data = np.empty((0, len(header)))
+        if any(line.strip() for line in lines):  # loadtxt warns on no data
+            data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"rows have {data.shape[1]} fields, header has {len(header)}")
+        if len(data) < 2:
+            raise ValueError(f"need at least 2 data rows, got {len(data)}")
+    except ValueError as exc:
+        _name_bad_row(path, header, lines)
+        raise CliError(f"{path}: {exc}") from None
     return data[:, 0], data[:, 1:]
 
 
-def _read_rows(path, header, lines):
-    """The data lines parsed by csv and float(), raising a CliError that
-    names the first row with a wrong field count or a non-number."""
-    rows = []
+def _name_bad_row(path, header, lines):
+    """Raise a CliError naming the first data row with a wrong field count
+    or a field float() refuses; return if there is none."""
     for lineno, row in enumerate(csv.reader(lines), start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
+        if row and len(row) != len(header):
             raise CliError(f"{path}: row {lineno} has {len(row)} "
                            f"fields, header has {len(header)}")
         try:
-            rows.append([float(v) for v in row])
+            list(map(float, row))
         except ValueError as exc:
-            raise CliError(f"{path}: row {lineno}: {exc}") from exc
-    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+            raise CliError(f"{path}: row {lineno}: {exc}") from None
 
 
 def _number_list(flag, text):
@@ -99,10 +94,7 @@ def _graph_for_fit(args, X):
     if args.graph and args.estimate_graph is not None:
         raise CliError("give either a graph file or --estimate-graph, not both")
     if args.graph:
-        try:
-            return read_graph(args.graph)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load graph {args.graph}: {exc}") from exc
+        return read_graph(args.graph)
     alpha = 0.75 if args.estimate_graph is None else args.estimate_graph
     return _estimated_graph(X, alpha)
 
@@ -156,17 +148,7 @@ def cmd_simulate(args):
 def cmd_fit(args):
     y, X = read_dataset_csv(args.data)
     g = _graph_for_fit(args, X)
-    flow = None
-    if args.flow and os.path.exists(args.flow):
-        flow = load_heatflow(args.flow)
-        if flow.p != X.shape[1]:
-            raise CliError(f"{args.flow}: walk table is for p={flow.p}, "
-                           f"data has p={X.shape[1]}")
-        for flag, name, given, held in (("--t", "t", args.t, flow.t),
-                                        ("--walks", "B", args.B, flow.B)):
-            if given is not None and given != held:
-                raise CliError(f"{args.flow}: walk table has {name}={held}, "
-                               f"{flag} {given} was given")
+    flow = load_heatflow(args.flow) if args.flow and os.path.exists(args.flow) else None
     result, lam, t, _, H = fit_with_config(X, y, g, _fit_section_from_args(args),
                                            args.seed, args.optimizer, flow=flow)
     if args.flow and flow is None:
@@ -203,7 +185,6 @@ def cmd_cv(args):
 
 def cmd_estimate_graph(args):
     if args.corr:
-        from .graphs import estimate_graph, read_correlation_csv
         corr = read_correlation_csv(args.corr)
         g = estimate_graph(corr, args.alpha)
     elif args.data:

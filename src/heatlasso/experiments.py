@@ -50,7 +50,8 @@ from .graphs import (
     sample_block_graph,
 )
 from .heatflow import simulate_heat_flow
-from .optimize import FitConfig, _derived_seed, block_cd, cross_validate, subgradient_descent
+from .optimize import (FitConfig, _check_graph, _derived_seed, block_cd, cross_validate,
+                       subgradient_descent)
 
 _OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
 _OPTIMIZER_TAG = {"sd": 1, "cd": 2}
@@ -171,20 +172,28 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
     The section may carry "sd" / "cd" subsections whose keys override the
     shared ones for that optimizer; the cv block may set its own (cheaper)
     max_iters used only while ranking grid points. A pre-simulated walk
-    table may be passed as `flow` (its t and B then apply); ignored when a
-    cv block selects t itself. Otherwise the final fit simulates its table
-    at the chosen t with the seed _derived_seed(seed, 0x4EA7).
+    table may be passed as `flow` (its t and B apply, and a t or B the
+    section gives must equal them); ignored when a cv block selects t
+    itself. Otherwise the final fit simulates its table at the chosen t
+    with the seed _derived_seed(seed, 0x4EA7).
 
     Returns (FitResult, chosen lam, chosen t, cv table or None, the walk
     table of the final fit: `flow` or the one simulated). A bad optimizer
-    name, section or value raises ValueError before any walk is simulated.
+    name, section or value, a `flow` that disagrees with it, or a graph not
+    on X's p columns raises ValueError before any walk is simulated.
     """
     check_config(optimizer, ("sd", "cd"), "optimizer")
     check_config(fit_section, _FIT, "fit")
     merged = {**fit_section, **fit_section.get(optimizer, {})}
     cfg = FitConfig(seed=seed, **{k: merged[k] for k in _FIT_KEYS if k in merged})
     cfg.validate()
+    _check_graph(g, X)
     cv_section = merged.get("cv")
+    held = {} if flow is None or cv_section else {"t": flow.t, "B": flow.B}
+    for name, value in held.items():
+        if merged.get(name, value) != value:
+            raise ValueError(f"the walk table has {name}={value}, "
+                             f"the fit asks for {name}={merged[name]}")
     table = None
     if cv_section:
         cv_cfg = replace(cfg, max_iters=cv_section.get("max_iters", cfg.max_iters))

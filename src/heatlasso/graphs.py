@@ -405,47 +405,50 @@ def write_graph(g: Graph, path):
 def read_graph(path) -> Graph:
     """Read a write_graph file from a path; an int (a file descriptor) is refused.
 
-    The edge lines are parsed by one np.loadtxt call; a file it rejects is
-    read again line by line, which names the first bad line.
+    One np.loadtxt call parses the edges. Only when it or Graph refuses the
+    file are the lines read again, to name the first that is not 'i j' with
+    int() indices; if none is, numpy's or Graph's message is raised. Every
+    refusal is a ValueError that names the file.
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise TypeError(f"read_graph takes a path, got {type(path).__name__}")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "p":
-            raise ValueError(f"{path}: expected header 'p <count>'")
-        p = int(header[1])
         body = fh.read()
-    edges = None
-    if body.strip():  # loadtxt warns on no data
-        try:
+    if len(header) != 2 or header[0] != "p" or not (header[1].isascii() and header[1].isdigit()):
+        raise ValueError(f"{path}: expected header 'p <count>'")
+    try:
+        edges = np.empty((0, 2), dtype=np.int64)
+        if body.strip():  # loadtxt warns on no data
             edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-        except ValueError:
-            pass
-    if edges is None or edges.shape[1] != 2:
-        edges = _read_edge_lines(path, body)
-    loops = bool(np.any(edges[:, 0] == edges[:, 1]))
-    return Graph(p, edges=edges, allow_self_loops=loops)
+        if edges.shape[1] != 2:
+            raise ValueError(f"expected 'i j' lines, got {edges.shape[1]} fields")
+        loops = bool(np.any(edges[:, 0] == edges[:, 1]))
+        return Graph(int(header[1]), edges=edges, allow_self_loops=loops)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a p outside int64
+        _name_bad_line(path, body)
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_edge_lines(path, body):
-    """The edge lines parsed one by one with int(), as an (m, 2) array,
-    raising a ValueError that names the first line that is not 'i j'."""
-    edges = []
+def _name_bad_line(path, body):
+    """Raise a ValueError naming the first edge line that is not two fields
+    int() takes; return if there is none."""
     for lineno, line in enumerate(io.StringIO(body), start=2):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+        if parts and len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'i j', got {line.strip()!r}")
+        try:
+            list(map(int, parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def read_correlation_csv(path) -> np.ndarray:
-    """Dense p x p correlation matrix from a headerless CSV."""
-    mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """Dense p x p correlation matrix from a headerless CSV; a refusal names the file."""
+    try:
+        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if mat.shape[0] != mat.shape[1]:
         raise NotACorrelation(f"{path}: expected a square matrix, got {mat.shape}")
     return mat

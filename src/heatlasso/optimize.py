@@ -207,6 +207,11 @@ def _check_data(X, y, cfg):
     return X, y
 
 
+def _check_graph(g, X):
+    if g.p != np.shape(X)[-1]:
+        raise LengthMismatch(f"graph has {g.p} vertices, X has {np.shape(X)[-1]} columns")
+
+
 def _compile(semigroup, p):
     op = SmoothingOperator.compile(semigroup)
     if op.p != p:
@@ -479,6 +484,7 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     if not lambda_grid or not t_grid:
         raise GridEmpty("lambda_grid and t_grid must be nonempty")
     X, y = _check_data(X, y, cfg)
+    _check_graph(g, X)
     for name, grid in (("lambda_grid", lambda_grid), ("t_grid", t_grid)):
         for v in grid:
             if not 0 <= v < math.inf:

@@ -11,7 +11,7 @@ import pytest
 
 from heatlasso import experiments, optimize
 from heatlasso.cli import CliError, main, read_dataset_csv
-from heatlasso.errors import HeatLassoError, NonFiniteObjective
+from heatlasso.errors import HeatLassoError, LengthMismatch, NonFiniteObjective
 from heatlasso.figures import levelset_points
 from heatlasso.graphs import (
     estimate_graph,
@@ -152,6 +152,24 @@ class TestFit:
         manifest = json.loads((out / "fit_sd_manifest.json").read_text())
         assert manifest["graph_edges"] == 1
 
+    @pytest.mark.parametrize("line", ["0 1_0", "0 99999999999999999999"])
+    def test_malformed_graph_file_exits_one(self, tmp_path, capsys, line):
+        data = write_toy_csv(tmp_path / "toy.csv")
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(f"p 11\n{line}\n")
+        assert main(["fit", str(data), "--graph", str(gpath), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {gpath}: could not convert")
+
+    def test_graph_file_and_estimate_graph_exit_one(self, tmp_path, capsys):
+        data = write_toy_csv(tmp_path / "toy.csv")
+        gpath = tmp_path / "g.txt"
+        write_graph(figure_graph(), gpath)
+        assert main(["fit", str(data), "--graph", str(gpath), "--estimate-graph",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: give either a graph file or --estimate-graph, not both\n")
+        assert not (tmp_path / "o").exists()
+
     def test_flow_file_saved_then_reused(self, tmp_path):
         from heatlasso.heatflow import load_heatflow
 
@@ -253,6 +271,57 @@ class TestFitWithConfig:
         assert again[4] is H
         assert np.array_equal(again[0].beta_hat, result.beta_hat)
 
+    def test_stored_table_must_agree_with_the_section(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 6))
+        y = X[:, 0]
+        g = sample_block_graph([3, 3], 0.9, 0.0, seed=2)
+        H = simulate_heat_flow(g, 0.7, 20, seed=1)
+
+        def no_walks(*args, **kwargs):
+            raise AssertionError("a walk table was simulated")
+
+        monkeypatch.setattr(experiments, "simulate_heat_flow", no_walks)
+        for section, held in (({"t": 0.5}, "t=0.7"), ({"B": 10}, "B=20"),
+                              ({"t": 0.7, "sd": {"B": 10}}, "B=20")):
+            with pytest.raises(ValueError, match=f"the walk table has {held}"):
+                experiments.fit_with_config(X, y, g, {**section, "max_iters": 5}, 9, "sd",
+                                            flow=H)
+        # an agreeing section, or none, uses the table as it is
+        for section in ({"t": 0.7, "B": 20}, {}):
+            result, _, t, _, used = experiments.fit_with_config(
+                X, y, g, {**section, "max_iters": 5}, 9, "sd", flow=H)
+            assert used is H and t == 0.7 and result.total_walk_steps == H.total_steps
+        # a table on another p is refused by the fit
+        other = simulate_heat_flow(sample_block_graph([2, 2], 0.9, 0.0, seed=2), 0.7, 20, seed=1)
+        with pytest.raises(LengthMismatch, match="acts on 4 variables, X has 6 columns"):
+            experiments.fit_with_config(X, y, g, {"max_iters": 5}, 9, "sd", flow=other)
+
+    @pytest.mark.parametrize("cv", [False, True])
+    def test_graph_on_other_p_refused_before_any_walk(self, monkeypatch, cv):
+        def no_walks(*args, **kwargs):
+            raise AssertionError("a walk table was simulated")
+
+        for module in (experiments, optimize):
+            monkeypatch.setattr(module, "simulate_heat_flow", no_walks)
+        X = np.random.default_rng(3).standard_normal((10, 2))
+        g = sample_block_graph([6, 5], 0.9, 0.0)
+        section = {"t": 0.5}
+        if cv:
+            section["cv"] = {"lambda_grid": [0.1], "t_grid": [0.5], "folds": 2}
+        with pytest.raises(LengthMismatch, match="graph has 11 vertices, X has 2 columns"):
+            experiments.fit_with_config(X, X[:, 0], g, section, 1, "sd")
+        with pytest.raises(LengthMismatch, match="graph has 11 vertices, X has 2 columns"):
+            optimize.cross_validate(X, X[:, 0], g, [0.1], [0.5], 2, optimize.FitConfig())
+
+    def test_estimate_section_sets_the_quantile(self):
+        X = np.random.default_rng(4).standard_normal((30, 8))
+        X[:, 1] += X[:, 0]
+        for alpha in (0.5, 0.9):
+            g = experiments.penalty_graph({"estimate": alpha}, X, None, None)
+            assert np.array_equal(g._edge_array(),
+                                  estimate_graph_from_data(X, alpha)._edge_array())
+
     def test_unknown_optimizer_refused_before_any_walk(self, monkeypatch):
         def no_walks(*args, **kwargs):
             raise AssertionError("a walk table was simulated")
@@ -310,6 +379,24 @@ class TestSimulate:
                      "--out", str(out2)]) == 0
         assert (out1 / "metrics.csv").read_bytes() == \
             (out2 / "metrics.csv").read_bytes()
+
+    def test_seed_flag_overrides_the_design_seed(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_sim_config(tmp_path / "a", repeats=1)))
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "12",
+                     "--out", str(tmp_path / "b")]) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config"]["design"]["seed"] == manifest["seeds"]["base"] == 12
+        assert manifest["seeds"]["repeats"] == [experiments._derived_seed(12, 0xD5, 0)]
+
+    def test_failed_write_removes_what_the_run_wrote(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "fit_001_sd.json").mkdir(parents=True)  # the second repeat's fit cannot be written
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_sim_config(out, repeats=2)))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "fit_001_sd.json" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["fit_001_sd.json"]
 
     def test_bad_config_exits_one_and_cleans_up(self, tmp_path):
         cfg = small_sim_config(tmp_path / "run")
@@ -438,6 +525,7 @@ class TestSimulate:
         {**GFF_DESIGN, "design.theta": "auto"},
         {**GFF_DESIGN, "design.theta": None},
         GFF_DESIGN,
+        {**GFF_DESIGN, "design.graph": {"path": "g.txt"}},
     ])
     def test_well_typed_config_runs(self, tmp_path, monkeypatch, changes):
         from heatlasso.graphs import group_clique_graph, write_graph
@@ -618,6 +706,15 @@ class TestEstimateGraphCommand:
         lines = out.read_text().strip().splitlines()
         assert lines == ["p 3", "0 1"]
 
+    def test_bad_correlation_csv_is_named(self, tmp_path, capsys):
+        corr_path = tmp_path / "corr.csv"
+        corr_path.write_text("1,0.5,x\n0.5,1,0\nx,0,1\n")
+        assert main(["estimate-graph", "--corr", str(corr_path),
+                     "--out", str(tmp_path / "g.txt")]) == 1
+        assert capsys.readouterr().err == (f"error: {corr_path}: could not convert string "
+                                           f"'x' to float64 at row 0, column 3.\n")
+        assert not (tmp_path / "g.txt").exists()
+
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["estimate-graph", "--out", str(tmp_path / "g.txt")]) == 1
         assert capsys.readouterr().err == "error: give a dataset CSV or --corr matrix\n"
@@ -677,6 +774,9 @@ def test_read_dataset_csv_matches_float_parsing(tmp_path):
     ("y,x1\n1,2\n3,4 # note\n", "row 3: could not convert"),
     ("y\n1\n2\n", "header row"),
     ("", "header row"),
+    # float() takes these, so numpy's message is raised, with the file named
+    ("y,x1\n1,2\n3,4_0\n", r"d\.csv: could not convert string '4_0' to float64"),
+    ("y,x1\n1,2\n3,\u0664\n", "d\\.csv: could not convert string '\u0664' to float64"),
 ])
 def test_read_dataset_csv_errors_name_the_row(tmp_path, body, message):
     path = tmp_path / "d.csv"
@@ -686,7 +786,7 @@ def test_read_dataset_csv_errors_name_the_row(tmp_path, body, message):
 
 
 def test_read_dataset_csv_quoted_numbers(tmp_path):
-    # loadtxt rejects quotes; the row-by-row reader takes them as csv does
+    # loadtxt's quotechar takes quoted numbers as csv does
     path = tmp_path / "d.csv"
     path.write_text('y,x1\n"1.0",2\n3,"4"\n', encoding="utf-8")
     y, X = read_dataset_csv(path)

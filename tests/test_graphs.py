@@ -661,6 +661,11 @@ class TestGraphFileFormat:
         ("0 x\n", "invalid literal for int() with base 10: 'x'"),
         ("0 1.0\n", "invalid literal for int() with base 10: '1.0'"),
         ("0 4\n", "edge (0, 4) outside vertex range [0, 4)"),
+        # int() takes these, so numpy's message is raised, with the file named
+        ("0 1_0\n", "g.txt: could not convert string '1_0' to int64 at row 0, column 2."),
+        ("0 1\n0 \u0662\n", "g.txt: could not convert string '\u0662' to int64 at row 1, column 2."),
+        ("0 99999999999999999999\n",
+         "g.txt: could not convert string '99999999999999999999' to int64 at row 0, column 2."),
     ])
     def test_bad_line_is_named(self, tmp_path, body, message):
         path = tmp_path / "g.txt"
@@ -674,6 +679,19 @@ class TestGraphFileFormat:
         path.write_text("3 nodes\n0 1\n")
         with pytest.raises(ValueError):
             read_graph(path)
+
+    @pytest.mark.parametrize("text", [
+        "3 nodes\n0 1\n", "p 1_1\n0 1\n", "p \u0663\n0 1\n", "p 0\n",
+        "p 99999999999999999999\n0 1\n",  # Graph meets an OverflowError
+        "p 4\n0 x\n", "p 4\n1 2 3\n", "p 4\n0 4\n",
+    ])
+    def test_every_refusal_names_the_file(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_graph(path)
+        assert type(info.value) is ValueError
+        assert str(info.value).startswith(f"{path}:")
 
     def test_file_descriptor_is_refused_and_left_open(self):
         read_end, write_end = os.pipe()

@@ -473,6 +473,12 @@ class TestSmoothingOperator:
         with pytest.raises(ShapeMismatch):
             SmoothingOperator.compile(np.ones((3, 2)))
 
+    def test_exactly_one_backing(self):
+        H = simulate_heat_flow(sample_block_graph([3], 1.0, 0.0), 0.5, B=2, seed=1)
+        for kwargs in ({}, {"dense": np.eye(3), "table": H}):
+            with pytest.raises(ValueError, match="exactly one of a dense kernel or a walk table"):
+                SmoothingOperator(**kwargs)
+
 
 class TestExactKernel:
     def test_time_zero_identity(self):
