@@ -17,7 +17,7 @@ from .diagnostics import verify_spectral_bounds
 from .errors import NonFiniteObjective
 from .experiments import _FIT_KEYS, _estimated_graph, check_config, fit_with_config, run_experiment
 from .figures import write_levelset_svg
-from .graphs import Graph, estimate_graph, read_correlation_csv, read_graph, write_graph
+from .graphs import Graph, _read_graph, estimate_graph, read_correlation_csv, write_graph
 from .heatflow import (
     exact_heat_kernel,
     heatflow_apply,
@@ -40,9 +40,12 @@ def read_dataset_csv(path):
     field count or a field float() refuses; if none is, numpy's message is
     raised. Every refusal names the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-        lines = fh.readlines()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
     if len(header) < 2:
         raise CliError(f"{path}: need a header row with y plus at least one covariate column")
     try:
@@ -94,7 +97,7 @@ def _graph_for_fit(args, X):
     if args.graph and args.estimate_graph is not None:
         raise CliError("give either a graph file or --estimate-graph, not both")
     if args.graph:
-        return read_graph(args.graph)
+        return _read_graph(args.graph, X.shape[1])
     alpha = 0.75 if args.estimate_graph is None else args.estimate_graph
     return _estimated_graph(X, alpha)
 

@@ -44,6 +44,7 @@ from .designs import (
 from .diagnostics import MetricsReport, evaluate_fit
 from .graphs import (
     Graph,
+    _read_graph,
     estimate_graph_from_data,
     group_clique_graph,
     read_graph,
@@ -148,7 +149,7 @@ def penalty_graph(graph_section, X, spec: DesignSpec, design_graph):
     """The graph the penalty walks on, per the config's graph section."""
     if isinstance(graph_section, dict):
         if "path" in graph_section:
-            return read_graph(graph_section["path"])
+            return _read_graph(graph_section["path"], X.shape[1])
         if "estimate" in graph_section:
             return _estimated_graph(X, graph_section["estimate"])
         raise ValueError(f"unrecognized graph section {graph_section!r}")
@@ -158,7 +159,7 @@ def penalty_graph(graph_section, X, spec: DesignSpec, design_graph):
         if design_graph is not None:
             return design_graph
         return group_clique_graph(spec.sizes)
-    return read_graph(graph_section)
+    return _read_graph(graph_section, X.shape[1])
 
 
 def _estimated_graph(X, alpha):

@@ -27,16 +27,19 @@ DENSE_LIMIT = 2048
 # Eigenvalues at or below this are counted as zero (connected components).
 ZERO_EIGENVALUE_TOL = 1e-9
 
-# Rows of |corr| per block when a graph is estimated: one GEMM each from
-# data, kept as computed until the threshold is known.
+# Rows of |corr| per block when a graph is estimated (one GEMM each from
+# data), and per step when its mask is made symmetric and read into CSR.
 _CORR_ROWS = 256
 
 # Edges per %-formatted chunk of a written graph file (~0.7 MB of text).
 _GRAPH_ROWS = 1 << 16
 
-# The threshold's selection copies the entries that share its bits found so
-# far once at most this many are left (512 KiB of float64).
-_BAND = 1 << 16
+# Above _SAMPLE_ABOVE pairs the estimated graph's threshold is bracketed by
+# order statistics of the |corr| of _SAMPLE random pairs, _SPREAD binomial
+# standard deviations of their rank to either side of it.
+_SAMPLE_ABOVE = 1 << 18
+_SAMPLE = 4096
+_SPREAD = 6.0
 
 
 def _is_integer(v):
@@ -58,6 +61,8 @@ class Graph:
     def __init__(self, p, edges=(), allow_self_loops=False):
         if not (_is_integer(p) and p >= 1):
             raise ValueError(f"vertex count must be an integer >= 1, got {p!r}")
+        if p > 3_037_000_499:  # checked before any allocation
+            raise ValueError(f"vertex count {p} too large: keys i * p + j overflow int64")
         self.p = p = int(p)
         self.allow_self_loops = bool(allow_self_loops)
         e = np.asarray(edges, dtype=np.int64)
@@ -74,23 +79,25 @@ class Graph:
                              "but allow_self_loops is false")
         both = np.concatenate([e, e[~loop, ::-1]])
         keys = np.sort(both[:, 0] * p + both[:, 1])
-        self._store_keys(keys[np.diff(keys, prepend=-1) != 0])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.indptr = np.searchsorted(keys, np.arange(0, p * p + 1, p)).astype(np.int64)
+        self.degrees = np.diff(self.indptr)
+        keys -= keys // p * p  # the column; np.remainder is slower
+        self.indices = keys.astype(np.int32)
 
     @classmethod
     def _from_mask(cls, A):
         """The loop-free graph of a symmetric p x p boolean adjacency mask."""
         g = cls.__new__(cls)
         g.p, g.allow_self_loops = len(A), False
-        g._store_keys(np.flatnonzero(A))
+        g.degrees = np.count_nonzero(A, axis=1)
+        g.indptr = np.concatenate(([0], np.cumsum(g.degrees)))
+        g.indices = np.empty(g.indptr[-1], dtype=np.int32)
+        for i0 in range(0, g.p, _CORR_ROWS):
+            keys = np.flatnonzero(A[i0:i0 + _CORR_ROWS])
+            keys -= keys // g.p * g.p  # the column
+            g.indices[g.indptr[i0]:g.indptr[i0] + len(keys)] = keys
         return g
-
-    def _store_keys(self, keys):
-        """CSR from the sorted keys i * p + j of every edge, both directions."""
-        p = self.p
-        self.indptr = np.searchsorted(keys, np.arange(0, p * p + 1, p)).astype(np.int64)
-        self.degrees = np.diff(self.indptr)
-        keys -= keys // p * p  # the column; np.remainder is slower
-        self.indices = keys.astype(np.int32)
 
     def neighbors(self, i):
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -199,67 +206,65 @@ def _row_blocks(p):
     return [(i0, min(i0 + _CORR_ROWS, p - 1)) for i0 in range(0, p - 1, _CORR_ROWS)]
 
 
-def _within(block, key, bit):
-    """The entries of block whose float64 bits from `bit` up are key."""
-    lo, hi = np.array([key << bit, (key + 1) << bit]).view(np.float64)
-    return (block >= lo) & (block < hi)
+def _bracket(p, alpha, pair_corr):
+    """lo < hi around the nearest-rank alpha-quantile of the |corr_ij|, i < j:
+    order statistics of |pair_corr(i, j)| over _SAMPLE random pairs from a
+    fixed-seed generator (Floyd & Rivest, CACM 18(3), 1975); -inf and inf
+    for at most _SAMPLE_ABOVE pairs."""
+    if p * (p - 1) // 2 <= _SAMPLE_ABOVE:
+        return -np.inf, np.inf
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, p, _SAMPLE)
+    s = np.sort(np.abs(pair_corr(i, (i + rng.integers(1, p, _SAMPLE)) % p)))
+    mid, half = alpha * _SAMPLE, _SPREAD * np.sqrt(_SAMPLE * alpha * (1.0 - alpha))
+    k, m = int(np.floor(mid - half)), int(np.ceil(mid + half))
+    lo, hi = s[k] if k >= 0 else -np.inf, s[m] if m < _SAMPLE else np.inf
+    return lo, max(hi, np.nextafter(lo, np.inf))  # no value is both lo and hi
 
 
-def _digit_counts(block, key, high, low):
-    """How many entries of block, among those whose bits from `high` up are
-    key, hold each value of bits low..high-1."""
-    if high == 62:  # bit 62 and up are 0 for every entry in [0, 2)
-        digits = block.view(np.int64).ravel() >> low
-    else:
-        digits = block.view(np.int64)[_within(block, key, high)]
-        digits -= key << high
-        digits >>= low
-    return np.bincount(digits, minlength=1 << (high - low))
-
-
-def _select(blocks, rank):
-    """The rank-th smallest (1-based) entry of the blocks, all in [0, 2),
-    without a copy of them all: a radix select on their float64 bits,
-    which never decrease with the value. Each pass counts per digit the
-    entries whose higher bits are those found so far and keeps the digit
-    that holds the rank. Once at most _BAND entries are left, np.partition
-    takes the rank among them; after the last digit the bits are the value,
-    so entries tied at the threshold are never copied."""
-    key = 0  # the bits found so far, from bit 61 down
-    for high, low in ((62, 48), (48, 32), (32, 16), (16, 0)):
-        counts = sum(_digit_counts(b, key, high, low) for b in blocks)
-        below = np.cumsum(counts)
-        digit = int(np.searchsorted(below, rank))
-        rank -= int(below[digit - 1]) if digit else 0
-        key = key << (high - low) | digit
-        if counts[digit] <= _BAND:
-            band = np.concatenate([b[_within(b, key, low)] for b in blocks])
-            return np.partition(band, rank - 1)[rank - 1]
-    return np.int64(key).view(np.float64)
-
-
-def _threshold_graph(p, blocks, alpha) -> Graph:
-    """The graph of the pairs i < j whose |corr_ij| exceeds the nearest-rank
-    alpha-quantile of them all. blocks[k] holds |corr| of rows i0..i1-1
-    against columns i0+1..p-1 for the k-th (i0, i1) of _row_blocks(p); the
-    entries that are not pairs (column index below row index) are zeroed
-    here, and the list is emptied to free the blocks before the mask is
-    made symmetric."""
+def _threshold_mask(p, alpha, source):
+    """The symmetric p x p boolean mask of the pairs i < j whose |corr_ij|
+    exceeds the nearest-rank alpha-quantile of them all. source() returns
+    block and pair_corr: block(i0, i1) is |corr| of rows i0..i1-1 against
+    columns i0+1..p-1 for each (i0, i1) of _row_blocks(p), overwritten here;
+    pair_corr(i, j) is corr_ij for index arrays. One pass codes each pair
+    against _bracket's lo < hi, 0 below lo, 1 at lo, 2 between, 3 at hi, 4
+    above, and keeps only the values coded 2. If the threshold is not coded
+    1 to 3, it runs again over [-inf, inf]."""
     pairs = p * (p - 1) // 2
     if pairs == 0:
-        return Graph(p)
-    zeros = 0
-    for (i0, i1), b in zip(_row_blocks(p), blocks):
-        b[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
-        zeros += (i1 - i0) * (i1 - i0 - 1) // 2
-    # the zeros sort first, so the pairs' rank-th value is the (zeros + rank)-th
-    theta = _select(blocks, zeros + int(np.ceil(alpha * pairs)))
-    A = np.zeros((p, p), dtype=bool)
-    for (i0, i1), b in zip(_row_blocks(p), blocks):
-        np.greater(b, theta, out=A[i0:i1, i0 + 1:])
-    blocks.clear()
-    A |= A.T
-    return Graph._from_mask(A)
+        return np.zeros((p, p), dtype=bool)
+    rank = int(np.ceil(alpha * pairs))
+    block, pair_corr = source()
+    for lo, hi in (_bracket(p, alpha, pair_corr), (-np.inf, np.inf)):
+        A, above, between = np.zeros((p, p), dtype=np.uint8), np.zeros(4, np.int64), []
+        for i0, i1 in _row_blocks(p):
+            b = block(i0, i1)
+            b[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.nan  # not pairs: 0
+            sub = A[i0:i1, i0 + 1:]
+            for compare, edge in ((np.greater_equal, lo), (np.greater, lo),
+                                  (np.greater_equal, hi), (np.greater, hi)):
+                sub += compare(b, edge)  # the code: how many of these hold
+            above += [np.count_nonzero(sub > c) for c in range(4)]
+            between.append(b[sub == 2])
+            del b  # before the next block is made
+        upto = pairs - above  # pairs coded at most 0, 1, 2, 3
+        code = int(np.searchsorted(upto, rank))  # the code of the threshold
+        if 1 <= code <= 3:
+            break
+    del block, pair_corr  # with what they hold, such as a copy of X
+    if code == 2:  # the threshold is among the values kept
+        values = np.concatenate(between)
+        values.partition(rank - upto[1] - 1)
+        theta = values[rank - upto[1] - 1]
+    for (i0, i1), values in zip(_row_blocks(p), between):
+        sub = A[i0:i1, i0 + 1:]
+        if code == 2:
+            sub[sub == 2] += values > theta
+        np.greater(sub, code, out=sub)
+    for i0 in range(0, p, _CORR_ROWS):  # symmetric, without a p x p temporary
+        A[i0:i0 + _CORR_ROWS] |= A[:, i0:i0 + _CORR_ROWS].T
+    return A.view(bool)
 
 
 def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
@@ -284,14 +289,17 @@ def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
         raise NotACorrelation("matrix must be symmetric")
     if max(corr.max(), -corr.min()) > 1.0 + 1e-12:
         raise NotACorrelation("entries must satisfy |corr_ij| <= 1")
-    return _threshold_graph(p, [np.abs(corr[i0:i1, i0 + 1:]) for i0, i1 in _row_blocks(p)],
-                            alpha)
+
+    def source():
+        return lambda i0, i1: np.abs(corr[i0:i1, i0 + 1:]), lambda i, j: corr[i, j]
+    return Graph._from_mask(_threshold_mask(p, alpha, source))
 
 
-def _abs_corr_blocks(X):
-    """|corr| of the columns of X in _threshold_graph's blocks, one GEMM
-    each, clipped at 1. A column whose centred norm is 0 or not finite
-    (constant, non-finite, or overflowing) correlates 0 with every other."""
+def _abs_corr(X):
+    """_threshold_mask's block and pair_corr for the columns of X: |corr| by
+    one GEMM a block, clipped at 1, and corr by dot products. A column whose
+    centred norm is 0 or not finite (constant, non-finite, or overflowing)
+    correlates 0 with every other."""
     Z = np.array(X, dtype=np.float64)
     p = Z.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # such columns' norms
@@ -300,13 +308,18 @@ def _abs_corr_blocks(X):
     live = (norms > 0) & np.isfinite(norms)
     Z[:, ~live] = 0.0
     Z *= np.divide(1.0, norms, out=np.zeros(p), where=live)
-    blocks = []
-    for i0, i1 in _row_blocks(p):
-        block = Z[:, i0:i1].T @ Z[:, i0 + 1:]
-        np.abs(block, out=block)
-        np.minimum(block, 1.0, out=block)
-        blocks.append(block)
-    return blocks
+
+    def block(i0, i1):
+        b = Z[:, i0:i1].T @ Z[:, i0 + 1:]
+        np.abs(b, out=b)
+        return np.minimum(b, 1.0, out=b)
+
+    def pair_corr(i, j):
+        rows = Z.T.copy()  # columns of Z, gathered faster as rows
+        return np.concatenate([np.einsum("ij,ij->i", rows[i[k:k + _CORR_ROWS]],
+                                         rows[j[k:k + _CORR_ROWS]])
+                               for k in range(0, len(i), _CORR_ROWS)])
+    return block, pair_corr
 
 
 def estimate_graph_from_data(X, alpha: float) -> Graph:
@@ -318,7 +331,7 @@ def estimate_graph_from_data(X, alpha: float) -> Graph:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"X must be an (n, p) array with p >= 1, got shape {X.shape}")
-    return _threshold_graph(X.shape[1], _abs_corr_blocks(X), alpha)
+    return Graph._from_mask(_threshold_mask(X.shape[1], alpha, lambda: _abs_corr(X)))
 
 
 def _block_labels(sizes):
@@ -410,11 +423,19 @@ def read_graph(path) -> Graph:
     int() indices; if none is, numpy's or Graph's message is raised. Every
     refusal is a ValueError that names the file.
     """
+    return _read_graph(path)
+
+
+def _read_graph(path, columns=None):
+    """read_graph; with columns, a file whose header gives another vertex
+    count is refused before a graph is made."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise TypeError(f"read_graph takes a path, got {type(path).__name__}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        body = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, body = fh.readline().split(), fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(header) != 2 or header[0] != "p" or not (header[1].isascii() and header[1].isdigit()):
         raise ValueError(f"{path}: expected header 'p <count>'")
     try:
@@ -423,9 +444,11 @@ def read_graph(path) -> Graph:
             edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
         if edges.shape[1] != 2:
             raise ValueError(f"expected 'i j' lines, got {edges.shape[1]} fields")
+        if columns is not None and int(header[1]) != columns:
+            raise ValueError(f"graph has {int(header[1])} vertices, X has {columns} columns")
         loops = bool(np.any(edges[:, 0] == edges[:, 1]))
         return Graph(int(header[1]), edges=edges, allow_self_loops=loops)
-    except (ValueError, OverflowError) as exc:  # OverflowError: a p outside int64
+    except ValueError as exc:
         _name_bad_line(path, body)
         raise ValueError(f"{path}: {exc}") from None
 

@@ -160,6 +160,24 @@ class TestFit:
         assert main(["fit", str(data), "--graph", str(gpath), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {gpath}: could not convert")
 
+    def test_graph_header_of_another_p_exits_one_before_the_graph(self, tmp_path, capsys):
+        # a graph of 10^7 vertices would take an 80 MB indptr alone
+        import tracemalloc
+
+        data = write_toy_csv(tmp_path / "toy.csv")
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("p 10000000\n0 1\n")
+        tracemalloc.start()
+        try:
+            code = main(["fit", str(data), "--graph", str(gpath), "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {gpath}: graph has 10000000 vertices, X has 2 columns\n")
+        assert peak < 16 << 20
+
     def test_graph_file_and_estimate_graph_exit_one(self, tmp_path, capsys):
         data = write_toy_csv(tmp_path / "toy.csv")
         gpath = tmp_path / "g.txt"
@@ -313,6 +331,23 @@ class TestFitWithConfig:
             experiments.fit_with_config(X, X[:, 0], g, section, 1, "sd")
         with pytest.raises(LengthMismatch, match="graph has 11 vertices, X has 2 columns"):
             optimize.cross_validate(X, X[:, 0], g, [0.1], [0.5], 2, optimize.FitConfig())
+
+    @pytest.mark.parametrize("section", ["path", "str"])
+    def test_graph_file_of_another_p_refused_before_the_graph(self, tmp_path, section):
+        import tracemalloc
+
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("p 10000000\n0 1\n")
+        graph = {"path": str(gpath)} if section == "path" else str(gpath)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                experiments.penalty_graph(graph, np.ones((5, 3)), None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{gpath}: graph has 10000000 vertices, X has 3 columns"
+        assert peak < 1 << 20
 
     def test_estimate_section_sets_the_quantile(self):
         X = np.random.default_rng(4).standard_normal((30, 8))
@@ -783,6 +818,15 @@ def test_read_dataset_csv_errors_name_the_row(tmp_path, body, message):
     path.write_text(body, encoding="utf-8")
     with pytest.raises(CliError, match=message):
         read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("data", [b"y,x1\n1,2\n3,4\xff\n", b"y,x\xff\n1,2\n3,4\n"])
+def test_read_dataset_csv_that_is_not_utf8_is_named(tmp_path, data):
+    path = tmp_path / "d.csv"
+    path.write_bytes(data)
+    with pytest.raises(CliError, match="can't decode byte 0xff") as info:
+        read_dataset_csv(path)
+    assert str(info.value).startswith(f"{path}:")
 
 
 def test_read_dataset_csv_quoted_numbers(tmp_path):

@@ -18,13 +18,14 @@ from heatlasso.graphs import (
     connected_components,
     disjoint_union,
     _CORR_ROWS,
-    _abs_corr_blocks,
+    _abs_corr,
     _row_blocks,
     estimate_graph,
     estimate_graph_from_data,
     figure_graph,
     laplacian,
     path_graph,
+    read_correlation_csv,
     read_graph,
     sample_block_graph,
     sample_clustered_network,
@@ -57,6 +58,20 @@ class TestGraphInvariants:
     def test_vertex_count_must_be_an_integer(self, p):
         with pytest.raises(ValueError, match="vertex count must be an integer >= 1"):
             Graph(p)
+
+    @pytest.mark.parametrize("p", [3_037_000_500, np.int64(2**62), 10**30])
+    def test_vertex_count_whose_keys_overflow_is_refused_before_allocating(self, p):
+        # 3,037,000,499 is the largest p with p * p below 2**63
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="keys i \\* p \\+ j overflow int64"):
+                Graph(p, edges=[(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_self_loop_rejected_by_default(self):
         with pytest.raises(ValueError):
@@ -336,25 +351,26 @@ class TestEstimateGraph:
     def test_single_vertex(self):
         assert estimate_graph(np.eye(1), 0.5).edge_count == 0
 
-    @pytest.mark.parametrize("band", [graphs._BAND, 1])
+    @pytest.mark.parametrize("sample", [1 << 16, 1])
     @pytest.mark.parametrize("p", [1, 2, 37, _CORR_ROWS + 44])
-    def test_ties_at_threshold_match_partition(self, p, band, monkeypatch):
-        # five distinct |corr| values, so the threshold is tied many times;
-        # with a band of 1 the selection runs to the last digit
-        monkeypatch.setattr(graphs, "_BAND", band)
+    def test_ties_at_threshold_match_partition(self, p, sample, monkeypatch):
+        # five distinct |corr| values, so the threshold is tied many times and
+        # a bracket from 2^16 sampled pairs has it at its lower end; one
+        # sampled pair mostly brackets the whole range
+        bracket_every_size(monkeypatch, sample)
         rng = np.random.default_rng(p)
         corr = rng.choice([0.0, 0.25, -0.25, 0.5, 1.0], size=(p, p))
         corr = np.triu(corr, 1) + np.triu(corr, 1).T + np.eye(p)
         for alpha in (0.1, 0.5, 0.75, 0.99):
             assert_same_graph(estimate_graph(corr, alpha), partition_graph(corr, alpha))
 
-    @pytest.mark.parametrize("band", [graphs._BAND, 1])
+    @pytest.mark.parametrize("sample", [1 << 16, 1])
     @pytest.mark.parametrize("end", ["first", "last"])
-    def test_rank_at_either_end_of_the_threshold_digit(self, end, band, monkeypatch):
-        # 40 distinct values (and repeats) share the selection's first digit,
-        # the float64 bits from 48 up, with the threshold; the rank falls on
-        # the smallest or the largest of them
-        monkeypatch.setattr(graphs, "_BAND", band)
+    def test_rank_at_either_end_of_the_threshold_digit(self, end, sample, monkeypatch):
+        # 40 distinct values (and repeats) lie close around the threshold
+        # (their float64 bits from 48 up are equal); the rank falls on the
+        # smallest or the largest of them
+        bracket_every_size(monkeypatch, sample)
         rng = np.random.default_rng(17)
         high = np.float64(0.3).view(np.int64) >> 48
         offsets = rng.choice(1 << 48, size=40, replace=False)
@@ -375,6 +391,31 @@ class TestEstimateGraph:
         theta = shared.min() if end == "first" else shared.max()
         assert g.edge_count == np.count_nonzero(vals > theta)
 
+    @pytest.mark.parametrize("where", ["below", "above", "at_lo", "at_hi", "inside"])
+    def test_threshold_outside_the_bracket_runs_the_pass_again(self, where, monkeypatch):
+        # brackets set around the threshold (the t-th smallest |corr|): below
+        # it or above it, a second pass over [-inf, inf] finds it; at either
+        # end or inside, one pass does
+        rng = np.random.default_rng(23)
+        p, alpha = _CORR_ROWS + 44, 0.7
+        corr = np.eye(p)
+        i, j = np.triu_indices(p, k=1)
+        corr[i, j] = corr[j, i] = rng.uniform(-1.0, 1.0, i.size)
+        vals = np.sort(np.abs(corr[i, j]))
+        t = int(np.ceil(alpha * i.size)) - 1
+        ends = {"below": (-9, -5), "above": (5, 9), "at_lo": (0, 5), "at_hi": (-5, 0),
+                "inside": (-5, 5)}[where]
+        monkeypatch.setattr(graphs, "_bracket", lambda *args: tuple(vals[t + k] for k in ends))
+        made = []
+
+        def block(i0, i1):
+            made.append(i0)
+            return np.abs(corr[i0:i1, i0 + 1:])
+
+        g = Graph._from_mask(graphs._threshold_mask(p, alpha, lambda: (block, None)))
+        assert_same_graph(g, partition_graph(corr, alpha))
+        assert len(made) == (2 if where in ("below", "above") else 1) * len(_row_blocks(p))
+
 
 def partition_graph(corr, alpha):
     """Reference: np.partition's nearest-rank threshold over every |corr_ij|,
@@ -389,12 +430,19 @@ def partition_graph(corr, alpha):
     return Graph(p, edges=np.column_stack((i[keep], j[keep])))
 
 
+def bracket_every_size(monkeypatch, sample):
+    """Bracket the threshold from `sample` random pairs whatever the size."""
+    monkeypatch.setattr(graphs, "_SAMPLE_ABOVE", 0)
+    monkeypatch.setattr(graphs, "_SAMPLE", sample)
+
+
 def data_abs_corr(X):
     """The |corr| matrix that estimate_graph_from_data thresholds, unit diagonal."""
     p = X.shape[1]
+    block = _abs_corr(X)[0]
     upper = np.zeros((p, p))
-    for (i0, i1), block in zip(_row_blocks(p), _abs_corr_blocks(X)):
-        upper[i0:i1, i0 + 1:] = block
+    for i0, i1 in _row_blocks(p):
+        upper[i0:i1, i0 + 1:] = block(i0, i1)
     upper = np.triu(upper, 1)
     return upper + upper.T + np.eye(p)
 
@@ -461,13 +509,15 @@ class TestEstimateGraphFromData:
         Y[0, 5] = 1.7e308
         assert estimate_graph_from_data(Y, 0.5).degrees[5] == 0
 
-    @pytest.mark.parametrize("band", [graphs._BAND, 1])
+    @pytest.mark.parametrize("sample", [1 << 16, 1])
     @pytest.mark.parametrize("p", [1, 2, 37, _CORR_ROWS + 44])
-    def test_quantized_data_ties_match_partition(self, p, band, monkeypatch):
+    def test_quantized_data_ties_match_partition(self, p, sample, monkeypatch):
         # three levels and repeated columns: many |corr| are equal; the
         # np.corrcoef reference rounds them differently, so the reference
-        # here thresholds the values the estimate computes
-        monkeypatch.setattr(graphs, "_BAND", band)
+        # here thresholds the values the estimate computes. The sample's dot
+        # products round differently from the blocks, so its brackets miss
+        # some of these thresholds
+        bracket_every_size(monkeypatch, sample)
         rng = np.random.default_rng(p)
         base = rng.integers(0, 3, size=(12, max(1, p // 4))).astype(np.float64)
         X = base[:, rng.integers(0, base.shape[1], size=p)]
@@ -476,6 +526,19 @@ class TestEstimateGraphFromData:
             g = estimate_graph_from_data(X, alpha)
             assert_same_graph(g, partition_graph(corr, alpha))
             assert_same_graph(g, estimate_graph(corr, alpha))
+
+    def test_sample_size_does_not_change_the_graph(self, monkeypatch):
+        # brackets from 16 to 2^14 sampled pairs, and none at this size
+        from heatlasso.designs import DesignSpec, sample_design_and_response
+
+        spec = DesignSpec(kind="block_equicorr", sizes=(48, 72, 120, 60), n=100,
+                          noise_sigma=0.5, seed=5, rhos=(0.6, 0.9, 0.7, 0.4))
+        X = sample_design_and_response(spec)[0]
+        g = estimate_graph_from_data(X, 0.75)
+        assert_same_graph(g, corrcoef_graph(X, 0.75))
+        for sample in (16, 256, 4096, 1 << 14):
+            bracket_every_size(monkeypatch, sample)
+            assert_same_graph(estimate_graph_from_data(X, 0.75), g)
 
     def test_single_row_gives_empty_graph(self):
         assert estimate_graph_from_data(np.ones((1, 4)), 0.5).edge_count == 0
@@ -515,6 +578,27 @@ class TestEstimateGraphFromData:
             finally:
                 tracemalloc.stop()
             assert peak <= 7 * p * p, (estimate.__name__, alpha, peak / p / p)
+
+    def test_peak_memory_at_p_1200_keeps_no_block(self):
+        # p = 1200, n = 200: the standardized copy of X (1.3 p^2 bytes), the
+        # mask (1 p^2), one block of |corr| (1.7 p^2) and the values inside
+        # the bracket; keeping every block until the threshold is known
+        # peaked at 6.6 p^2
+        import tracemalloc
+
+        from heatlasso.designs import DesignSpec, sample_design_and_response
+
+        spec = DesignSpec(kind="block_equicorr", sizes=(192, 288, 480, 240), n=200,
+                          noise_sigma=0.5, seed=1, rhos=(0.6, 0.9, 0.7, 0.4))
+        X = sample_design_and_response(spec)[0]
+        p = X.shape[1]
+        tracemalloc.start()
+        try:
+            estimate_graph_from_data(X, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * p * p, peak / p / p
 
 
 class TestBlockGraphSampling:
@@ -682,7 +766,7 @@ class TestGraphFileFormat:
 
     @pytest.mark.parametrize("text", [
         "3 nodes\n0 1\n", "p 1_1\n0 1\n", "p \u0663\n0 1\n", "p 0\n",
-        "p 99999999999999999999\n0 1\n",  # Graph meets an OverflowError
+        "p 99999999999999999999\n0 1\n",  # Graph refuses a p whose keys overflow int64
         "p 4\n0 x\n", "p 4\n1 2 3\n", "p 4\n0 4\n",
     ])
     def test_every_refusal_names_the_file(self, tmp_path, text):
@@ -692,6 +776,33 @@ class TestGraphFileFormat:
             read_graph(path)
         assert type(info.value) is ValueError
         assert str(info.value).startswith(f"{path}:")
+
+    @pytest.mark.parametrize("data", [b"p 3\n0 1\n1\xff 2\n", b"p \xff\n0 1\n"])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, data):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="can't decode byte 0xff") as info:
+            read_graph(path)
+        assert str(info.value).startswith(f"{path}:")
+
+    def test_header_of_another_vertex_count_is_refused_before_the_graph(self, tmp_path):
+        # a header of 10^9 vertices would make a 7.45 GiB indptr; given the
+        # data's column count, the file is refused before any graph is made
+        import tracemalloc
+
+        path = tmp_path / "g.txt"
+        path.write_text("p 1000000000\n0 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                graphs._read_graph(path, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}: graph has 1000000000 vertices, X has 3 columns"
+        assert peak < 1 << 20
+        path.write_text("p 3\n0 2\n")
+        assert graphs._read_graph(path, 3)._edge_array().tolist() == [[0, 2]]
 
     def test_file_descriptor_is_refused_and_left_open(self):
         read_end, write_end = os.pipe()
@@ -704,6 +815,14 @@ class TestGraphFileFormat:
         finally:
             os.close(read_end)
             os.close(write_end)
+
+
+def test_correlation_csv_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "corr.csv"
+    path.write_bytes(b"1,0.5\n0.5,1\xff\n")
+    with pytest.raises(ValueError, match="can't decode byte 0xff") as info:
+        read_correlation_csv(path)
+    assert str(info.value).startswith(f"{path}:")
 
 
 def test_path_graph_shape():
