@@ -40,6 +40,10 @@ _GRAPH_ROWS = 1 << 16
 _SAMPLE_ABOVE = 1 << 18
 _SAMPLE = 4096
 _SPREAD = 6.0
+# Rows per block when every |corr| value is held in one buffer: at p = 500
+# a block of 32 rows and the copy of its pairs take about 1 p^2 bytes
+# beside the buffer's 4.
+_EXACT_ROWS = 32
 
 
 def _is_integer(v):
@@ -129,7 +133,7 @@ class Graph:
         return A
 
     def flat_adjacency(self):
-        """The CSR arrays (indices, indptr) that vectorized walks read."""
+        """The CSR arrays (indices, indptr)."""
         return self.indices, self.indptr
 
     def __repr__(self):
@@ -200,19 +204,16 @@ def _check_alpha(alpha):
         raise InvalidQuantile(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _row_blocks(p):
-    """(i0, i1) of each block of at most _CORR_ROWS rows i0..i1-1 that hold
+def _row_blocks(p, rows=_CORR_ROWS):
+    """(i0, i1) of each block of at most `rows` rows i0..i1-1 that hold
     pairs i < j (row p - 1 holds none)."""
-    return [(i0, min(i0 + _CORR_ROWS, p - 1)) for i0 in range(0, p - 1, _CORR_ROWS)]
+    return [(i0, min(i0 + rows, p - 1)) for i0 in range(0, p - 1, rows)]
 
 
 def _bracket(p, alpha, pair_corr):
     """lo < hi around the nearest-rank alpha-quantile of the |corr_ij|, i < j:
     order statistics of |pair_corr(i, j)| over _SAMPLE random pairs from a
-    fixed-seed generator (Floyd & Rivest, CACM 18(3), 1975); -inf and inf
-    for at most _SAMPLE_ABOVE pairs."""
-    if p * (p - 1) // 2 <= _SAMPLE_ABOVE:
-        return -np.inf, np.inf
+    fixed-seed generator (Floyd & Rivest, CACM 18(3), 1975)."""
     rng = np.random.default_rng(0)
     i = rng.integers(0, p, _SAMPLE)
     s = np.sort(np.abs(pair_corr(i, (i + rng.integers(1, p, _SAMPLE)) % p)))
@@ -222,37 +223,26 @@ def _bracket(p, alpha, pair_corr):
     return lo, max(hi, np.nextafter(lo, np.inf))  # no value is both lo and hi
 
 
-def _threshold_mask(p, alpha, source):
-    """The symmetric p x p boolean mask of the pairs i < j whose |corr_ij|
-    exceeds the nearest-rank alpha-quantile of them all. source() returns
-    block and pair_corr: block(i0, i1) is |corr| of rows i0..i1-1 against
-    columns i0+1..p-1 for each (i0, i1) of _row_blocks(p), overwritten here;
-    pair_corr(i, j) is corr_ij for index arrays. One pass codes each pair
-    against _bracket's lo < hi, 0 below lo, 1 at lo, 2 between, 3 at hi, 4
-    above, and keeps only the values coded 2. If the threshold is not coded
-    1 to 3, it runs again over [-inf, inf]."""
-    pairs = p * (p - 1) // 2
-    if pairs == 0:
-        return np.zeros((p, p), dtype=bool)
-    rank = int(np.ceil(alpha * pairs))
-    block, pair_corr = source()
-    for lo, hi in (_bracket(p, alpha, pair_corr), (-np.inf, np.inf)):
-        A, above, between = np.zeros((p, p), dtype=np.uint8), np.zeros(4, np.int64), []
-        for i0, i1 in _row_blocks(p):
-            b = block(i0, i1)
-            b[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.nan  # not pairs: 0
-            sub = A[i0:i1, i0 + 1:]
-            for compare, edge in ((np.greater_equal, lo), (np.greater, lo),
-                                  (np.greater_equal, hi), (np.greater, hi)):
-                sub += compare(b, edge)  # the code: how many of these hold
-            above += [np.count_nonzero(sub > c) for c in range(4)]
-            between.append(b[sub == 2])
-            del b  # before the next block is made
-        upto = pairs - above  # pairs coded at most 0, 1, 2, 3
-        code = int(np.searchsorted(upto, rank))  # the code of the threshold
-        if 1 <= code <= 3:
-            break
-    del block, pair_corr  # with what they hold, such as a copy of X
+def _bracketed_mask(p, rank, block, lo, hi):
+    """The p x p boolean mask of the pairs i < j above the rank-th smallest
+    |corr|, from one pass that codes each pair against lo < hi, 0 below lo,
+    1 at lo, 2 between, 3 at hi, 4 above, and keeps only the values coded
+    2; None if the threshold is not coded 1 to 3."""
+    A, above, between = np.zeros((p, p), dtype=np.uint8), np.zeros(4, np.int64), []
+    for i0, i1 in _row_blocks(p):
+        b = block(i0, i1)
+        b[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.nan  # not pairs: 0
+        sub = A[i0:i1, i0 + 1:]
+        for compare, edge in ((np.greater_equal, lo), (np.greater, lo),
+                              (np.greater_equal, hi), (np.greater, hi)):
+            sub += compare(b, edge)  # the code: how many of these hold
+        above += [np.count_nonzero(sub > c) for c in range(4)]
+        between.append(b[sub == 2])
+        del b  # before the next block is made
+    upto = p * (p - 1) // 2 - above  # pairs coded at most 0, 1, 2, 3
+    code = int(np.searchsorted(upto, rank))  # the code of the threshold
+    if not 1 <= code <= 3:
+        return None
     if code == 2:  # the threshold is among the values kept
         values = np.concatenate(between)
         values.partition(rank - upto[1] - 1)
@@ -262,9 +252,66 @@ def _threshold_mask(p, alpha, source):
         if code == 2:
             sub[sub == 2] += values > theta
         np.greater(sub, code, out=sub)
+    return A.view(bool)
+
+
+def _upper(rows, cols):
+    """The boolean mask of row-block entries (r, c) with c >= r: pairs i < j
+    of rows i0 + r against columns i0 + 1 + c."""
+    return ~np.tri(rows, cols, k=-1, dtype=bool)
+
+
+def _pair_values(p, block):
+    """Every |corr_ij|, i < j, in row-major order in one buffer, from
+    blocks of _EXACT_ROWS rows."""
+    values, k = np.empty(p * (p - 1) // 2), 0
+    for i0, i1 in _row_blocks(p, _EXACT_ROWS):
+        b = block(i0, i1)
+        kept = b[_upper(*b.shape)]
+        del b  # before the next block is made
+        values[k:k + len(kept)] = kept
+        k += len(kept)
+    return values
+
+
+def _mask_above(p, values, theta):
+    """The p x p boolean mask of the pairs i < j whose value in
+    _pair_values' order exceeds theta."""
+    A, k = np.zeros((p, p), dtype=bool), 0
+    for i0, i1 in _row_blocks(p, _EXACT_ROWS):
+        upper = _upper(i1 - i0, p - 1 - i0)
+        n = np.count_nonzero(upper)
+        A[i0:i1, i0 + 1:][upper] = values[k:k + n] > theta
+        k += n
+    return A
+
+
+def _threshold_mask(p, alpha, source):
+    """The symmetric p x p boolean mask of the pairs i < j whose |corr_ij|
+    exceeds the nearest-rank alpha-quantile of them all. source() returns
+    block and pair_corr: block(i0, i1) is |corr| of rows i0..i1-1 against
+    columns i0+1..p-1, a new array; pair_corr(i, j) is corr_ij for index
+    arrays. Above _SAMPLE_ABOVE pairs, _bracketed_mask tries _bracket's lo
+    and hi. At most that many pairs, or if the threshold lies outside the
+    bracket, every value goes into one buffer; once the source is dropped,
+    np.partition of it gives the threshold."""
+    pairs = p * (p - 1) // 2
+    if pairs == 0:
+        return np.zeros((p, p), dtype=bool)
+    rank = int(np.ceil(alpha * pairs))
+    block, pair_corr = source()
+    A = None
+    if pairs > _SAMPLE_ABOVE:
+        A = _bracketed_mask(p, rank, block, *_bracket(p, alpha, pair_corr))
+    if A is None:
+        values = _pair_values(p, block)
+    del block, pair_corr  # with what they hold, such as a copy of X
+    if A is None:
+        A = _mask_above(p, values, np.partition(values, rank - 1)[rank - 1])
+        del values
     for i0 in range(0, p, _CORR_ROWS):  # symmetric, without a p x p temporary
         A[i0:i0 + _CORR_ROWS] |= A[:, i0:i0 + _CORR_ROWS].T
-    return A.view(bool)
+    return A
 
 
 def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:

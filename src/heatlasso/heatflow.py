@@ -2,28 +2,44 @@
 is the unnormalised Laplacian, the smoothing operator the fitting path uses,
 plus an exact dense semigroup oracle.
 
-Each walk holds at a vertex v for an Exponential(deg(v)) time, then jumps to
-a uniformly random neighbor; a degree-0 vertex holds forever. The terminal
-vertices of B walks per start vertex are stored once and define the
-empirical kernel K^[i, j] = #{b : terminals[i, b] = j} / B, whose products
-K^ f estimate smoothed vectors by sample averages. A SmoothingOperator
-compiles a table (or an exact kernel) once per fit and serves every
-smoothing an optimization run needs.
+The walks are simulated by uniformization (Jensen 1953, Skand.
+Aktuarietidskr. 36; Grassmann 1977, Comput. Oper. Res. 4(1)). Let Lambda_c
+be the largest degree in the connected component c of a walk's start
+vertex. Then e^{-tL} = sum_N Poisson(N; Lambda_c t) (I - L/Lambda_c)^N on c,
+so a walk draws one step count N ~ Poisson(Lambda_c t) and takes N steps of
+the lazy chain I - L/Lambda_c: a step from v moves to each neighbour with
+probability 1/Lambda_c and stays with probability 1 - deg(v)/Lambda_c. A
+degree-0 vertex (Lambda_c = 0) never moves. The terminal vertices of B
+walks per start vertex are stored once and define the empirical kernel
+K^[i, j] = #{b : terminals[i, b] = j} / B, whose products K^ f estimate
+smoothed vectors by sample averages. A SmoothingOperator compiles a table
+(or an exact kernel) once per fit and serves every smoothing an
+optimization run needs.
 
-Randomness is counter-based: every draw is a pure hash of
-(seed, walk index, round), so the terminals table is bit-identical for a
-given (graph, t, B, seed) no matter how the walks are scheduled. One
-SplitMix64 finalizer does all the hashing: of the seed into a seed key, of
-seed key ^ walk index into each walk's key, and of key ^ d into round d's
-one draw of a walk, whose high 32 bits give the hold and whose low 32 bits
-give the neighbour. Both have a resolution of 2^-32: the hold at vertex v is
-capped at 32 ln 2 / deg(v), and each neighbour's probability is off
-1/deg(v) by less than 2^-32 (a relative bias of at most deg(v) / 2^32). The walks run in cache-sized chunks of consecutive indices,
-each to completion. A walk that stops writes its result once and rides
-along in the chunk's arrays, inert, until an eighth of them have stopped;
-only then are the arrays compacted.
+Work per walk: Lambda_c t lazy steps on average, where a walk with
+Exponential(deg) holding times takes about d_c t jumps, d_c the
+component's mean degree. A lazy step (a multiply-shift, two gathers and
+half a hash) costs about half a hold-time jump (a hash, a log, a stop test
+and gathers), so the trade breaks even near Lambda_c = 2 d_c: a component
+whose largest degree is more than about twice its mean (a hub) simulates
+slower than it would with holding times. On the benchmark graphs Lambda_c
+exceeds d_c by 4-10%.
+
+Randomness is counter-based: every draw is a pure hash, so the terminals
+table is bit-identical for a given (graph, t, B, seed) no matter how the
+walks are scheduled. One SplitMix64 finalizer does all the hashing: of the
+seed into a seed key, and of seed key ^ walk index into each walk's key,
+whose top 53 bits u give N by inverting the Poisson CDF (one table per
+distinct Lambda_c t). Steps 2d and 2d + 1 of a walk use the low and the
+high 32 bits of the finalizer of key ^ d; 32 bits b pick slot
+(b * Lambda_c) >> 32 of the walk's vertex's CSR row padded to Lambda_c
+slots with copies of the vertex, so a neighbour's probability is off
+1/Lambda_c by less than 2^-32 (a relative bias of at most Lambda_c / 2^32).
+The walks run in cache-sized chunks of consecutive indices, sorted by N,
+so each round steps only the prefix of the chunk still moving.
 """
 
+import itertools
 import math
 import os
 import struct
@@ -40,15 +56,11 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _HALF = _U64(32)
 _LOW = _U64(0xFFFFFFFF)
-_INV32 = float(2.0 ** -32)
-# walks per chunk: its working arrays, ~60 bytes a walk, stay in a core's L2 cache
+# walks per chunk: its working arrays, ~70 bytes a walk, stay in a core's L2 cache
 _CHUNK = 1 << 14
-# A chunk is compacted when 1/_CARRY of its walks have stopped. Walks stop
-# in almost every round, and compacting in each such round (a copy of every
-# array) cost more than carrying the stopped ones: at p = 2000, B = 100,
-# t = 0.1 (~1e7 steps) the table took 0.45 s instead of 0.59 s, median of
-# 11 alternating runs in one process on a 2-vCPU x86-64 VM.
-_CARRY = 8
+# rows per block when the rates and the padded rows are built: no per-edge
+# temporary is longer than one block's edges
+_ROWS = 256
 
 
 def _finalize(x, scratch):
@@ -69,12 +81,70 @@ def _hash_into(keys, d, out, scratch):
     return _finalize(np.bitwise_xor(keys, _U64(d), out=out), scratch)
 
 
+def _component_max_degree(g: Graph) -> np.ndarray:
+    """Lambda_c of each vertex: the largest degree in its connected
+    component. Each vertex takes the largest value among itself and its
+    neighbours, _ROWS rows at a time and in place, until a sweep changes
+    nothing."""
+    lam = g.degrees.copy()
+    changed = True
+    while changed:
+        changed = False
+        for i0 in range(0, g.p, _ROWS):
+            i1 = min(i0 + _ROWS, g.p)
+            a, b = g.indptr[i0], g.indptr[i1]
+            if a == b:
+                continue
+            live = g.degrees[i0:i1] > 0  # reduceat needs nonempty rows
+            seen = np.maximum.reduceat(lam.take(g.indices[a:b]), g.indptr[i0:i1][live] - a)
+            rows = lam[i0:i1]  # a view
+            if (seen > rows[live]).any():
+                rows[live] = np.maximum(rows[live], seen)
+                changed = True
+    return lam
+
+
+def _padded_rows(g: Graph, lam):
+    """Every vertex's CSR row padded to lam[v] slots with copies of v, in one
+    array (int16 below 2^15 vertices, else int32), and each row's offset."""
+    offsets = np.zeros(g.p + 1, dtype=np.int64)
+    np.cumsum(lam, out=offsets[1:])
+    padded = np.repeat(np.arange(g.p, dtype=np.int16 if g.p <= 1 << 15 else np.int32), lam)
+    for i0 in range(0, g.p, _ROWS):
+        i1 = min(i0 + _ROWS, g.p)
+        at = np.repeat(offsets[i0:i1] - g.indptr[i0:i1], g.degrees[i0:i1])
+        at += np.arange(g.indptr[i0], g.indptr[i1])
+        padded[at] = g.indices[g.indptr[i0]:g.indptr[i1]]
+    return padded, offsets[:-1]
+
+
+def _poisson_inverse(mu):
+    """(k0, F) for the Poisson(mu) law, mu > 0: N = k0 + the number of
+    entries of F at most u is Poisson(mu) for u uniform on [0, 1), up to
+    rounding. The law is cut to [k0, k1], whose complement has mass below
+    e^-50 by Bernstein's inequality, and F holds its CDF from k0 to k1 - 1.
+    The weights run from 1 at the mode by the ratios mu / k, so F takes
+    only IEEE products, quotients and sums and is the same on every
+    platform; each weight is off by at most (k1 - k0) rounding errors."""
+    spread = 10.0 * math.sqrt(mu)
+    k0, k1 = max(0, math.floor(mu - spread)), math.ceil(mu + spread + 30.0)
+    mode = min(max(math.floor(mu), k0), k1)
+    weight = [1.0] * (k1 - k0 + 1)
+    for k in range(mode + 1, k1 + 1):
+        weight[k - k0] = weight[k - k0 - 1] * mu / k
+    for k in range(mode - 1, k0 - 1, -1):
+        weight[k - k0] = weight[k - k0 + 1] * (k + 1) / mu
+    cdf = list(itertools.accumulate(weight))
+    return k0, np.array(cdf[:-1]) / cdf[-1]
+
+
 @dataclass(frozen=True)
 class HeatFlowMatrix:
     """Terminal vertices of B simulated walks per start vertex at time t.
 
     terminals[i, j] is where the j-th walk started at vertex i sits at time
-    t; step_counts[i, j] is the number of jumps it took (None for matrices
+    t; step_counts[i, j] is its step count N, the number of steps of the
+    lazy chain I - L/Lambda_c it took, stays included (None for matrices
     loaded from disk, where only their total is stored); total_steps is
     their sum (0 for a table loaded from an HFM1 file, which stores none).
     """
@@ -99,26 +169,30 @@ def _check_time(t):
 def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMatrix:
     """Run B walks from every vertex until time t.
 
-    Exponential(deg) holding times make the walk's law the e^{-tL}
-    semigroup, which every fidelity test enforces. Walk w is the w-th of
-    the p*B walks in row-major order (start vertex w // B). Walks run in
-    chunks of _CHUNK consecutive ids, each chunk to completion. In round d
-    every walk of the chunk still moving hashes key ^ d once and splits the
-    64-bit output: the high half hi gives u = (hi + 1) 2^-32 in (0, 1] and
-    the hold -log(u) / deg, the low half lo gives the neighbour index
-    (lo * deg) >> 32, exact in uint64 and below deg, taken if the hold ends
-    before t. A chunk keeps arrays of its walks (id, vertex, its degree,
-    time left, key), without those starting at a degree-0 vertex. A walk
-    whose hold outlasts its time left writes its terminal and its step
-    count d once and gets an infinite time left, so it never stops again;
-    it keeps drawing and jumping, but writes nothing. When the stopped
-    walks reach 1/_CARRY of the arrays, they are dropped from them with one
-    `take` per array.
+    Uniformized at Lambda_c, the largest degree of the start vertex's
+    component, the walk's law is the e^{-tL} semigroup, which every
+    fidelity test enforces. Walk w is the w-th of the p*B walks in
+    row-major order (start vertex w // B); its key is the finalizer of
+    seed key ^ w. Its step count N is Poisson(Lambda_c t), drawn by
+    inverting the CDF at the key's top 53 bits, u = (key >> 11) 2^-53.
+    Steps 2d and 2d + 1 take the low and the high 32 bits b of the
+    finalizer of key ^ d, and move to slot (b * Lambda_c) >> 32, exact in
+    uint64 and below Lambda_c, of the current vertex's padded row.
+
+    Walks run in chunks of _CHUNK consecutive ids, each chunk to
+    completion. A chunk's walks with N > 0 are sorted by N, largest first,
+    so round r steps only the prefix of walks with N > r, and a walk's
+    vertex is final once the prefix has passed it; the chunk writes its
+    terminals and step counts once, at the end. A step is a multiply-shift
+    and two gathers (the row's offset and the slot), and every second step
+    one hash; there is no log, no time left and no stop test. A walk takes
+    Lambda_c t steps on average, against about d_c t jumps with holding
+    times (see the module docstring for the trade).
 
     The table is bit-identical per (graph, t, B, seed) to any other
-    schedule of the same walks: a draw is a pure function of (seed, walk
-    id, round), a walk uses round d's draw only in its d-th step, and each
-    walk's arithmetic never touches another walk's.
+    schedule of the same walks: N and every step's draw are pure functions
+    of (seed, walk id, step), and each walk's arithmetic never touches
+    another walk's.
     """
     if not (_is_integer(B) and B >= 1):
         raise ValueError(f"B must be an integer >= 1, got {B!r}")
@@ -129,51 +203,51 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     p = g.p
     terminals = np.repeat(np.arange(p, dtype=np.int32), B)
     steps = np.zeros(p * B, dtype=np.int32)
-    if t > 0:
-        degu = g.degrees.astype(np.uint64)
-        flat, offsets = g.flat_adjacency()
+    if t > 0 and g.degrees.any():
+        lam = _component_max_degree(g)
+        padded, offsets = _padded_rows(g, lam)
+        tables = {L: _poisson_inverse(L * t) for L in np.unique(lam[lam > 0]).tolist()}
         hashed = np.empty(_CHUNK, dtype=np.uint64)
         scratch = np.empty(_CHUNK, dtype=np.uint64)
+        slot = np.empty(_CHUNK, dtype=np.uint64)
+        at = np.empty(_CHUNK, dtype=np.int64)
         seed_key = _finalize(np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
                              scratch[:1])
-        u = np.empty(_CHUNK)
         for start in range(0, p * B, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, p * B))
-            cur = terminals[ids]
-            deg = degu.take(cur)
-            moving = np.flatnonzero(deg)  # a degree-0 vertex holds forever
-            ids, cur, deg = ids.take(moving), cur.take(moving), deg.take(moving)
-            rem = np.full(len(ids), float(t))
             key = _finalize(ids.astype(np.uint64) ^ seed_key, scratch[:len(ids)])
-            n, stopped, d = len(ids), 0, 0
-            while stopped < n:  # some walk of the chunk is still moving
-                x = _hash_into(key, d, hashed[:n], scratch[:n])
-                # the hold -log(u) / deg, u = (hi + 1) 2^-32 in (0, 1]
-                hold = np.add(np.right_shift(x, _HALF, out=scratch[:n]), 1.0, out=u[:n])
-                hold *= _INV32
-                np.log(hold, out=hold)
-                np.negative(hold, out=hold)
-                hold /= deg
-                # the neighbour index (lo * deg) >> 32, exact in uint64 and below deg
-                x &= _LOW
-                x *= deg
-                x >>= _HALF
-                done = np.flatnonzero(~(hold < rem))
-                if len(done):
-                    w = ids.take(done)
-                    terminals[w] = cur.take(done)
-                    steps[w] = d
-                    rem[done] = math.inf  # hold < inf: it never stops again
-                    stopped += len(done)
-                    if stopped * _CARRY >= n:
-                        keep = np.flatnonzero(rem != math.inf)
-                        ids, cur, deg, rem, key, hold, x = (
-                            a.take(keep) for a in (ids, cur, deg, rem, key, hold, x))
-                        n, stopped = len(ids), 0
-                rem -= hold
-                cur = flat.take(offsets.take(cur) + x.view(np.int64))
-                deg = degu.take(cur)
-                d += 1
+            u = np.right_shift(key, _U64(11)).astype(np.float64)
+            u *= 2.0 ** -53
+            vertex = ids // B
+            rate = lam.take(vertex)
+            n_steps = np.zeros(len(ids), dtype=np.int64)
+            for L in np.unique(lam[vertex[0]:vertex[-1] + 1]).tolist():
+                if L:
+                    k0, F = tables[L]
+                    walks = np.flatnonzero(rate == L)
+                    n_steps[walks] = np.searchsorted(F, u.take(walks), side="right") + k0
+            order = np.argsort(-n_steps)[:np.count_nonzero(n_steps)]  # by N, largest first
+            if not len(order):
+                continue
+            n_steps, ids, key = n_steps.take(order), ids.take(order), key.take(order)
+            moving = len(order) - np.cumsum(np.bincount(n_steps))  # walks with N > r
+            rate = rate.take(order).astype(np.uint64)
+            cur = vertex.take(order).astype(padded.dtype)
+            for r in range(int(n_steps[0])):
+                n = moving[r]
+                if r & 1:  # the high half of the hash of the round before
+                    s = np.right_shift(hashed[:n], _HALF, out=slot[:n])
+                else:
+                    s = np.bitwise_and(_hash_into(key[:n], r >> 1, hashed[:n], scratch[:n]),
+                                       _LOW, out=slot[:n])
+                s *= rate[:n]
+                s >>= _HALF
+                # mode="clip" keeps take from buffering into `out`; no index is clipped
+                np.take(offsets, cur[:n], out=at[:n], mode="clip")
+                at[:n] += s.view(np.int64)
+                np.take(padded, at[:n], out=cur[:n], mode="clip")
+            terminals[ids] = cur
+            steps[ids] = n_steps
     return HeatFlowMatrix(
         terminals=terminals.reshape(p, B),
         t=float(t),

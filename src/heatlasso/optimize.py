@@ -22,7 +22,12 @@ count and converged flag of its single fit: from then on its step is
 scaled by 0, so its beta stays put while it keeps its place in every
 product, until all columns have stopped or max_iters is reached.
 subgradient_descent and block_cd are the one-column case, and
-cross_validate runs a whole lambda x fold grid per t.
+cross_validate runs a whole lambda x fold grid per t. A column's arithmetic
+matches its single fit's only up to rounding: a GEMM over F columns may
+sum in another order than the one-column product. Block CD's columns stay
+within ~1e-14 of their single fits; SD's, which never converge at the
+benchmark settings, can amplify such a gap near a zero coefficient by
+orders of magnitude over the iterations.
 
 An iteration steps each column's block S along the restricted subgradient
 and reads the loss off z = X beta and the penalty off h = K (beta (.) beta).
@@ -470,7 +475,9 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     _cd_lockstep; SD runs it with full blocks): a fold is a mask of training
     rows over the full X, each column keeps its own lam and, for block CD,
     its own per-cell seed, and every column ends where its single fit on the
-    fold's training rows would. The held-out losses of all columns come
+    fold's training rows would, up to rounding (SD columns can amplify a
+    rounding gap near a zero coefficient; see the module docstring). The
+    held-out losses of all columns come
     from one product with the complementary masks. Returns (best_lam,
     best_t, table) where table rows are {"lam", "t", "cv_loss"}; ties break
     toward smaller lam, then smaller t.

@@ -351,12 +351,12 @@ class TestEstimateGraph:
     def test_single_vertex(self):
         assert estimate_graph(np.eye(1), 0.5).edge_count == 0
 
-    @pytest.mark.parametrize("sample", [1 << 16, 1])
+    @pytest.mark.parametrize("sample", [1 << 16, 1, None])
     @pytest.mark.parametrize("p", [1, 2, 37, _CORR_ROWS + 44])
     def test_ties_at_threshold_match_partition(self, p, sample, monkeypatch):
         # five distinct |corr| values, so the threshold is tied many times and
         # a bracket from 2^16 sampled pairs has it at its lower end; one
-        # sampled pair mostly brackets the whole range
+        # sampled pair mostly brackets the whole range; None: no bracket
         bracket_every_size(monkeypatch, sample)
         rng = np.random.default_rng(p)
         corr = rng.choice([0.0, 0.25, -0.25, 0.5, 1.0], size=(p, p))
@@ -364,7 +364,7 @@ class TestEstimateGraph:
         for alpha in (0.1, 0.5, 0.75, 0.99):
             assert_same_graph(estimate_graph(corr, alpha), partition_graph(corr, alpha))
 
-    @pytest.mark.parametrize("sample", [1 << 16, 1])
+    @pytest.mark.parametrize("sample", [1 << 16, 1, None])
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_rank_at_either_end_of_the_threshold_digit(self, end, sample, monkeypatch):
         # 40 distinct values (and repeats) lie close around the threshold
@@ -394,8 +394,8 @@ class TestEstimateGraph:
     @pytest.mark.parametrize("where", ["below", "above", "at_lo", "at_hi", "inside"])
     def test_threshold_outside_the_bracket_runs_the_pass_again(self, where, monkeypatch):
         # brackets set around the threshold (the t-th smallest |corr|): below
-        # it or above it, a second pass over [-inf, inf] finds it; at either
-        # end or inside, one pass does
+        # it or above it, a second pass, which keeps every value, finds it;
+        # at either end or inside, one pass does
         rng = np.random.default_rng(23)
         p, alpha = _CORR_ROWS + 44, 0.7
         corr = np.eye(p)
@@ -405,6 +405,7 @@ class TestEstimateGraph:
         t = int(np.ceil(alpha * i.size)) - 1
         ends = {"below": (-9, -5), "above": (5, 9), "at_lo": (0, 5), "at_hi": (-5, 0),
                 "inside": (-5, 5)}[where]
+        monkeypatch.setattr(graphs, "_SAMPLE_ABOVE", 0)
         monkeypatch.setattr(graphs, "_bracket", lambda *args: tuple(vals[t + k] for k in ends))
         made = []
 
@@ -414,7 +415,8 @@ class TestEstimateGraph:
 
         g = Graph._from_mask(graphs._threshold_mask(p, alpha, lambda: (block, None)))
         assert_same_graph(g, partition_graph(corr, alpha))
-        assert len(made) == (2 if where in ("below", "above") else 1) * len(_row_blocks(p))
+        again = len(_row_blocks(p, graphs._EXACT_ROWS)) if where in ("below", "above") else 0
+        assert len(made) == len(_row_blocks(p)) + again
 
 
 def partition_graph(corr, alpha):
@@ -431,9 +433,11 @@ def partition_graph(corr, alpha):
 
 
 def bracket_every_size(monkeypatch, sample):
-    """Bracket the threshold from `sample` random pairs whatever the size."""
-    monkeypatch.setattr(graphs, "_SAMPLE_ABOVE", 0)
-    monkeypatch.setattr(graphs, "_SAMPLE", sample)
+    """Bracket the threshold from `sample` random pairs whatever the size;
+    None leaves the sizes below _SAMPLE_ABOVE pairs unbracketed."""
+    if sample is not None:
+        monkeypatch.setattr(graphs, "_SAMPLE_ABOVE", 0)
+        monkeypatch.setattr(graphs, "_SAMPLE", sample)
 
 
 def data_abs_corr(X):
@@ -599,6 +603,28 @@ class TestEstimateGraphFromData:
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * p * p, peak / p / p
+
+    def test_peak_memory_at_p_500_copies_no_value_twice(self):
+        # p = 500, n = 400, below _SAMPLE_ABOVE pairs: the standardized copy
+        # of X (6.4 p^2 bytes), every value in one buffer (4 p^2) and one
+        # block of 32 rows; coding every pair and copying the kept values
+        # for np.partition peaked at 15.05 p^2, every block kept at 12.40
+        import tracemalloc
+
+        from heatlasso.designs import DesignSpec, sample_design_and_response
+
+        spec = DesignSpec(kind="block_equicorr", sizes=(80, 120, 200, 100), n=400,
+                          noise_sigma=0.5, seed=1, rhos=(0.6, 0.9, 0.7, 0.4))
+        X = sample_design_and_response(spec)[0]
+        p = X.shape[1]
+        tracemalloc.start()
+        try:
+            g = estimate_graph_from_data(X, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.4 * p * p, peak / p / p
+        assert_same_graph(g, corrcoef_graph(X, 0.75))
 
 
 class TestBlockGraphSampling:

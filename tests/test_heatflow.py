@@ -1,5 +1,8 @@
 """Walk simulation against the exact semigroup oracle."""
+import bisect
 import dataclasses
+import decimal
+import hashlib
 import struct
 
 import numpy as np
@@ -20,7 +23,6 @@ from heatlasso.graphs import (
     sample_block_graph,
 )
 from heatlasso.heatflow import (
-    _CARRY,
     _CHUNK,
     SmoothingOperator,
     empirical_kernel,
@@ -140,82 +142,51 @@ class TestSimulation:
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _reference_mix(x):
-    x = x + np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _reference_draw(seed, walk_ids, d):
-    """Round d's draw of each walk, one hash of key ^ d: the hold uniform
-    u = (hi + 1) 2^-32 from its high 32 bits, and its low 32 bits."""
-    with np.errstate(over="ignore"):
-        h = _reference_mix(_reference_mix(
-            _reference_mix(np.uint64(seed & _MASK64)) ^ walk_ids) ^ np.uint64(d))
-    u = ((h >> np.uint64(32)).astype(np.float64) + 1.0) * float(2.0 ** -32)
-    return u, h & np.uint64(0xFFFFFFFF)
+def _mix(x):
+    """The SplitMix64 finalizer in Python integers."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 def reference_walks(g, t, B, seed):
-    """All p*B walks advanced in one lockstep round per draw, rescanning the
-    full-length arrays each round: the simple schedule the table must match."""
-    p = g.p
-    n_walks = p * B
-    terminals = np.repeat(np.arange(p, dtype=np.int32), B)
-    steps = np.zeros(n_walks, dtype=np.int32)
-    if t > 0:
-        deg = g.degrees
-        flat, offsets = g.flat_adjacency()
-        remaining = np.full(n_walks, float(t))
-        walk_ids = np.arange(n_walks, dtype=np.uint64)
-        active = deg[terminals] > 0
-        draw = 0
-        while active.any():
-            idx = np.flatnonzero(active)
-            cur = terminals[idx]
-            u, lo = _reference_draw(seed, walk_ids[idx], draw)
-            hold = -np.log(u) / deg[cur].astype(np.float64)
-            alive = hold < remaining[idx]
-            if alive.any():
-                jidx = idx[alive]
-                cur_j = terminals[jidx]
-                # multiply-shift: floor(lo * deg / 2^32), exact in uint64
-                choice = (lo[alive] * deg[cur_j].astype(np.uint64)) >> np.uint64(32)
-                terminals[jidx] = flat[offsets[cur_j] + choice.astype(np.int64)]
-                remaining[jidx] -= hold[alive]
-                steps[jidx] += 1
-            active[idx[~alive]] = False
-            draw += 1
-    return terminals.reshape(p, B), steps.reshape(p, B)
-
-
-def carried_at_compactions(g, H):
-    """Replays the chunk schedule from a table's step counts: a walk from a
-    vertex of nonzero degree stops in the round equal to its step count.
-    Returns, per chunk, the number of walks carried from earlier rounds at
-    each compaction, in order."""
-    steps = H.step_counts.ravel()
-    moving = np.repeat(g.degrees > 0, H.B)
-    chunks = []
-    for start in range(0, steps.size, _CHUNK):
-        rounds = steps[start:start + _CHUNK][moving[start:start + _CHUNK]]
-        n, carried, compactions = rounds.size, 0, []
-        for k in np.bincount(rounds):
-            if k and (carried + k) * _CARRY >= n:
-                compactions.append(int(carried))
-                n, carried = n - carried - k, 0
-            else:
-                carried += k
-        chunks.append(compactions)
-    return chunks
+    """The table one walk at a time, in Python integers: Lambda_c from the
+    component labels, the step count N by bisecting the Poisson table at
+    the top 53 bits of the walk's key, and step s's slot from the low
+    (s even) or high (s odd) half of the hash of key ^ (s // 2), read off
+    the unpadded CSR row (a slot past the degree stays put)."""
+    _, labels = connected_components(g)
+    lam = np.zeros(g.p, dtype=np.int64)
+    np.maximum.at(lam, labels, g.degrees)
+    lam = lam[labels].tolist()
+    indptr, indices, degrees = g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist()
+    seed_key, tables = _mix(seed & _MASK64), {}
+    terminals, steps = [], []
+    for w in range(g.p * B):
+        v = w // B
+        rate, key, n = lam[v], _mix(w ^ seed_key), 0
+        if t > 0 and rate:
+            if rate not in tables:
+                k0, F = heatflow._poisson_inverse(rate * t)
+                tables[rate] = k0, F.tolist()
+            k0, F = tables[rate]
+            n = k0 + bisect.bisect_right(F, (key >> 11) * 2.0 ** -53)
+        for s in range(n):
+            h = _mix(key ^ (s >> 1))
+            slot = ((h >> 32 if s & 1 else h & 0xFFFFFFFF) * rate) >> 32
+            if slot < degrees[v]:
+                v = indices[indptr[v] + slot]
+        terminals.append(v)
+        steps.append(n)
+    return (np.array(terminals, dtype=np.int32).reshape(g.p, B),
+            np.array(steps, dtype=np.int32).reshape(g.p, B))
 
 
 class TestChunkedScheduleMatchesReference:
-    """The chunked simulation, which carries stopped walks until a chunk is
-    compacted, gives the reference's table byte for byte. Compared with a
-    reference run, not with stored hashes: np.log may differ in the last
-    bit between CPUs."""
+    """The chunked simulation, which sorts a chunk's walks by step count and
+    steps only the prefix still moving, gives the one-walk-at-a-time
+    reference's table byte for byte."""
 
     @staticmethod
     def assert_same_table(g, t, B, seed):
@@ -253,25 +224,20 @@ class TestChunkedScheduleMatchesReference:
         g = sample_block_graph([8, 12, 10], 0.4, 0.05, seed=6)
         H = self.assert_same_table(g, 1e-12, 600, seed=4)
         assert H.p * H.B > _CHUNK and not H.step_counts.any()
-        assert carried_at_compactions(g, H) == [[0], [0]]
 
-    def test_star_leaves_carry_stopped_walks_through_compactions(self):
-        # a leaf holds for Exp(1), the centre for Exp(8): stop rounds spread
-        # wide, so stopped walks ride along for rounds between compactions
+    def test_star_step_counts_spread_wide(self):
+        # Poisson(48) step counts: a chunk's prefix shrinks over many rounds
         g = Graph(9, [(0, j) for j in range(1, 9)])
-        H = self.assert_same_table(g, 6.0, 1500, seed=17)
-        [compactions] = carried_at_compactions(g, H)
-        assert len(compactions) >= 5 and sum(c > 0 for c in compactions) >= 3
+        H = self.assert_same_table(g, 6.0, 300, seed=17)
+        assert len(np.unique(H.step_counts)) >= 30
 
-    def test_last_walks_stop_at_the_compaction_that_ends_a_chunk(self):
-        # p * B = 2 * _CHUNK + 1: the last chunk is a single walk, which moves
-        # alone; its stop is the compaction that ends the chunk
+    def test_last_chunk_holds_a_single_walk(self):
+        # p * B = 2 * _CHUNK + 1: the last chunk is a single walk
         g = Graph(3, [(0, 1), (1, 2)])
         B = (2 * _CHUNK + 1) // 3
         assert 3 * B == 2 * _CHUNK + 1
         H = self.assert_same_table(g, 3.0, B, seed=23)
-        chunks = carried_at_compactions(g, H)
-        assert len(chunks) == 3 and chunks[2] == [0] and H.step_counts[-1, -1] > 1
+        assert H.step_counts[-1, -1] > 1
 
     def test_isolated_vertices_across_chunks(self):
         # two vertices per chunk: vertices 0 and 1 fill the first chunk with
@@ -281,70 +247,136 @@ class TestChunkedScheduleMatchesReference:
         H = self.assert_same_table(g, 1.7, B, seed=29)
         assert not H.step_counts[[0, 1, 4]].any()
         assert H.step_counts[[2, 3, 5, 6]].any(axis=1).all()
-        assert carried_at_compactions(g, H)[0] == []
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_chunk_length_does_not_change_the_table(self, monkeypatch, chunk):
+        g = sample_block_graph([8, 12, 10], 0.4, 0.05, seed=6, self_loops=True)
+        want = simulate_heat_flow(g, 1.3, 40, seed=5)
+        monkeypatch.setattr(heatflow, "_CHUNK", chunk)
+        got = simulate_heat_flow(g, 1.3, 40, seed=5)
+        assert got.terminals.tobytes() == want.terminals.tobytes()
+        assert got.step_counts.tobytes() == want.step_counts.tobytes()
+
+    def test_table_hash_is_pinned(self):
+        # integer arithmetic apart from the Poisson table, which takes only
+        # IEEE products, quotients and sums: the same bytes on every platform
+        H = simulate_heat_flow(figure_graph(), 1.0, 1000, seed=0)
+        digest = hashlib.sha256(H.terminals.astype("<i4").tobytes()
+                                + H.step_counts.astype("<i4").tobytes()).hexdigest()
+        assert digest == "d80a994acb680b63047b2a54622c69bdddd0ebb6b2d9514037e3f7c61141d880"
+        assert H.total_steps == 1997
 
 
 class TestDrawMapping:
-    """How one round's 64-bit hash becomes a hold and a jump, at the ends
-    of both halves, on a star whose centre has the largest degree (8)."""
+    """How a walk's key becomes its step count and a hash its slots, at the
+    ends of the 53-bit uniform and of both 32-bit halves, on a star whose
+    centre has the largest degree, Lambda = 8."""
 
     STAR = Graph(9, [(0, j) for j in range(1, 9)])
 
     @staticmethod
-    def run_with_hashes(monkeypatch, t, hashes):
-        """The table of one walk per vertex when round d's hash is
-        hashes[min(d, len(hashes) - 1)] for every walk; the rounds hashed."""
-        rounds = []
+    def run_with_hashes(monkeypatch, hashes):
+        """The table of one walk per vertex at t = 0.25 (Poisson(2) step
+        counts) when every walk key is 2^63, which gives u = 1/2 and N = 2,
+        and hash d is hashes[min(d, len(hashes) - 1)] for every walk."""
+        def fixed_keys(x, scratch):
+            x[:] = np.uint64(1 << 63)
+            return x
 
         def fixed(keys, d, out, scratch):
-            rounds.append(d)
             out[:] = np.uint64(hashes[min(d, len(hashes) - 1)])
             return out
 
+        monkeypatch.setattr(heatflow, "_finalize", fixed_keys)
         monkeypatch.setattr(heatflow, "_hash_into", fixed)
-        return simulate_heat_flow(TestDrawMapping.STAR, t, B=1), rounds
+        return simulate_heat_flow(TestDrawMapping.STAR, 0.25, B=1)
 
     def test_top_of_both_halves_jumps_at_once_to_the_last_neighbour(self, monkeypatch):
-        # round 0: hi = 2^32 - 1 gives u = 1, a hold of 0 that every walk
-        # ends before t; lo = 2^32 - 1 gives index deg - 1: the centre goes
-        # to its last leaf, 8, and each leaf (deg 1) to its only neighbour.
-        # round 1: hi = 0, a hold of 32 ln 2 / deg >= 2.77 > t, so all stop.
-        H, rounds = self.run_with_hashes(monkeypatch, 1.0, [2 ** 64 - 1, 0])
-        assert H.terminals.ravel().tolist() == [8] + [0] * 8
-        assert H.step_counts.ravel().tolist() == [1] * 9
-        assert rounds == [0, 1]
+        # b = 2^32 - 1 picks slot 7 of 8: the centre goes to its last leaf,
+        # 8, and stays there; a leaf's slot 7 is a copy of itself
+        H = self.run_with_hashes(monkeypatch, [2 ** 64 - 1])
+        assert H.terminals.ravel().tolist() == [8] + list(range(1, 9))
+        assert H.step_counts.ravel().tolist() == [2] * 9
 
-    def test_bottom_of_both_halves_holds_finitely_then_takes_the_first_neighbour(
-            self, monkeypatch):
-        # hi = 0 gives u = 2^-32: the centre holds 32 ln 2 / 8 ~ 2.77, finite
-        # and below t = 5, then lo = 0 takes index 0, leaf 1; a leaf holds
-        # 32 ln 2 ~ 22.2 > 5 and stays
-        H, _ = self.run_with_hashes(monkeypatch, 5.0, [0])
-        assert H.terminals.ravel().tolist() == [1, 1, 2, 3, 4, 5, 6, 7, 8]
-        assert H.step_counts.ravel().tolist() == [1] + [0] * 8
+    def test_bottom_of_both_halves_takes_the_first_neighbour(self, monkeypatch):
+        # b = 0 picks slot 0: the centre goes to leaf 1 and back, each leaf
+        # to the centre and on to leaf 1
+        H = self.run_with_hashes(monkeypatch, [0])
+        assert H.terminals.ravel().tolist() == [0] + [1] * 8
 
-    @pytest.mark.parametrize("scale, jumps", [(1 - 1e-12, False), (1 + 1e-12, True)])
-    def test_hold_is_capped_at_32_ln2_over_degree(self, monkeypatch, scale, jumps):
-        cap = 32 * np.log(2) / 8
-        H, _ = self.run_with_hashes(monkeypatch, cap * scale, [0])
-        assert H.step_counts[0, 0] == jumps
+    @pytest.mark.parametrize("low, high, ends", [
+        (2 ** 32 - 1, 0, [0] * 9),              # slot 7, then slot 0
+        (0, 2 ** 32 - 1, [1] + [8] * 8),        # slot 0, then slot 7
+        (2 ** 29 - 1, 2 ** 29, [1] + [2] * 8),  # the last b of slot 0, the first of slot 1
+    ], ids=["top_then_bottom", "bottom_then_top", "slot_edges"])
+    def test_low_half_is_the_first_step(self, monkeypatch, low, high, ends):
+        H = self.run_with_hashes(monkeypatch, [high << 32 | low])
+        assert H.terminals.ravel().tolist() == ends
 
-    def test_one_hash_of_key_xor_round_per_round(self, monkeypatch):
-        # a single chunk: round d hashes each moving walk's key ^ d once, for
-        # d = 0 up to the most steps a walk takes, and the table equals the
-        # reference, which splits that one hash into the hold and the jump
+    @pytest.mark.parametrize("key, steps, ends", [(0, 0, [0, 1]), (2 ** 64 - 1, 17, [1, 0])],
+                             ids=["bottom", "top"])
+    def test_step_count_at_both_ends_of_the_53_bit_uniform(self, monkeypatch, key, steps, ends):
+        # one edge at t = 1: Poisson(1) steps, each to the other end. u = 0
+        # gives N = 0; u = 1 - 2^-53 gives 17, as Poisson(1) puts 1.1e-15
+        # above 16 and 6.1e-17 < 2^-53 above 17
+        def fixed(x, scratch):
+            x[:] = np.uint64(key)
+            return x
+
+        monkeypatch.setattr(heatflow, "_finalize", fixed)
+        H = simulate_heat_flow(EDGE, 1.0, B=1)
+        assert H.step_counts.ravel().tolist() == [steps] * 2
+        assert H.terminals.ravel().tolist() == ends
+
+    def test_one_hash_of_key_xor_d_per_two_steps(self, monkeypatch):
+        # a single chunk: hash d of each walk still moving is key ^ d, taken
+        # once for steps 2d and 2d + 1, for d = 0 up to the last step's
         real, hashed = heatflow._hash_into, []
 
         def recording(keys, d, out, scratch):
             x = real(keys, d, out, scratch)
-            with np.errstate(over="ignore"):
-                assert np.array_equal(x, _reference_mix(keys ^ np.uint64(d)))
+            assert x.tolist() == [_mix(k ^ d) for k in keys.tolist()]
             hashed.append(d)
             return x
 
         monkeypatch.setattr(heatflow, "_hash_into", recording)
         H = TestChunkedScheduleMatchesReference.assert_same_table(self.STAR, 2.0, 50, seed=3)
-        assert hashed == list(range(H.step_counts.max() + 1))
+        assert hashed == list(range((H.step_counts.max() + 1) // 2))
+
+
+class TestUniformization:
+    def test_rate_is_the_largest_degree_of_each_component(self):
+        # a star (centre degree 4), a path whose hub sits at the far end of
+        # 600 vertices, so the largest degree travels back over three
+        # 256-row blocks, and an isolated vertex
+        path = [(i, i + 1) for i in range(5, 604)] + [(604, j) for j in range(605, 610)]
+        g = Graph(611, [(0, j) for j in range(1, 5)] + path)
+        lam = heatflow._component_max_degree(g)
+        assert lam.tolist() == [4] * 5 + [6] * 605 + [0]
+
+    def test_step_count_mean_and_variance_are_lambda_t(self):
+        # K5 is 4-regular, so N ~ Poisson(6) at t = 1.5; 100,000 walks put
+        # the mean within 0.04 (5 sd) and the variance within 0.15 (5 sd)
+        H = simulate_heat_flow(complete_graph(5), 1.5, 20_000, seed=11)
+        n = H.step_counts.ravel().astype(np.float64)
+        assert abs(n.mean() - 6.0) < 0.04
+        assert abs(n.var() - 6.0) < 0.15
+
+    @pytest.mark.parametrize("mu", [0.05, 1.0, 8.0, 80.3, 400.0, 5000.0])
+    def test_poisson_table_is_the_cdf(self, mu):
+        # against the CDF in 60-digit decimals, from e^-mu up by mu / k
+        k0, F = heatflow._poisson_inverse(mu)
+        decimal.getcontext().prec = 60
+        m = decimal.Decimal(mu)
+        term = cdf = (-m).exp()
+        exact = [cdf]
+        for k in range(1, k0 + len(F)):
+            term = term * m / k
+            cdf += term
+            exact.append(cdf)
+        assert np.abs(F - np.array(exact[k0:], dtype=np.float64)).max() <= 2.0 ** -49
+        assert float(exact[k0]) < 2.0 ** -60 or k0 == 0
+        assert 1 - float(exact[-1]) < 2.0 ** -60
 
 
 class TestHeatflowApply:
