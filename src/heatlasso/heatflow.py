@@ -30,11 +30,12 @@ table is bit-identical for a given (graph, t, B, seed) no matter how the
 walks are scheduled. One SplitMix64 finalizer does all the hashing: of the
 seed into a seed key, and of seed key ^ walk index into each walk's key,
 whose top 53 bits u give N by inverting the Poisson CDF (one table per
-distinct Lambda_c t). Steps 2d and 2d + 1 of a walk use the low and the
-high 32 bits of the finalizer of key ^ d; 32 bits b pick slot
-(b * Lambda_c) >> 32 of the walk's vertex's CSR row padded to Lambda_c
-slots with copies of the vertex, so a neighbour's probability is off
-1/Lambda_c by less than 2^-32 (a relative bias of at most Lambda_c / 2^32).
+distinct Lambda_c t, with a guide table over 2^12 buckets of u). Steps 2d
+and 2d + 1 of a walk use the low and the high 32 bits of the finalizer of
+key ^ d; 32 bits b pick slot (b * Lambda_c) >> 32 of the walk's vertex's
+CSR row padded to Lambda_c slots with copies of the vertex, so a
+neighbour's probability is off 1/Lambda_c by less than 2^-32 (a relative
+bias of at most Lambda_c / 2^32).
 The walks run in cache-sized chunks of consecutive indices, sorted by N,
 so each round steps only the prefix of the chunk still moving.
 """
@@ -58,9 +59,11 @@ _HALF = _U64(32)
 _LOW = _U64(0xFFFFFFFF)
 # walks per chunk: its working arrays, ~70 bytes a walk, stay in a core's L2 cache
 _CHUNK = 1 << 14
-# rows per block when the rates and the padded rows are built: no per-edge
-# temporary is longer than one block's edges
+# rows per block when the rates are found: no per-edge temporary is longer
+# than one block's edges
 _ROWS = 256
+# the guide tables of the Poisson inversion split [0, 1) into 2^12 buckets
+_GUIDE_BITS = 12
 
 
 def _finalize(x, scratch):
@@ -110,22 +113,22 @@ def _padded_rows(g: Graph, lam):
     offsets = np.zeros(g.p + 1, dtype=np.int64)
     np.cumsum(lam, out=offsets[1:])
     padded = np.repeat(np.arange(g.p, dtype=np.int16 if g.p <= 1 << 15 else np.int32), lam)
-    for i0 in range(0, g.p, _ROWS):
-        i1 = min(i0 + _ROWS, g.p)
-        at = np.repeat(offsets[i0:i1] - g.indptr[i0:i1], g.degrees[i0:i1])
-        at += np.arange(g.indptr[i0], g.indptr[i1])
-        padded[at] = g.indices[g.indptr[i0]:g.indptr[i1]]
+    for at, start, end in zip(offsets.tolist(), g.indptr.tolist(), g.indptr[1:].tolist()):
+        padded[at:at + end - start] = g.indices[start:end]
     return padded, offsets[:-1]
 
 
 def _poisson_inverse(mu):
-    """(k0, F) for the Poisson(mu) law, mu > 0: N = k0 + the number of
-    entries of F at most u is Poisson(mu) for u uniform on [0, 1), up to
+    """(k0, F, lo, hi) for the Poisson(mu) law, mu > 0: N = k0 + the number
+    of entries of F at most u is Poisson(mu) for u uniform on [0, 1), up to
     rounding. The law is cut to [k0, k1], whose complement has mass below
     e^-50 by Bernstein's inequality, and F holds its CDF from k0 to k1 - 1.
     The weights run from 1 at the mode by the ratios mu / k, so F takes
     only IEEE products, quotients and sums and is the same on every
-    platform; each weight is off by at most (k1 - k0) rounding errors."""
+    platform; each weight is off by at most (k1 - k0) rounding errors.
+    For u in [j, j + 1) 2^-_GUIDE_BITS, that number lies in [lo[j], hi[j]]
+    (Chen & Asau 1974, AIIE Trans. 6(2)), so only the u whose bucket holds
+    an entry of F need a search."""
     spread = 10.0 * math.sqrt(mu)
     k0, k1 = max(0, math.floor(mu - spread)), math.ceil(mu + spread + 30.0)
     mode = min(max(math.floor(mu), k0), k1)
@@ -135,7 +138,10 @@ def _poisson_inverse(mu):
     for k in range(mode - 1, k0 - 1, -1):
         weight[k - k0] = weight[k - k0 + 1] * (k + 1) / mu
     cdf = list(itertools.accumulate(weight))
-    return k0, np.array(cdf[:-1]) / cdf[-1]
+    F = np.array(cdf[:-1]) / cdf[-1]
+    edges = np.arange((1 << _GUIDE_BITS) + 1) * 2.0 ** -_GUIDE_BITS
+    return (k0, F, np.searchsorted(F, edges[:-1], side="right").astype(np.int32),
+            np.searchsorted(F, edges[1:], side="left").astype(np.int32))
 
 
 @dataclass(frozen=True)
@@ -164,6 +170,26 @@ class HeatFlowMatrix:
 def _check_time(t):
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
+def _step_counts(key, rate, tables, rates):
+    """Each walk's step count N: at rate L, k0 plus the number of entries of
+    F at most u = (key >> 11) 2^-53, read off the guide where u's bucket
+    holds no entry of F, else found by a search. `rates` are the distinct
+    rates among the walks."""
+    n_steps = np.zeros(len(key), dtype=np.int64)
+    bucket = np.right_shift(key, _U64(64 - _GUIDE_BITS)).view(np.int64)
+    for L in rates.tolist():
+        if L:
+            k0, F, lo, hi = tables[L]
+            walks = np.flatnonzero(rate == L)
+            b = bucket.take(walks)
+            n = lo.take(b)
+            near = np.flatnonzero(n != hi.take(b))
+            u = np.right_shift(key.take(walks.take(near)), _U64(11)).astype(np.float64)
+            n[near] = np.searchsorted(F, u * 2.0 ** -53, side="right")
+            n_steps[walks] = n + k0
+    return n_steps
 
 
 def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMatrix:
@@ -216,23 +242,16 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
         for start in range(0, p * B, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, p * B))
             key = _finalize(ids.astype(np.uint64) ^ seed_key, scratch[:len(ids)])
-            u = np.right_shift(key, _U64(11)).astype(np.float64)
-            u *= 2.0 ** -53
-            vertex = ids // B
-            rate = lam.take(vertex)
-            n_steps = np.zeros(len(ids), dtype=np.int64)
-            for L in np.unique(lam[vertex[0]:vertex[-1] + 1]).tolist():
-                if L:
-                    k0, F = tables[L]
-                    walks = np.flatnonzero(rate == L)
-                    n_steps[walks] = np.searchsorted(F, u.take(walks), side="right") + k0
+            rate = lam.take(ids // B)
+            n_steps = _step_counts(key, rate, tables, np.unique(lam[ids[0] // B:ids[-1] // B + 1]))
             order = np.argsort(-n_steps)[:np.count_nonzero(n_steps)]  # by N, largest first
             if not len(order):
                 continue
-            n_steps, ids, key = n_steps.take(order), ids.take(order), key.take(order)
-            moving = len(order) - np.cumsum(np.bincount(n_steps))  # walks with N > r
+            n_steps, ids, key = (a.take(order) for a in (n_steps, ids, key))
             rate = rate.take(order).astype(np.uint64)
-            cur = vertex.take(order).astype(padded.dtype)
+            del order  # the round loop holds only what it reads
+            moving = len(ids) - np.cumsum(np.bincount(n_steps))  # walks with N > r
+            cur = (ids // B).astype(padded.dtype)
             for r in range(int(n_steps[0])):
                 n = moving[r]
                 if r & 1:  # the high half of the hash of the round before

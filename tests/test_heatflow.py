@@ -168,7 +168,7 @@ def reference_walks(g, t, B, seed):
         rate, key, n = lam[v], _mix(w ^ seed_key), 0
         if t > 0 and rate:
             if rate not in tables:
-                k0, F = heatflow._poisson_inverse(rate * t)
+                k0, F = heatflow._poisson_inverse(rate * t)[:2]
                 tables[rate] = k0, F.tolist()
             k0, F = tables[rate]
             n = k0 + bisect.bisect_right(F, (key >> 11) * 2.0 ** -53)
@@ -365,7 +365,7 @@ class TestUniformization:
     @pytest.mark.parametrize("mu", [0.05, 1.0, 8.0, 80.3, 400.0, 5000.0])
     def test_poisson_table_is_the_cdf(self, mu):
         # against the CDF in 60-digit decimals, from e^-mu up by mu / k
-        k0, F = heatflow._poisson_inverse(mu)
+        k0, F, lo, hi = heatflow._poisson_inverse(mu)
         decimal.getcontext().prec = 60
         m = decimal.Decimal(mu)
         term = cdf = (-m).exp()
@@ -377,6 +377,12 @@ class TestUniformization:
         assert np.abs(F - np.array(exact[k0:], dtype=np.float64)).max() <= 2.0 ** -49
         assert float(exact[k0]) < 2.0 ** -60 or k0 == 0
         assert 1 - float(exact[-1]) < 2.0 ** -60
+        # the guide: every u of bucket j, both ends included, has its count
+        # of entries of F at most u in [lo[j], hi[j]]
+        j = np.arange(len(lo))
+        for u in (j * 2.0 ** -heatflow._GUIDE_BITS, (j + 1) * 2.0 ** -heatflow._GUIDE_BITS - 2.0 ** -53):
+            n = np.searchsorted(F, u, side="right")
+            assert np.all((lo <= n) & (n <= hi))
 
 
 class TestHeatflowApply:
