@@ -175,11 +175,11 @@ def _check_time(t):
 def _step_counts(key, rate, tables, rates):
     """Each walk's step count N: at rate L, k0 plus the number of entries of
     F at most u = (key >> 11) 2^-53, read off the guide where u's bucket
-    holds no entry of F, else found by a search. `rates` are the distinct
-    rates among the walks."""
+    holds no entry of F, else found by a search. `rates` holds every rate
+    among the walks."""
     n_steps = np.zeros(len(key), dtype=np.int64)
     bucket = np.right_shift(key, _U64(64 - _GUIDE_BITS)).view(np.int64)
-    for L in rates.tolist():
+    for L in rates:
         if L:
             k0, F, lo, hi = tables[L]
             walks = np.flatnonzero(rate == L)
@@ -232,18 +232,20 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     if t > 0 and g.degrees.any():
         lam = _component_max_degree(g)
         padded, offsets = _padded_rows(g, lam)
-        tables = {L: _poisson_inverse(L * t) for L in np.unique(lam[lam > 0]).tolist()}
-        hashed = np.empty(_CHUNK, dtype=np.uint64)
-        scratch = np.empty(_CHUNK, dtype=np.uint64)
-        slot = np.empty(_CHUNK, dtype=np.uint64)
-        at = np.empty(_CHUNK, dtype=np.int64)
+        # sets, not np.unique, which imports numpy.ma (about 1 MB) on its first call
+        tables = {L: _poisson_inverse(L * t) for L in set(lam[lam > 0].tolist())}
+        hashed = np.empty(min(_CHUNK, p * B), dtype=np.uint64)
+        scratch = np.empty(min(_CHUNK, p * B), dtype=np.uint64)
+        slot = np.empty(min(_CHUNK, p * B), dtype=np.uint64)
+        at = np.empty(min(_CHUNK, p * B), dtype=np.int64)
         seed_key = _finalize(np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
                              scratch[:1])
         for start in range(0, p * B, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, p * B))
             key = _finalize(ids.astype(np.uint64) ^ seed_key, scratch[:len(ids)])
             rate = lam.take(ids // B)
-            n_steps = _step_counts(key, rate, tables, np.unique(lam[ids[0] // B:ids[-1] // B + 1]))
+            rates = set(lam[ids[0] // B:ids[-1] // B + 1].tolist())
+            n_steps = _step_counts(key, rate, tables, rates)
             order = np.argsort(-n_steps)[:np.count_nonzero(n_steps)]  # by N, largest first
             if not len(order):
                 continue

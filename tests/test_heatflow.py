@@ -3,6 +3,9 @@ import bisect
 import dataclasses
 import decimal
 import hashlib
+import os
+import subprocess
+import sys
 import struct
 
 import numpy as np
@@ -130,6 +133,20 @@ class TestSimulation:
         # seeds were reduced mod 2**64, so 0 and 2**64 gave one table
         with pytest.raises(ValueError, match=r"seed must be an integer in \[-2\*\*63, 2\*\*63\)"):
             simulate_heat_flow(EDGE, 1.0, B=3, seed=seed)
+
+    def test_simulation_imports_no_module(self):
+        # np.unique imports numpy.ma (about 1 MB) on its first call; a table
+        # in a fresh process needs nothing beyond what heatlasso imports
+        code = ("import sys\n"
+                "from heatlasso import simulate_heat_flow, sample_block_graph\n"
+                "g = sample_block_graph([5, 7], 0.6, 0.1, seed=1)\n"
+                "before = set(sys.modules)\n"
+                "simulate_heat_flow(g, 1.0, 20, seed=3)\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_numpy_integer_B_and_seed(self):
         g = figure_graph()
@@ -379,8 +396,9 @@ class TestUniformization:
         assert 1 - float(exact[-1]) < 2.0 ** -60
         # the guide: every u of bucket j, both ends included, has its count
         # of entries of F at most u in [lo[j], hi[j]]
+        width = 2.0 ** -heatflow._GUIDE_BITS
         j = np.arange(len(lo))
-        for u in (j * 2.0 ** -heatflow._GUIDE_BITS, (j + 1) * 2.0 ** -heatflow._GUIDE_BITS - 2.0 ** -53):
+        for u in (j * width, (j + 1) * width - 2.0 ** -53):
             n = np.searchsorted(F, u, side="right")
             assert np.all((lo <= n) & (n <= hi))
 
