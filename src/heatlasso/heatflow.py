@@ -25,19 +25,12 @@ whose largest degree is more than about twice its mean (a hub) simulates
 slower than it would with holding times. On the benchmark graphs Lambda_c
 exceeds d_c by 4-10%.
 
-Randomness is counter-based: every draw is a pure hash, so the terminals
-table is bit-identical for a given (graph, t, B, seed) no matter how the
-walks are scheduled. One SplitMix64 finalizer does all the hashing: of the
-seed into a seed key, and of seed key ^ walk index into each walk's key,
-whose top 53 bits u give N by inverting the Poisson CDF (one table per
-distinct Lambda_c t, with a guide table over 2^12 buckets of u). Steps 2d
-and 2d + 1 of a walk use the low and the high 32 bits of the finalizer of
-key ^ d; 32 bits b pick slot (b * Lambda_c) >> 32 of the walk's vertex's
-CSR row padded to Lambda_c slots with copies of the vertex, so a
-neighbour's probability is off 1/Lambda_c by less than 2^-32 (a relative
-bias of at most Lambda_c / 2^32).
-The walks run in cache-sized chunks of consecutive indices, sorted by N,
-so each round steps only the prefix of the chunk still moving.
+Randomness is counter-based: a walk's step count and every step's draw
+are pure hashes of (seed, walk index, step) through one SplitMix64
+finalizer (the layout is in simulate_heat_flow), so the terminals table is
+bit-identical for a given (graph, t, B, seed) however the walks are
+scheduled. A neighbour's probability is off 1/Lambda_c by less than 2^-32
+(a relative bias of at most Lambda_c / 2^32).
 """
 
 import itertools
@@ -199,7 +192,8 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     component, the walk's law is the e^{-tL} semigroup, which every
     fidelity test enforces. Walk w is the w-th of the p*B walks in
     row-major order (start vertex w // B); its key is the finalizer of
-    seed key ^ w. Its step count N is Poisson(Lambda_c t), drawn by
+    seed key ^ w, the seed key being the finalizer of the seed as a
+    uint64. Its step count N is Poisson(Lambda_c t), drawn by
     inverting the CDF at the key's top 53 bits, u = (key >> 11) 2^-53.
     Steps 2d and 2d + 1 take the low and the high 32 bits b of the
     finalizer of key ^ d, and move to slot (b * Lambda_c) >> 32, exact in
@@ -234,10 +228,9 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
         padded, offsets = _padded_rows(g, lam)
         # sets, not np.unique, which imports numpy.ma (about 1 MB) on its first call
         tables = {L: _poisson_inverse(L * t) for L in set(lam[lam > 0].tolist())}
-        hashed = np.empty(min(_CHUNK, p * B), dtype=np.uint64)
-        scratch = np.empty(min(_CHUNK, p * B), dtype=np.uint64)
-        slot = np.empty(min(_CHUNK, p * B), dtype=np.uint64)
-        at = np.empty(min(_CHUNK, p * B), dtype=np.int64)
+        size = min(_CHUNK, p * B)
+        hashed, scratch, slot = (np.empty(size, dtype=np.uint64) for _ in range(3))
+        at = np.empty(size, dtype=np.int64)
         seed_key = _finalize(np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
                              scratch[:1])
         for start in range(0, p * B, _CHUNK):

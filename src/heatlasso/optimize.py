@@ -22,10 +22,9 @@ count and converged flag of its single fit: from then on its step is
 scaled by 0, so its beta stays put while it keeps its place in every
 product, until all columns have stopped or max_iters is reached.
 subgradient_descent and block_cd are the one-column case, and
-cross_validate runs a whole lambda x fold grid per t. A column's arithmetic
-matches its single fit's only up to rounding: a GEMM over F columns may
-sum in another order than the one-column product. Block CD's columns stay
-within ~1e-14 of their single fits; SD's, which never converge at the
+cross_validate runs a whole lambda x fold grid per t. A column follows its
+single fit only up to rounding: a GEMM over F columns may sum in another
+order than the one-column product. SD, whose fits do not converge at the
 benchmark settings, can amplify such a gap near a zero coefficient by
 orders of magnitude over the iterations.
 
