@@ -10,8 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, laplacian, spectral_decompose
-from .heatflow import _is_integer
+from .graphs import Graph, _is_integer, laplacian, spectral_decompose
 from .penalty import GroupStructure
 
 # One scheme per group: ("uniform", lo, hi) or ("zero",). The default for

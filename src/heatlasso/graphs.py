@@ -56,10 +56,10 @@ class Graph:
 
     The sorted neighbours of vertex i are indices[indptr[i]:indptr[i + 1]]
     (indices int32, indptr int64 of length p + 1). Built from an (m, 2)
-    array of edges in any order and direction by sorting the keys i * p + j
-    of both directions; duplicates collapse, and a self-loop (rejected
-    unless allow_self_loops is set) is stored once, so degree(i) counts it
-    once.
+    integer array of edges (a float or bool one is refused) in any order and
+    direction by sorting the keys i * p + j of both directions; duplicates
+    collapse, and a self-loop (rejected unless allow_self_loops is set) is
+    stored once, so degree(i) counts it once.
     """
 
     def __init__(self, p, edges=(), allow_self_loops=False):
@@ -69,7 +69,12 @@ class Graph:
             raise ValueError(f"vertex count {p} too large: keys i * p + j overflow int64")
         self.p = p = int(p)
         self.allow_self_loops = bool(allow_self_loops)
-        e = np.asarray(edges, dtype=np.int64)
+        # a sequence is read as objects, entry by entry, so its bools do not pass as ints
+        e = np.asarray(edges, dtype=None if isinstance(edges, np.ndarray) else object)
+        if e.size and e.dtype.kind not in "iu" and not (
+                e.dtype == object and all(map(_is_integer, e.flat))):
+            raise ValueError("edge indices must be integers, not bools or floats")
+        e = e.astype(np.int64)
         if e.shape == (0,):
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -179,24 +184,35 @@ def spectral_decompose(g: Graph) -> LaplacianSpectrum:
 
 
 def connected_components(g: Graph):
-    """Component labelling by label propagation on the CSR arrays, independent
-    of any spectral routine: each vertex takes the smallest label among its
-    neighbours, then pointer jumping follows labels to their roots, until
-    nothing changes and each vertex holds its component's smallest vertex.
+    """Component labelling on the CSR arrays by hooking and pointer jumping
+    (Shiloach & Vishkin, J. Algorithms 3(1), 1982), independent of any
+    spectral routine. A sweep takes _CORR_ROWS rows at a time, in place: a
+    row whose neighbours hold a smaller label takes the smallest, and so
+    does the vertex its old label names (the hook); pointer jumping then
+    runs to a fixpoint. When a sweep changes nothing, each vertex holds its
+    component's smallest vertex. No temporary outgrows one block's lists.
 
     Returns (count, labels) with labels in [0, count), numbered in order of
     each component's smallest vertex.
     """
-    rows = np.repeat(np.arange(g.p), g.degrees)
-    labels, before = np.arange(g.p), None
+    labels, before = np.arange(g.p, dtype=g.indices.dtype), None
     while not np.array_equal(labels, before):
         before = labels.copy()
-        np.minimum.at(labels, rows, before[g.indices])
-        jumped = labels[labels]
+        for i0 in range(0, g.p, _CORR_ROWS):
+            live = np.flatnonzero(g.degrees[i0:i0 + _CORR_ROWS]) + i0
+            if not len(live):  # reduceat needs nonempty rows
+                continue
+            a, b = g.indptr[live[0]], g.indptr[live[-1] + 1]
+            seen = np.minimum.reduceat(labels.take(g.indices[a:b]), g.indptr[live] - a)
+            drop = np.flatnonzero(seen < labels.take(live))
+            live, seen = live.take(drop), seen.take(drop)
+            np.minimum.at(labels, labels.take(live), seen)  # the hook
+            np.minimum.at(labels, live, seen)
+        jumped = labels.take(labels)
         while not np.array_equal(jumped, labels):
-            labels, jumped = jumped, jumped[jumped]
-    roots, labels = np.unique(labels, return_inverse=True)
-    return len(roots), labels
+            labels, jumped = jumped, jumped.take(jumped)
+    roots = labels == np.arange(g.p)
+    return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1).take(labels)
 
 
 def _check_alpha(alpha):

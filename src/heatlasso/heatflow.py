@@ -5,9 +5,10 @@ plus an exact dense semigroup oracle.
 The walks are simulated by uniformization (Jensen 1953, Skand.
 Aktuarietidskr. 36; Grassmann 1977, Comput. Oper. Res. 4(1)). Let Lambda_c
 be the largest degree in the connected component c of a walk's start
-vertex. Then e^{-tL} = sum_N Poisson(N; Lambda_c t) (I - L/Lambda_c)^N on c,
-so a walk draws one step count N ~ Poisson(Lambda_c t) and takes N steps of
-the lazy chain I - L/Lambda_c: a step from v moves to each neighbour with
+vertex, read off the labels of graphs.connected_components. Then
+e^{-tL} = sum_N Poisson(N; Lambda_c t) (I - L/Lambda_c)^N on c, so a walk
+draws one step count N ~ Poisson(Lambda_c t) and takes N steps of the lazy
+chain I - L/Lambda_c: a step from v moves to each neighbour with
 probability 1/Lambda_c and stays with probability 1 - deg(v)/Lambda_c. A
 degree-0 vertex (Lambda_c = 0) never moves. The terminal vertices of B
 walks per start vertex are stored once and define the empirical kernel
@@ -42,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, ShapeMismatch
-from .graphs import ZERO_EIGENVALUE_TOL, Graph, _is_integer, spectral_decompose
+from .graphs import (ZERO_EIGENVALUE_TOL, Graph, _is_integer, connected_components,
+                     spectral_decompose)
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -52,9 +54,6 @@ _HALF = _U64(32)
 _LOW = _U64(0xFFFFFFFF)
 # walks per chunk: its working arrays, ~70 bytes a walk, stay in a core's L2 cache
 _CHUNK = 1 << 14
-# rows per block when the rates are found: no per-edge temporary is longer
-# than one block's edges
-_ROWS = 256
 # the guide tables of the Poisson inversion split [0, 1) into 2^12 buckets
 _GUIDE_BITS = 12
 
@@ -79,25 +78,11 @@ def _hash_into(keys, d, out, scratch):
 
 def _component_max_degree(g: Graph) -> np.ndarray:
     """Lambda_c of each vertex: the largest degree in its connected
-    component. Each vertex takes the largest value among itself and its
-    neighbours, _ROWS rows at a time and in place, until a sweep changes
-    nothing."""
-    lam = g.degrees.copy()
-    changed = True
-    while changed:
-        changed = False
-        for i0 in range(0, g.p, _ROWS):
-            i1 = min(i0 + _ROWS, g.p)
-            a, b = g.indptr[i0], g.indptr[i1]
-            if a == b:
-                continue
-            live = g.degrees[i0:i1] > 0  # reduceat needs nonempty rows
-            seen = np.maximum.reduceat(lam.take(g.indices[a:b]), g.indptr[i0:i1][live] - a)
-            rows = lam[i0:i1]  # a view
-            if (seen > rows[live]).any():
-                rows[live] = np.maximum(rows[live], seen)
-                changed = True
-    return lam
+    component, the per-label maximum over connected_components' labels."""
+    count, labels = connected_components(g)
+    lam = np.zeros(count, dtype=g.degrees.dtype)
+    np.maximum.at(lam, labels, g.degrees)
+    return lam.take(labels)
 
 
 def _padded_rows(g: Graph, lam):

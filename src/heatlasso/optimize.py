@@ -62,7 +62,8 @@ from .errors import (
     NonFiniteObjective,
     ShapeMismatch,
 )
-from .heatflow import SmoothingOperator, _is_integer, simulate_heat_flow
+from .graphs import _is_integer
+from .heatflow import SmoothingOperator, simulate_heat_flow
 from .penalty import _penalty_terms
 
 RATE_PROTOCOLS = ("constant", "inv_sqrt")
@@ -200,11 +201,16 @@ def _require_finite(value, what):
 
 def _check_data(X, y, cfg):
     """Check the data and config shared by every fit of a run; returns
-    (X, y) as float arrays."""
+    (X, y) as float arrays. A non-finite entry is refused by its place."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ShapeMismatch(f"inconsistent shapes: X {X.shape}, y {y.shape}")
+    for name, a in (("X", X), ("y", y)):
+        if not np.isfinite(a).all():
+            at = np.unravel_index(np.isfinite(a).argmin(), a.shape)  # the first, row-major
+            raise ValueError(f"{name} holds {a[at]} at row {', column '.join(map(str, at))} "
+                             "(0-based); fits need finite data")
     cfg.validate(X.shape[1])
     if cfg.loss == "logistic":
         _check_labels(y)

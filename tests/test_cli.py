@@ -103,6 +103,20 @@ class TestFit:
         assert main(["fit", str(bad), "--out", str(tmp_path)]) == 1
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_data_exits_one(self, tmp_path, capsys, bad):
+        # read_dataset_csv parses the value and the estimated graph isolates
+        # its column; the fit refuses it by its place instead of exiting 2
+        # with "loss is not finite"
+        path = write_toy_csv(tmp_path / "toy.csv")
+        lines = path.read_text().splitlines()
+        y, x1, x2 = lines[5].split(",")
+        lines[5] = ",".join((y, x1, bad))
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: X holds {bad} at row 4, column 1 ")
+
     def test_numerical_failure_exits_two(self, tmp_path):
         data = write_toy_csv(tmp_path / "toy.csv")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -97,6 +97,15 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
             Graph(4, edges=edges)
 
+    @pytest.mark.parametrize("edges", [[(0, 1.5)], [(0, 2.9)], [(0, True)], [(0, np.True_)],
+                                       np.array([[0, 1]], dtype=np.float64),
+                                       np.array([[0, 1]], dtype=bool)])
+    def test_edges_must_be_integers(self, edges):
+        # before the check, (0, 1.5) built (0, 1), (0, 2.9) built (0, 2) and
+        # (0, True) built (0, 1)
+        with pytest.raises(ValueError, match="edge indices must be integers"):
+            Graph(3, edges=edges)
+
     def test_empty_edge_list(self):
         for edges in ((), [], np.zeros((0, 2), dtype=np.int64)):
             g = Graph(3, edges=edges)
@@ -305,6 +314,47 @@ class TestConnectedComponents:
         assert count == 5 and labels.tolist() == [0, 1, 2, 3, 4]
         count, labels = self.check(Graph(5, edges=[(1, 1), (4, 2)], allow_self_loops=True))
         assert count == 4 and labels.tolist() == [0, 1, 2, 3, 2]
+
+    def test_sparse_shuffled_graphs_over_several_row_blocks(self):
+        # components that span several _CORR_ROWS-row blocks in shuffled
+        # vertex order, so labels must travel both ways across blocks, with
+        # self-loops and isolated vertices
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            p = int(rng.integers(2 * _CORR_ROWS, 6 * _CORR_ROWS))
+            edges = rng.integers(0, p, size=(int(rng.integers(p // 4, p)), 2))
+            g = Graph(p, edges=edges, allow_self_loops=True)
+            assert (g.degrees == 0).any()
+            self.check(g)
+
+    def test_shuffled_long_path_is_one_component(self):
+        # labels must travel 20,000 hops through a random row order
+        perm = np.random.default_rng(24).permutation(20_000)
+        g = Graph(20_000, edges=perm[path_graph(20_000)._edge_array()])
+        count, labels = self.check(g)
+        assert count == 1 and not labels.any()
+
+    def test_path_with_its_hub_at_the_far_end(self):
+        # 2,002 vertices: a path whose only degree-3 vertex (row 1,999)
+        # carries two leaves
+        count, labels = self.check(Graph(2002, [(i, i + 1) for i in range(1999)]
+                                         + [(1999, 2000), (1999, 2001)]))
+        assert count == 1 and not labels.any()
+
+    def test_peak_memory_holds_no_per_edge_array(self):
+        # below 8 bytes per stored neighbour entry (the labelling with
+        # per-edge arrays read 16.1); temporaries are one row block's
+        import tracemalloc
+
+        g = complete_graph(1200)
+        tracemalloc.start()
+        try:
+            count, labels = connected_components(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1 and not labels.any()
+        assert peak < 8 * len(g.indices)
 
 
 class TestEstimateGraph:

@@ -363,13 +363,17 @@ class TestDrawMapping:
 
 class TestUniformization:
     def test_rate_is_the_largest_degree_of_each_component(self):
-        # a star (centre degree 4), a path whose hub sits at the far end of
-        # 600 vertices, so the largest degree travels back over three
-        # 256-row blocks, and an isolated vertex
+        # a star (centre degree 4), a 600-vertex path whose hub (degree 6)
+        # sits at its far end, row 604, two 256-row blocks past the path's
+        # smallest vertex, and an isolated vertex
         path = [(i, i + 1) for i in range(5, 604)] + [(604, j) for j in range(605, 610)]
         g = Graph(611, [(0, j) for j in range(1, 5)] + path)
         lam = heatflow._component_max_degree(g)
-        assert lam.tolist() == [4] * 5 + [6] * 605 + [0]
+        assert lam.dtype == np.int64 and lam.tolist() == [4] * 5 + [6] * 605 + [0]
+        # 2,002 vertices: a path whose only degree-3 vertex (row 1,999)
+        # carries two leaves
+        g = Graph(2002, [(i, i + 1) for i in range(1999)] + [(1999, 2000), (1999, 2001)])
+        assert heatflow._component_max_degree(g).tolist() == [3] * 2002
 
     def test_step_count_mean_and_variance_are_lambda_t(self):
         # K5 is 4-regular, so N ~ Poisson(6) at t = 1.5; 100,000 walks put

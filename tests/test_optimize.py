@@ -213,6 +213,23 @@ class TestSubgradientDescent:
                 cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=2,
                                cfg=FitConfig(seed=seed))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_is_refused_by_its_place(self, bad):
+        # before the check, a fit on such data stopped with "loss is not finite"
+        X, y = np.eye(4, 3), np.ones(4)
+        X[2, 1] = bad
+        for fit in (subgradient_descent, block_cd):
+            with pytest.raises(ValueError, match=f"X holds {bad} at row 2, column 1 "):
+                fit(X, y, np.eye(3), FitConfig())
+        with pytest.raises(ValueError, match="X holds .* at row 2, column 1 "):
+            cross_validate(X, y, figure_graph(), [0.1], [1.0], folds=2, cfg=FitConfig())
+        X[2, 1], X[3, 0], y[1] = 0.0, bad, bad  # y is checked after X
+        with pytest.raises(ValueError, match="X holds .* at row 3, column 0 "):
+            subgradient_descent(X, y, np.eye(3), FitConfig())
+        X[3, 0] = 0.0
+        with pytest.raises(ValueError, match=f"y holds {bad} at row 1 "):
+            subgradient_descent(X, y, np.eye(3), FitConfig())
+
     def test_tolerances_are_validated(self):
         for bad in ({"eps_tol": -1e-6}, {"eps_tol": float("nan")}):
             with pytest.raises(ValueError, match="eps_tol"):
