@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite
-from .graphs import Graph, _is_integer, laplacian, spectral_decompose
+from .graphs import Graph, _is_integer, _is_real, laplacian, spectral_decompose
 from .penalty import GroupStructure
 
 # One scheme per group: ("uniform", lo, hi) or ("zero",). The default for
@@ -56,9 +56,9 @@ class DesignSpec:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.noise_sigma < math.inf:
+        if not (_is_real(self.noise_sigma) and 0 <= self.noise_sigma < math.inf):
             raise ValueError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
 
 
 def _check_rho(d, rho):

@@ -51,6 +51,11 @@ def _is_integer(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    """A Python or numpy integer or float; not a bool, nor a string."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 class Graph:
     """Undirected graph on p vertices in CSR (compressed sparse row) form.
 
@@ -74,14 +79,14 @@ class Graph:
         if e.size and e.dtype.kind not in "iu" and not (
                 e.dtype == object and all(map(_is_integer, e.flat))):
             raise ValueError("edge indices must be integers, not bools or floats")
-        e = e.astype(np.int64)
         if e.shape == (0,):
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
-        if e.size and (e.min() < 0 or e.max() >= p):
+        if e.size and (e.min() < 0 or e.max() >= p):  # as given: before the int64 cast
             i, j = e[((e < 0) | (e >= p)).any(axis=1).argmax()]
             raise ValueError(f"edge ({i}, {j}) outside vertex range [0, {p})")
+        e = e.astype(np.int64)
         loop = e[:, 0] == e[:, 1]
         if loop.any() and not self.allow_self_loops:
             raise ValueError(f"self-loop at vertex {e[loop.argmax(), 0]} "
@@ -247,7 +252,7 @@ def _bracketed_mask(p, rank, block, lo, hi):
     A, above, between = np.zeros((p, p), dtype=np.uint8), np.zeros(4, np.int64), []
     for i0, i1 in _row_blocks(p):
         b = block(i0, i1)
-        b[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = np.nan  # not pairs: 0
+        b[np.tri(*b.shape, k=-1, dtype=bool)] = np.nan  # not pairs: code 0
         sub = A[i0:i1, i0 + 1:]
         for compare, edge in ((np.greater_equal, lo), (np.greater, lo),
                               (np.greater_equal, hi), (np.greater, hi)):
@@ -271,35 +276,17 @@ def _bracketed_mask(p, rank, block, lo, hi):
     return A.view(bool)
 
 
-def _upper(rows, cols):
-    """The boolean mask of row-block entries (r, c) with c >= r: pairs i < j
-    of rows i0 + r against columns i0 + 1 + c."""
-    return ~np.tri(rows, cols, k=-1, dtype=bool)
-
-
 def _pair_values(p, block):
     """Every |corr_ij|, i < j, in row-major order in one buffer, from
     blocks of _EXACT_ROWS rows."""
     values, k = np.empty(p * (p - 1) // 2), 0
     for i0, i1 in _row_blocks(p, _EXACT_ROWS):
         b = block(i0, i1)
-        kept = b[_upper(*b.shape)]
+        kept = b[~np.tri(*b.shape, k=-1, dtype=bool)]
         del b  # before the next block is made
         values[k:k + len(kept)] = kept
         k += len(kept)
     return values
-
-
-def _mask_above(p, values, theta):
-    """The p x p boolean mask of the pairs i < j whose value in
-    _pair_values' order exceeds theta."""
-    A, k = np.zeros((p, p), dtype=bool), 0
-    for i0, i1 in _row_blocks(p, _EXACT_ROWS):
-        upper = _upper(i1 - i0, p - 1 - i0)
-        n = np.count_nonzero(upper)
-        A[i0:i1, i0 + 1:][upper] = values[k:k + n] > theta
-        k += n
-    return A
 
 
 def _threshold_mask(p, alpha, source):
@@ -310,7 +297,8 @@ def _threshold_mask(p, alpha, source):
     arrays. Above _SAMPLE_ABOVE pairs, _bracketed_mask tries _bracket's lo
     and hi. At most that many pairs, or if the threshold lies outside the
     bracket, every value goes into one buffer; once the source is dropped,
-    np.partition of it gives the threshold."""
+    np.partition of it gives the threshold, and one boolean assignment over
+    the upper triangle (row-major, as in the buffer) writes the mask."""
     pairs = p * (p - 1) // 2
     if pairs == 0:
         return np.zeros((p, p), dtype=bool)
@@ -323,7 +311,9 @@ def _threshold_mask(p, alpha, source):
         values = _pair_values(p, block)
     del block, pair_corr  # with what they hold, such as a copy of X
     if A is None:
-        A = _mask_above(p, values, np.partition(values, rank - 1)[rank - 1])
+        theta = np.partition(values, rank - 1)[rank - 1]
+        A = ~np.tri(p, dtype=bool)  # the pairs i < j, in values' order
+        A[A] = values > theta
         del values
     for i0 in range(0, p, _CORR_ROWS):  # symmetric, without a p x p temporary
         A[i0:i0 + _CORR_ROWS] |= A[:, i0:i0 + _CORR_ROWS].T

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, ShapeMismatch
-from .graphs import (ZERO_EIGENVALUE_TOL, Graph, _is_integer, connected_components,
-                     spectral_decompose)
+from .graphs import (ZERO_EIGENVALUE_TOL, Graph, _is_integer, _is_real,
+                     connected_components, spectral_decompose)
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -146,8 +146,8 @@ class HeatFlowMatrix:
 
 
 def _check_time(t):
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if not (_is_real(t) and 0 <= t < math.inf):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
 
 
 def _step_counts(key, rate, tables, rates):

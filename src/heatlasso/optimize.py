@@ -62,7 +62,7 @@ from .errors import (
     NonFiniteObjective,
     ShapeMismatch,
 )
-from .graphs import _is_integer
+from .graphs import _is_integer, _is_real
 from .heatflow import SmoothingOperator, simulate_heat_flow
 from .penalty import _penalty_terms
 
@@ -91,22 +91,22 @@ class FitConfig:
     loss: str = "squared_error"
 
     def validate(self, p=None):
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 <= self.t < math.inf:
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        if not (_is_real(self.lam) and 0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        if not (_is_real(self.t) and 0 <= self.t < math.inf):
+            raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
         if not (_is_integer(self.B) and self.B >= 1):
             raise ValueError(f"B must be an integer >= 1, got {self.B!r}")
-        if not 0 < self.alpha0 < math.inf:
-            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0}")
+        if not (_is_real(self.alpha0) and 0 < self.alpha0 < math.inf):
+            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0!r}")
         if self.rate_protocol not in RATE_PROTOCOLS:
             raise ValueError(f"rate_protocol must be one of {RATE_PROTOCOLS}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
         if not (_is_integer(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.eps_tol >= 0:
-            raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol}")
+        if not (_is_real(self.eps_tol) and self.eps_tol >= 0):
+            raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol!r}")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         q = self.block_size
@@ -499,8 +499,8 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     _check_graph(g, X)
     for name, grid in (("lambda_grid", lambda_grid), ("t_grid", t_grid)):
         for v in grid:
-            if not 0 <= v < math.inf:
-                raise ValueError(f"{name} values must be finite and >= 0, got {v}")
+            if not (_is_real(v) and 0 <= v < math.inf):
+                raise ValueError(f"{name} values must be finite and >= 0, got {v!r}")
     n = X.shape[0]
     if not (_is_integer(folds) and folds >= 2):
         raise ValueError(f"folds must be an integer >= 2, got {folds!r}")

@@ -447,6 +447,15 @@ class TestSimulate:
         assert "fit_001_sd.json" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["fit_001_sd.json"]
 
+    @pytest.mark.parametrize("text", [None, "not json"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot load config {cfg_path}: ")
+        assert not (tmp_path / "run").exists()
+
     def test_bad_config_exits_one_and_cleans_up(self, tmp_path):
         cfg = small_sim_config(tmp_path / "run")
         cfg["design"]["kind"] = "no_such_design"
@@ -526,6 +535,12 @@ class TestSimulate:
         ("design", "n", MISSING, "design.n is required"),
         ("design.graph", "a", MISSING, "design.graph.a and design.graph.b are required"),
         ("fit.cv", "t_grid", MISSING, "fit.cv.t_grid is required"),
+        # well typed, refused by meaning
+        ("", "repeats", 0, "repeats must be an integer >= 1, got 0"),
+        ("", "graph", {}, "unrecognized graph section {}"),
+        ("design", "kind", "gff", "gff design config needs a 'graph' subsection"),
+        ("design", "beta_scheme", [["gauss", 0.5], ["zero"]],
+         "unknown beta scheme ['gauss', 0.5]"),
     ])
     def test_bad_experiment_config_exits_one(self, tmp_path, capsys, monkeypatch,
                                              where, key, value, named):

@@ -242,10 +242,20 @@ class TestSpecValidation:
         ("seed", 5.7),
         ("seed", 5.0),
         ("seed", True),
+        # a bool is no number, so True is not read as 1
+        ("noise_sigma", True),
+        ("noise_sigma", np.True_),
+        ("noise_sigma", "0.5"),
+        ("noise_sigma", None),
     ])
     def test_bad_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             sample_design_and_response(benchmark_spec(**{field: value}))
+
+    @pytest.mark.parametrize("sigma", [np.float32(0.5), np.int64(1)])
+    def test_numpy_noise_sigma_passes(self, sigma):
+        y = sample_design_and_response(benchmark_spec(noise_sigma=sigma))[1]
+        assert np.isfinite(y).all()
 
 
 class TestExport:

@@ -88,6 +88,15 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match=r"edge \(-1, 1\)"):
             Graph(2, edges=[(-1, 1)])
 
+    @pytest.mark.parametrize("edges, j", [
+        ([(0, 2 ** 70)], 2 ** 70), ([(0, -2 ** 70)], -2 ** 70),
+        (np.array([[0, 2 ** 63]], dtype=np.uint64), 2 ** 63)])
+    def test_edge_outside_int64_is_named_as_given(self, edges, j):
+        # checked before the int64 cast, which overflows on 2**70 and wraps
+        # the uint64 2**63 to -2**63
+        with pytest.raises(ValueError, match=rf"^edge \(0, {j}\) outside vertex range \[0, 3\)$"):
+            Graph(3, edges=edges)
+
     def test_self_loop_error_names_the_vertex(self):
         with pytest.raises(ValueError, match="self-loop at vertex 2"):
             Graph(3, edges=[(0, 1), (2, 2), (1, 1)])
@@ -397,6 +406,12 @@ class TestEstimateGraph:
         nan[0, 1] = nan[1, 0] = np.nan
         with pytest.raises(NotACorrelation):
             estimate_graph(nan, 0.5)
+        with pytest.raises(NotACorrelation, match=r"square matrix, got shape \(3, 2\)"):
+            estimate_graph(np.eye(3, 2), 0.5)
+        big = np.eye(3)
+        big[0, 2] = big[2, 0] = -1.5
+        with pytest.raises(NotACorrelation, match=r"\|corr_ij\| <= 1"):
+            estimate_graph(big, 0.5)
 
     def test_single_vertex(self):
         assert estimate_graph(np.eye(1), 0.5).edge_count == 0
@@ -891,6 +906,14 @@ class TestGraphFileFormat:
         finally:
             os.close(read_end)
             os.close(write_end)
+
+
+def test_correlation_csv_that_is_not_square_is_named(tmp_path):
+    path = tmp_path / "corr.csv"
+    path.write_text("1,0.5\n0.5,1\n0,0\n")
+    with pytest.raises(NotACorrelation, match=r"expected a square matrix, got \(3, 2\)") as info:
+        read_correlation_csv(path)
+    assert str(info.value).startswith(f"{path}:")
 
 
 def test_correlation_csv_that_is_not_utf8_is_named(tmp_path):

@@ -118,6 +118,14 @@ class TestSimulation:
             with pytest.raises(ValueError, match="t must be finite"):
                 exact_heat_kernel(EDGE, t)
 
+    @pytest.mark.parametrize("t", [True, np.True_, "1", None, 1j])
+    def test_flow_time_refuses_bools_and_non_numbers(self, t):
+        # a bool is no number, so True is not read as 1
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            simulate_heat_flow(EDGE, t, B=5)
+        for ok in (np.float32(0.5), np.int64(1)):
+            assert simulate_heat_flow(EDGE, ok, B=5).terminals.shape == (2, 5)
+
     @pytest.mark.parametrize("B", [2.5, 20.0, True, "3"])
     def test_non_integer_B_rejected(self, B):
         with pytest.raises(ValueError, match="B must be an integer >= 1"):
@@ -562,6 +570,12 @@ class TestExactKernel:
             assert np.abs(K.sum(axis=1) - 1).max() < 1e-10
             assert K.min() >= -1e-12
             assert np.abs(K - K.T).max() == 0.0
+
+    @pytest.mark.parametrize("t", [True, np.True_, "1", None, 1j])
+    def test_flow_time_refuses_bools_and_non_numbers(self, t):
+        with pytest.raises(ValueError, match="t must be finite and >= 0"):
+            exact_heat_kernel(EDGE, t)
+        assert np.array_equal(exact_heat_kernel(EDGE, np.int64(1)), exact_heat_kernel(EDGE, 1.0))
 
     @pytest.mark.parametrize("t", [1.0, 1e8, 1e14, 1e300, 1e308])
     def test_rows_keep_their_mass_at_large_t(self, t):

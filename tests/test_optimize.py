@@ -230,6 +230,20 @@ class TestSubgradientDescent:
         with pytest.raises(ValueError, match=f"y holds {bad} at row 1 "):
             subgradient_descent(X, y, np.eye(3), FitConfig())
 
+    @pytest.mark.parametrize("field", ["lam", "t", "alpha0", "eps_tol"])
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.1", None, 1j])
+    def test_real_fields_refuse_bools_and_non_numbers(self, field, bad):
+        # a bool is no number, so True is not read as 1
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            FitConfig(**{field: bad}).validate()
+        FitConfig(**{field: np.float32(0.5)}).validate()
+        FitConfig(**{field: np.int64(1)}).validate()
+
+    def test_beta0_of_another_shape_is_refused(self):
+        X, y = np.eye(4, 3), np.ones(4)
+        with pytest.raises(ShapeMismatch, match=r"beta0 has shape \(4,\), expected \(3,\)"):
+            subgradient_descent(X, y, np.eye(3), FitConfig(), beta0=np.zeros(4))
+
     def test_tolerances_are_validated(self):
         for bad in ({"eps_tol": -1e-6}, {"eps_tol": float("nan")}):
             with pytest.raises(ValueError, match="eps_tol"):
@@ -503,6 +517,21 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="t_grid"):
             cross_validate(X, y, figure_graph(), [0.1], [1.0, bad], folds=2,
                            cfg=FitConfig())
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", ["lambda_grid", "t_grid"])
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None])
+    def test_grid_refuses_bools_and_non_numbers(self, monkeypatch, grid, bad):
+        # a bool is no number, so True is not read as 1
+        rng = np.random.default_rng(21)
+        X, y, _ = well_conditioned_instance(rng, n=12, p=3)
+        calls = []
+        monkeypatch.setattr(optimize, "simulate_heat_flow",
+                            lambda *args, **kwargs: calls.append(args))
+        grids = {"lambda_grid": [0.1], "t_grid": [1.0]}
+        grids[grid] = [np.float32(0.5), bad]  # numpy numbers pass
+        with pytest.raises(ValueError, match=f"{grid} values must be finite and >= 0, got {bad!r}"):
+            cross_validate(X, y, figure_graph(), folds=2, cfg=FitConfig(), **grids)
         assert calls == []
 
     def test_unknown_optimizer_rejected_before_simulation(self, monkeypatch):
