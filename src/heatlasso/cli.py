@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import verify_spectral_bounds
-from .errors import NonFiniteObjective
+from .errors import NonFiniteObjective, check_arg
 from .experiments import _FIT_KEYS, _estimated_graph, check_config, fit_with_config, run_experiment
 from .figures import write_levelset_svg
 from .graphs import Graph, _read_graph, estimate_graph, read_correlation_csv, write_graph
@@ -202,8 +202,7 @@ def cmd_estimate_graph(args):
 
 def cmd_levelset(args):
     t_values = _number_list("--t", args.t)
-    if args.grid < 3:
-        raise CliError(f"--grid must be >= 3 points per contour, got {args.grid}")
+    check_arg("--grid", args.grid, "[3, inf)", int, CliError)
     write_levelset_svg(t_values, args.out, grid_n=args.grid)
     print(f"level-set montage with {len(t_values)} panels -> {args.out}")
     return 0

@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
-from .graphs import Graph, _is_integer, _is_real, laplacian, spectral_decompose
+from .errors import NotPositiveDefinite, check_arg
+from .graphs import Graph, laplacian, spectral_decompose
 from .penalty import GroupStructure
 
 # One scheme per group: ("uniform", lo, hi) or ("zero",). The default for
@@ -50,22 +50,16 @@ class DesignSpec:
         raise ValueError("beta_scheme must be given explicitly unless k == 4")
 
     def validate(self):
-        if not (len(self.sizes) > 0 and all(_is_integer(d) and d >= 1 for d in self.sizes)):
-            raise ValueError(f"sizes must be integers >= 1, got {self.sizes}")
-        if not (_is_integer(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not (_is_real(self.noise_sigma) and 0 <= self.noise_sigma < math.inf):
-            raise ValueError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        check_arg("sizes", list(self.sizes), "[1, inf)", int)
+        check_arg("n", self.n, "[1, inf)", int)
+        check_arg("seed", self.seed, kind=int)
+        check_arg("noise_sigma", self.noise_sigma, "[0, inf)")
 
 
 def _check_rho(d, rho):
     lo = -1.0 / (d - 1) if d > 1 else -np.inf
-    if not lo < rho < 1.0:
-        raise NotPositiveDefinite(
-            f"rho={rho} outside ({lo:.4g}, 1) for block size {d}")
+    check_arg("rho", rho, f"({float(lo)!r}, 1)", error=NotPositiveDefinite,
+              message=f"rho={rho} outside ({lo:.4g}, 1) for block size {d}")
 
 
 def _block_rhos(spec: DesignSpec):
@@ -95,18 +89,18 @@ def make_covariance(spec: DesignSpec, g: Graph | None = None) -> np.ndarray:
     if spec.kind == "gff":
         if g is None:
             raise ValueError("gff design needs the underlying graph")
-        if spec.theta is None or spec.theta <= 0:
-            raise NotPositiveDefinite(f"mass must be > 0, got {spec.theta}")
+        check_arg("theta", spec.theta, "(0, inf)", error=NotPositiveDefinite)
         if g.p != p:
             raise ValueError(f"graph has {g.p} vertices, design has p={p}")
         sigma = np.linalg.inv(laplacian(g) + spec.theta * np.eye(p))
         return (sigma + sigma.T) / 2.0
     if spec.kind == "sbm_cov":
-        a, b = spec.a, spec.b
-        if a is None or b is None or not (0.0 <= b <= a <= 1.0):
-            raise NotPositiveDefinite(f"need 0 <= b <= a <= 1, got a={a}, b={b}")
+        check_arg("a", spec.a, "[0, 1]", error=NotPositiveDefinite)
+        check_arg("b", spec.b, "[0, 1]", error=NotPositiveDefinite)
+        if spec.b > spec.a:
+            raise NotPositiveDefinite(f"need b <= a, got a={spec.a}, b={spec.b}")
         labels = np.repeat(np.arange(spec.k), spec.sizes)
-        P = np.where(labels[:, None] == labels[None, :], a, b)
+        P = np.where(labels[:, None] == labels[None, :], spec.a, spec.b)
         np.fill_diagonal(P, 0.0)  # within-block diagonal of P is zero
         return np.eye(p) + P
     raise ValueError(f"unknown design kind {spec.kind!r}")
@@ -115,9 +109,8 @@ def make_covariance(spec: DesignSpec, g: Graph | None = None) -> np.ndarray:
 def default_gff_mass(g: Graph, k: int) -> float:
     """The (k + 1)-th smallest Laplacian eigenvalue, the canonical mass for
     a graph with k groups; must come out positive."""
+    check_arg("k", k, f"[0, {g.p - 1}]", int)  # the graph has p eigenvalues
     spec = spectral_decompose(g)
-    if k + 1 > g.p:
-        raise ValueError(f"graph has only {g.p} eigenvalues, need index {k}")
     theta = float(spec.eigenvalues[k])
     if theta <= 0:
         raise NotPositiveDefinite(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ShapeMismatch
+from .errors import DimensionTooLarge, ShapeMismatch, check_arg
 from .graphs import (
     Graph,
     connected_components,
@@ -85,8 +85,8 @@ def lambda_lower_bound(X, sigma, eta, groups: GroupStructure) -> float:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != groups.p:
         raise ShapeMismatch(f"X has {X.shape[1]} columns, groups cover {groups.p}")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    check_arg("sigma", sigma, "[0, inf)")
+    check_arg("eta", eta, "(0, 1)")
     n = X.shape[0]
     worst = 0.0
     for label in range(1, groups.k + 1):
@@ -127,6 +127,10 @@ def brute_force_re(M, groups: GroupStructure, s: int, n_directions: int = 100_00
     minimum is always >= the true value; assertions against it must carry
     a search slack.
     """
+    check_arg("s", s, "[1, inf)", int)
+    check_arg("n_directions", n_directions, "[1, inf)", int)
+    check_arg("refine_steps", refine_steps, "[0, inf)", int)
+    check_arg("seed", seed, kind=int)
     M = np.asarray(M, dtype=np.float64)
     p, k = groups.p, groups.k
     if M.shape != (p, p):
@@ -182,10 +186,13 @@ def flow_time_prescription(g: Graph, n: int, p: int, epsilon: float | None = Non
     Without epsilon: c / gap * max(log n, log p); with epsilon:
     c / gap * (log p + log(1/epsilon)); the step estimate is d_max * t.
     """
+    check_arg("n", n, "[1, inf)")  # reals: only their logs are taken
+    check_arg("p", p, "[1, inf)")
     gap = spectral_decompose(g).spectral_gap
     if epsilon is None:
         t = FLOW_TIME_CONSTANT / gap * max(np.log(n), np.log(p))
     else:
+        check_arg("epsilon", epsilon, "(0, 1)")
         t = FLOW_TIME_CONSTANT / gap * (np.log(p) + np.log(1.0 / epsilon))
     return float(t), float(g.max_degree * t)
 

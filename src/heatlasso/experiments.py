@@ -42,6 +42,7 @@ from .designs import (
     write_dataset_sidecar,
 )
 from .diagnostics import MetricsReport, evaluate_fit
+from .errors import check_arg
 from .graphs import (
     Graph,
     _read_graph,
@@ -249,8 +250,7 @@ def run_experiment(config: dict, out_dir: str) -> dict:
     """
     check_config(config)
     repeats = config.get("repeats", 1)
-    if repeats < 1:
-        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
+    check_arg("repeats", repeats, "[1, inf)", int)
     base_seed = config["design"].get("seed", 0)
     os.makedirs(out_dir, exist_ok=True)
     written = []

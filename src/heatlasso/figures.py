@@ -17,6 +17,7 @@ and the points u / P(u) lie on the unit sphere up to rounding.
 
 import numpy as np
 
+from .errors import check_arg
 from .graphs import figure_graph
 from .heatflow import exact_heat_kernel
 from .penalty import _penalty_terms
@@ -30,6 +31,7 @@ def levelset_points(t, points):
     (points, 2) closed polygon, u / P(u) for the unit directions u at
     `points` evenly spaced angles on [0, 2 pi], the first at angle 0 and the
     last at 2 pi."""
+    check_arg("points", points, "[3, inf)", int)
     theta = np.linspace(0.0, 2.0 * np.pi, points)
     u = np.stack([np.cos(theta), np.sin(theta)])  # (2, points), beta_3 = 0
     K = exact_heat_kernel(figure_graph(), t)
@@ -39,6 +41,7 @@ def levelset_points(t, points):
 def write_levelset_svg(t_values, path, grid_n=201):
     """One SVG montage, one panel (and one closed contour path of grid_n
     points) per flow time."""
+    check_arg("grid_n", grid_n, "[3, inf)", int)
     t_values = list(t_values)
     pad = 30
     width = len(t_values) * (PANEL_PX + pad) + pad

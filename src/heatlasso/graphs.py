@@ -19,6 +19,8 @@ from .errors import (
     InvalidProbability,
     InvalidQuantile,
     NotACorrelation,
+    _is_integer,
+    check_arg,
 )
 
 # Largest p for which dense eigendecomposition is allowed.
@@ -46,16 +48,6 @@ _SPREAD = 6.0
 _EXACT_ROWS = 32
 
 
-def _is_integer(v):
-    """A Python or numpy integer; not a bool, nor a float such as 50.0 from JSON."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    """A Python or numpy integer or float; not a bool, nor a string."""
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-
-
 class Graph:
     """Undirected graph on p vertices in CSR (compressed sparse row) form.
 
@@ -68,10 +60,10 @@ class Graph:
     """
 
     def __init__(self, p, edges=(), allow_self_loops=False):
-        if not (_is_integer(p) and p >= 1):
-            raise ValueError(f"vertex count must be an integer >= 1, got {p!r}")
-        if p > 3_037_000_499:  # checked before any allocation
-            raise ValueError(f"vertex count {p} too large: keys i * p + j overflow int64")
+        check_arg("vertex count", p, "[1, inf)", int)
+        check_arg("vertex count", p, "[1, 3037000499]", int,  # before any allocation
+                  message=f"vertex count {p} too large: keys i * p + j overflow int64")
+        check_arg("allow_self_loops", allow_self_loops, kind=bool)
         self.p = p = int(p)
         self.allow_self_loops = bool(allow_self_loops)
         # a sequence is read as objects, entry by entry, so its bools do not pass as ints
@@ -220,11 +212,6 @@ def connected_components(g: Graph):
     return int(np.count_nonzero(roots)), (np.cumsum(roots) - 1).take(labels)
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise InvalidQuantile(f"alpha must be in (0, 1), got {alpha}")
-
-
 def _row_blocks(p, rows=_CORR_ROWS):
     """(i0, i1) of each block of at most `rows` rows i0..i1-1 that hold
     pairs i < j (row p - 1 holds none)."""
@@ -326,7 +313,7 @@ def estimate_graph(corr: np.ndarray, alpha: float) -> Graph:
     The threshold is the nearest-rank quantile of {|corr_ij| : i < j}; an
     edge (i, j) is present iff |corr_ij| exceeds it strictly.
     """
-    _check_alpha(alpha)
+    check_arg("alpha", alpha, "(0, 1)", error=InvalidQuantile)
     corr = np.asarray(corr, dtype=np.float64)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise NotACorrelation(f"expected a square matrix, got shape {corr.shape}")
@@ -380,7 +367,7 @@ def estimate_graph_from_data(X, alpha: float) -> Graph:
     columns, computed from X in row blocks of |corr| without the p x p
     matrix. A constant or non-finite column is isolated (it correlates 0
     with every other)."""
-    _check_alpha(alpha)
+    check_arg("alpha", alpha, "(0, 1)", error=InvalidQuantile)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"X must be an (n, p) array with p >= 1, got shape {X.shape}")
@@ -389,13 +376,14 @@ def estimate_graph_from_data(X, alpha: float) -> Graph:
 
 def _block_labels(sizes):
     sizes = list(sizes)
-    if not (sizes and all(_is_integer(s) and s >= 1 for s in sizes)):
-        raise ValueError(f"sizes must be integers >= 1, got {sizes}")
+    check_arg("sizes", sizes, "[1, inf)", int)
     return np.repeat(np.arange(len(sizes)), sizes), sum(sizes)
 
 
 def _sample_blocks(sizes, within, between, self_loops, seed):
     labels, p = _block_labels(sizes)
+    check_arg("self_loops", self_loops, kind=bool)
+    check_arg("seed", seed, kind=int)
     within = np.asarray(within, dtype=np.float64)
     probs = np.where(labels[:, None] == labels[None, :], within[labels][:, None], between)
     rng = np.random.default_rng(seed)
@@ -408,8 +396,8 @@ def _sample_blocks(sizes, within, between, self_loops, seed):
 def sample_block_graph(sizes, a: float, b: float, self_loops: bool = False,
                        seed: int = 0) -> Graph:
     """Stochastic block model: Bernoulli(a) within blocks, Bernoulli(b) across."""
-    if not (0.0 <= b <= 1.0 and 0.0 <= a <= 1.0):
-        raise InvalidProbability(f"probabilities must lie in [0, 1], got a={a}, b={b}")
+    check_arg("a", a, "[0, 1]", error=InvalidProbability)
+    check_arg("b", b, "[0, 1]", error=InvalidProbability)
     if b > a:
         raise InvalidProbability(f"need b <= a, got a={a}, b={b}")
     return _sample_blocks(sizes, [a] * len(list(sizes)), b, self_loops, seed)
@@ -422,12 +410,11 @@ def sample_clustered_network(sizes, xi, self_loops: bool = True, seed: int = 0) 
     allowed by default, matching the component-wise dense random graph model.
     """
     sizes = list(sizes)
-    xi_seq = [float(xi)] * len(sizes) if np.isscalar(xi) else [float(x) for x in xi]
-    if len(xi_seq) != len(sizes):
+    xi = [xi] * len(sizes) if np.ndim(xi) == 0 else list(xi)
+    if len(xi) != len(sizes):
         raise ValueError("xi must be scalar or one probability per block")
-    if any(not 0.0 <= x <= 1.0 for x in xi_seq):
-        raise InvalidProbability(f"probabilities must lie in [0, 1], got {xi_seq}")
-    return _sample_blocks(sizes, xi_seq, 0.0, self_loops, seed)
+    check_arg("xi", xi, "[0, 1]", error=InvalidProbability)
+    return _sample_blocks(sizes, xi, 0.0, self_loops, seed)
 
 
 def complete_graph(p: int) -> Graph:

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch
-from .graphs import (ZERO_EIGENVALUE_TOL, Graph, _is_integer, _is_real,
-                     connected_components, spectral_decompose)
+from .errors import LengthMismatch, ShapeMismatch, check_arg
+from .graphs import ZERO_EIGENVALUE_TOL, Graph, connected_components, spectral_decompose
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -145,11 +144,6 @@ class HeatFlowMatrix:
         return self.terminals.shape[0]
 
 
-def _check_time(t):
-    if not (_is_real(t) and 0 <= t < math.inf):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-
-
 def _step_counts(key, rate, tables, rates):
     """Each walk's step count N: at rate L, k0 plus the number of entries of
     F at most u = (key >> 11) 2^-53, read off the guide where u's bucket
@@ -197,19 +191,23 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     The table is bit-identical per (graph, t, B, seed) to any other
     schedule of the same walks: N and every step's draw are pure functions
     of (seed, walk id, step), and each walk's arithmetic never touches
-    another walk's.
+    another walk's. A t at which the largest component's cut of N,
+    ceil(Lambda_c t + 10 sqrt(Lambda_c t) + 30), would reach 2^31 (the
+    int32 step counts would wrap) is refused before any table is built.
     """
-    if not (_is_integer(B) and B >= 1):
-        raise ValueError(f"B must be an integer >= 1, got {B!r}")
-    if not (_is_integer(seed) and -(1 << 63) <= seed < 1 << 63):
-        raise ValueError("seed must be an integer in [-2**63, 2**63), the range a "
-                         f"stored table's header holds, got {seed!r}")
-    _check_time(t)
+    check_arg("B", B, "[1, inf)", int)
+    check_arg("seed", seed, "[-2**63, 2**63)", int, bounds=(-(1 << 63), 1 << 63))
+    check_arg("t", t, "[0, inf)")
     p = g.p
+    lam = _component_max_degree(g)
+    top = int(lam.max()) * t  # the largest component's Poisson mean
+    cut = top + 10.0 * math.sqrt(top) + 30.0  # its _poisson_inverse k1, before the ceil
+    if cut > (1 << 31) - 1:  # before any table: int32 step counts would wrap
+        raise ValueError(f"t={t!r} is too long for Lambda_c={int(lam.max())}: step counts "
+                         f"would reach {cut:.4g}, and they must stay below 2**31")
     terminals = np.repeat(np.arange(p, dtype=np.int32), B)
     steps = np.zeros(p * B, dtype=np.int32)
-    if t > 0 and g.degrees.any():
-        lam = _component_max_degree(g)
+    if top > 0:
         padded, offsets = _padded_rows(g, lam)
         # sets, not np.unique, which imports numpy.ma (about 1 MB) on its first call
         tables = {L: _poisson_inverse(L * t) for L in set(lam[lam > 0].tolist())}
@@ -362,7 +360,7 @@ def exact_heat_kernel(g: Graph, t: float) -> np.ndarray:
     Eigenvalues at or below ZERO_EIGENVALUE_TOL count as 0, so each
     component's constant vector keeps weight 1 at any t; e^{-t lambda} of a
     positive one goes to 0 as t grows, with no overflow warning."""
-    _check_time(t)
+    check_arg("t", t, "[0, inf)")
     if t == 0:
         return np.eye(g.p)
     spec = spectral_decompose(g)

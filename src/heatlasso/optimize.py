@@ -49,7 +49,6 @@ other columns stop.
 """
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,8 +60,8 @@ from .errors import (
     LengthMismatch,
     NonFiniteObjective,
     ShapeMismatch,
+    check_arg,
 )
-from .graphs import _is_integer, _is_real
 from .heatflow import SmoothingOperator, simulate_heat_flow
 from .penalty import _penalty_terms
 
@@ -91,27 +90,19 @@ class FitConfig:
     loss: str = "squared_error"
 
     def validate(self, p=None):
-        if not (_is_real(self.lam) and 0 <= self.lam < math.inf):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not (_is_real(self.t) and 0 <= self.t < math.inf):
-            raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
-        if not (_is_integer(self.B) and self.B >= 1):
-            raise ValueError(f"B must be an integer >= 1, got {self.B!r}")
-        if not (_is_real(self.alpha0) and 0 < self.alpha0 < math.inf):
-            raise ValueError(f"alpha0 must be finite and > 0, got {self.alpha0!r}")
+        check_arg("lam", self.lam, "[0, inf)")
+        check_arg("t", self.t, "[0, inf)")
+        check_arg("B", self.B, "[1, inf)", int)
+        check_arg("alpha0", self.alpha0, "(0, inf)")
         if self.rate_protocol not in RATE_PROTOCOLS:
             raise ValueError(f"rate_protocol must be one of {RATE_PROTOCOLS}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
-        if not (_is_integer(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (_is_real(self.eps_tol) and self.eps_tol >= 0):
-            raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol!r}")
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        q = self.block_size
-        if q is not None and not (_is_integer(q) and q >= 1 and (p is None or q <= p)):
-            raise ValueError(f"block_size must be an integer in [1, p], got {q!r}")
+        check_arg("max_iters", self.max_iters, "[1, inf)", int)
+        check_arg("eps_tol", self.eps_tol, "[0, inf)")
+        check_arg("seed", self.seed, kind=int)
+        if self.block_size is not None:
+            check_arg("block_size", self.block_size, f"[1, {p or 'inf'}]", int)
 
     def learning_rate(self, i):
         if self.rate_protocol == "constant":
@@ -497,13 +488,10 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
         raise GridEmpty("lambda_grid and t_grid must be nonempty")
     X, y = _check_data(X, y, cfg)
     _check_graph(g, X)
-    for name, grid in (("lambda_grid", lambda_grid), ("t_grid", t_grid)):
-        for v in grid:
-            if not (_is_real(v) and 0 <= v < math.inf):
-                raise ValueError(f"{name} values must be finite and >= 0, got {v!r}")
+    check_arg("lambda_grid values", lambda_grid, "[0, inf)")
+    check_arg("t_grid values", t_grid, "[0, inf)")
     n = X.shape[0]
-    if not (_is_integer(folds) and folds >= 2):
-        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
+    check_arg("folds", folds, "[2, inf)", int)
     if n < folds:
         raise FoldTooSmall(f"n={n} samples cannot fill {folds} folds")
 

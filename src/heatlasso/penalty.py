@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .graphs import _is_integer
+from .errors import LengthMismatch, check_arg
 from .heatflow import SmoothingOperator
 
 # The slope's denominator sqrt(|h_j|) is clamped here, so a step from a zero
@@ -47,14 +46,12 @@ class GroupStructure:
     @classmethod
     def from_sizes(cls, sizes):
         sizes = list(sizes)
-        if not all(_is_integer(s) and s >= 1 for s in sizes):
-            raise ValueError(f"group sizes must be integers >= 1, got {sizes}")
+        check_arg("group sizes", sizes, "[1, inf)", int)
         return cls(np.repeat(np.arange(1, len(sizes) + 1), sizes))
 
     def members(self, label):
         """Indices of group `label` (1-based)."""
-        if not 1 <= label <= self.k:
-            raise ValueError(f"group label must be in 1..{self.k}, got {label}")
+        check_arg("group label", label, f"[1, {self.k}]", int)
         return self._members[label - 1]
 
     def group_norms(self, beta):
@@ -136,6 +133,7 @@ def penalty_gap_bound(beta, t, spectrum, groups: GroupStructure) -> PenaltyGapBo
     g the spectral gap. Valid when m <= (1/2) min over active groups of
     ||beta_C||^2 / |C|; diagnostics only, never used by the fitting path."""
     beta = _check_length(beta, groups.p)
+    check_arg("t", t, "[0, inf)")
     p, k = groups.p, groups.k
     if p == k:
         tail = 0.0

@@ -141,6 +141,14 @@ class TestFit:
         assert f"t must be finite and >= 0, got {t}" in run.stderr
         assert not (tmp_path / "walks.hfm").exists()
 
+    def test_flow_time_past_int32_step_counts_exits_one(self, tmp_path, capsys):
+        # numpy's OverflowError escaped as a traceback
+        data = write_toy_csv(tmp_path / "toy.csv")
+        (tmp_path / "edge.txt").write_text("p 2\n0 1\n")
+        assert main(["fit", str(data), "--graph", str(tmp_path / "edge.txt"), "--t", "1e300",
+                     "--walks", "5", "--max-iters", "3", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: t=1e+300 is too long for Lambda_c=1:")
+
     def test_block_cd_optimizer_flag(self, tmp_path):
         data = write_toy_csv(tmp_path / "toy.csv")
         out = tmp_path / "out"

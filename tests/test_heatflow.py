@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import struct
@@ -155,6 +156,31 @@ class TestSimulation:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_step_counts_past_int32_are_refused_before_any_table(self, monkeypatch):
+        # t = 1e300 made numpy raise OverflowError; past 2**31 the int32 step
+        # counts would wrap. On EDGE, Lambda_c = 1, and the largest step
+        # count of the Poisson cut is ceil(t + 10 sqrt(t) + 30).
+        def cut(t):
+            return t + 10.0 * np.sqrt(t) + 30.0
+
+        lo, hi = 0.0, 2.0 ** 31  # bisected to the last t whose cut's ceil is below 2**31
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cut(mid) <= 2.0 ** 31 - 1 else (lo, mid)
+        tables = []
+
+        def no_table(mu):
+            tables.append(mu)
+            raise MemoryError("a table this long is not built here")
+        monkeypatch.setattr(heatflow, "_poisson_inverse", no_table)
+        for t in (1e300, hi, float(np.nextafter(hi, np.inf))):
+            with pytest.raises(ValueError, match=re.escape(f"t={t!r} is too long for Lambda_c=1: ")):
+                simulate_heat_flow(EDGE, t, B=2)
+        assert tables == []
+        with pytest.raises(MemoryError):  # below the bound the table is begun as before
+            simulate_heat_flow(EDGE, lo, B=2)
+        assert tables == [lo]
 
     def test_numpy_integer_B_and_seed(self):
         g = figure_graph()
