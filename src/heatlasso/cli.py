@@ -15,9 +15,9 @@ import numpy as np
 from . import __version__
 from .diagnostics import verify_spectral_bounds
 from .errors import NonFiniteObjective, check_arg
-from .experiments import _FIT_KEYS, _estimated_graph, check_config, fit_with_config, run_experiment
+from .experiments import _FIT_KEYS, check_config, fit_with_config, penalty_graph, run_experiment
 from .figures import write_levelset_svg
-from .graphs import Graph, _read_graph, estimate_graph, read_correlation_csv, write_graph
+from .graphs import _DEFAULT_ALPHA, Graph, estimate_graph, read_correlation_csv, write_graph
 from .heatflow import (
     exact_heat_kernel,
     heatflow_apply,
@@ -25,7 +25,7 @@ from .heatflow import (
     save_heatflow,
     simulate_heat_flow,
 )
-from .optimize import threshold_kmeans
+from .optimize import OPTIMIZERS, RATE_PROTOCOLS, threshold_kmeans
 
 
 class CliError(ValueError):
@@ -97,9 +97,9 @@ def _graph_for_fit(args, X):
     if args.graph and args.estimate_graph is not None:
         raise CliError("give either a graph file or --estimate-graph, not both")
     if args.graph:
-        return _read_graph(args.graph, X.shape[1])
-    alpha = 0.75 if args.estimate_graph is None else args.estimate_graph
-    return _estimated_graph(X, alpha)
+        return penalty_graph({"path": args.graph}, X, None, None)
+    alpha = args.estimate_graph  # None, with no --estimate-graph: a config's default
+    return penalty_graph(None if alpha is None else {"estimate": alpha}, X, None, None)
 
 
 def _write_fit_outputs(out_dir, name, result, lam, t, graph_edges):
@@ -187,12 +187,14 @@ def cmd_cv(args):
 
 
 def cmd_estimate_graph(args):
+    if args.corr and args.data:
+        raise CliError("give either a dataset CSV or --corr, not both")
     if args.corr:
         corr = read_correlation_csv(args.corr)
         g = estimate_graph(corr, args.alpha)
     elif args.data:
         _, X = read_dataset_csv(args.data)
-        g = _estimated_graph(X, args.alpha)
+        g = penalty_graph({"estimate": args.alpha}, X, None, None)
     else:
         raise CliError("give a dataset CSV or --corr matrix")
     write_graph(g, args.out)
@@ -265,19 +267,19 @@ def build_parser():
         p.add_argument("data", help="CSV: header row, first column y")
         p.add_argument("--graph", help="edge-list graph file")
         p.add_argument("--estimate-graph", type=float, metavar="ALPHA",
-                       nargs="?", const=0.75, default=None,
+                       nargs="?", const=_DEFAULT_ALPHA, default=None,
                        help="estimate the graph from |corr| at this quantile")
         p.add_argument("--lambda", dest="lam", type=float, help="penalty weight")
         p.add_argument("--t", type=float, help="flow time")
         p.add_argument("--walks", dest="B", type=int, help="walks per vertex (B)")
         p.add_argument("--alpha0", type=float, help="base learning rate")
-        p.add_argument("--rate", dest="rate_protocol", choices=("constant", "inv_sqrt"))
+        p.add_argument("--rate", dest="rate_protocol", choices=RATE_PROTOCOLS)
         p.add_argument("--eps-tol", dest="eps_tol", type=float)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--block-size", dest="block_size", type=int)
         p.add_argument("--loss", choices=("squared", "logistic"),
                        default="squared")
-        p.add_argument("--optimizer", choices=("sd", "cd"), default="sd")
+        p.add_argument("--optimizer", choices=list(OPTIMIZERS), default="sd")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output directory")
 
@@ -298,7 +300,7 @@ def build_parser():
     est = sub.add_parser("estimate-graph", help="threshold a correlation matrix")
     est.add_argument("data", nargs="?", help="dataset CSV (y column ignored)")
     est.add_argument("--corr", help="read a dense correlation CSV instead")
-    est.add_argument("--alpha", type=float, default=0.75)
+    est.add_argument("--alpha", type=float, default=_DEFAULT_ALPHA)
     est.add_argument("--out", required=True, help="output graph file")
     est.set_defaults(func=cmd_estimate_graph)
 

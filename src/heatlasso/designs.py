@@ -129,15 +129,26 @@ def _covariance_root(sigma):
 
 
 def draw_beta(spec: DesignSpec, rng) -> np.ndarray:
+    """beta_star by the spec's schemes, one per group: U(lo, hi) entries for
+    finite reals lo <= hi, or zeros. A ValueError names a malformed scheme."""
+    schemes = spec.scheme()
+    if len(schemes) != spec.k:
+        raise ValueError(f"beta_scheme needs one scheme per group, got {len(schemes)} "
+                         f"for {spec.k} groups: {schemes!r}")
     beta = np.zeros(spec.p)
     start = 0
-    for size, scheme in zip(spec.sizes, spec.scheme()):
+    for size, scheme in zip(spec.sizes, schemes):
         size = int(size)
-        if scheme[0] == "uniform":
-            lo, hi = float(scheme[1]), float(scheme[2])
-            beta[start:start + size] = rng.uniform(lo, hi, size=size)
-        elif scheme[0] != "zero":
+        kind = scheme[0] if isinstance(scheme, (list, tuple)) and scheme else None
+        if kind not in ("uniform", "zero"):
             raise ValueError(f"unknown beta scheme {scheme!r}")
+        if len(scheme) != (3 if kind == "uniform" else 1):
+            raise ValueError(f"beta scheme {scheme!r} must be ('uniform', lo, hi) or ('zero',)")
+        if kind == "uniform":
+            check_arg(f"beta scheme {scheme!r}: lo", scheme[1])
+            lo = float(scheme[1])
+            check_arg(f"beta scheme {scheme!r}: hi", scheme[2], f"[{lo!r}, inf)")
+            beta[start:start + size] = rng.uniform(lo, float(scheme[2]), size=size)
         start += size
     return beta
 

@@ -7,7 +7,7 @@ fitting path.
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -35,20 +35,14 @@ class MetricsReport:
     specificity: float
 
     def to_json(self):
-        return json.dumps({
-            "prediction_error": self.prediction_error,
-            "estimation_error": self.estimation_error,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def csv_row(self):
-        """Values in the reporting column order."""
-        return [self.prediction_error, self.estimation_error,
-                self.sensitivity, self.specificity]
+        """Values in the reporting column order, CSV_HEADER's."""
+        return list(astuple(self))
 
-    CSV_HEADER = ["prediction_error", "estimation_error",
-                  "sensitivity", "specificity"]
+
+MetricsReport.CSV_HEADER = [f.name for f in fields(MetricsReport)]
 
 
 def evaluate_fit(beta_hat, beta_star, X) -> MetricsReport:

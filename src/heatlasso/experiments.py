@@ -11,9 +11,9 @@ and sample_block_graph still check ranges and meaning. Sections:
   design   DesignSpec fields; for gff designs a "graph" subsection gives
            either {"path": ...} or SBM parameters to sample per repeat, and
            "theta" may be the string "auto" for the canonical mass.
-  fit      FitConfig fields plus "optimizer" ("sd", "cd" or "both"), an
-           optional "cv" block (without it the fixed lam/t of the config are
-           used) and "sd" / "cd" subsections of per-optimizer overrides.
+  fit      FitConfig fields plus "optimizer" (a name in optimize.OPTIMIZERS
+           or "both"), an optional "cv" block (without it the fixed lam/t of
+           the config are used) and a subsection of overrides per optimizer.
   graph    the graph driving the penalty: "from-design", "estimate"
            (optionally {"estimate": alpha}), or a path.
   repeats  number of independent repetitions (derived seeds).
@@ -42,8 +42,9 @@ from .designs import (
     write_dataset_sidecar,
 )
 from .diagnostics import MetricsReport, evaluate_fit
-from .errors import check_arg
+from .errors import _TESTS, check_arg
 from .graphs import (
+    _DEFAULT_ALPHA,
     Graph,
     _read_graph,
     estimate_graph_from_data,
@@ -52,19 +53,17 @@ from .graphs import (
     sample_block_graph,
 )
 from .heatflow import simulate_heat_flow
-from .optimize import (FitConfig, _check_graph, _derived_seed, block_cd, cross_validate,
-                       subgradient_descent)
+from .optimize import OPTIMIZERS, FitConfig, _check_graph, _derived_seed, cross_validate
 
-_OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
-_OPTIMIZER_TAG = {"sd": 1, "cd": 2}
+_OPTIMIZERS = OPTIMIZERS  # one dict: the benchmark's span wrappers bind into it
 # The shape of a config: an object is a dict of its keys (those ending in "!" are
 # required), a list is [item], a tuple holds alternatives, a leaf is a JSON type or a literal.
 _FIT_FIELDS = {"lam": float, "t": float, "B": int, "alpha0": float, "rate_protocol": str,
                "eps_tol": float, "max_iters": int, "block_size": (int, None), "loss": str}
 _CV = {"lambda_grid!": [float], "t_grid!": [float], "folds": int, "max_iters": int}
 _PER_OPTIMIZER = {**_FIT_FIELDS, "cv": (_CV, None)}
-_FIT = {**_PER_OPTIMIZER, "optimizer": ("sd", "cd", "both"),
-        "sd": _PER_OPTIMIZER, "cd": _PER_OPTIMIZER}
+_FIT = {**_PER_OPTIMIZER, "optimizer": (*OPTIMIZERS, "both"),
+        **dict.fromkeys(OPTIMIZERS, _PER_OPTIMIZER)}
 _DESIGN = {"kind!": str, "sizes!": [int], "n!": int, "noise_sigma": float, "seed": int,
            "rhos": [float], "theta": (float, "auto", None), "a": float, "b": float,
            "beta_scheme": [[(str, float)]],
@@ -72,8 +71,7 @@ _DESIGN = {"kind!": str, "sizes!": [int], "n!": int, "noise_sigma": float, "seed
 _EXPERIMENT = {"design!": _DESIGN, "graph": (str, None, {"path": str, "estimate": float}),
                "fit": _FIT, "repeats": int, "output": str}
 _FIT_KEYS = tuple(_FIT_FIELDS)  # the FitConfig fields a fit section sets; the seed is derived
-# The values a leaf type takes (a bool is no number), and each type's name in messages.
-_TAKES = {int: (int, np.integer), float: (int, float, np.integer), str: str, bool: bool}
+# Each type's name in messages.
 _NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
           dict: "an object", list: "a list"}
 
@@ -100,7 +98,7 @@ def check_config(value, schema=_EXPERIMENT, where=""):
                 check_config(item, option[0], f"{where}[{i}]")
             return
         if isinstance(option, type):
-            if isinstance(value, _TAKES[option]) and isinstance(value, bool) == (option is bool):
+            if isinstance(value, str) if option is str else _TESTS[option](value):
                 return
         elif type(value) is type(option) and value == option:
             return
@@ -148,19 +146,16 @@ def resolve_design(section: dict, repeat_seed: int):
 
 def penalty_graph(graph_section, X, spec: DesignSpec, design_graph):
     """The graph the penalty walks on, per the config's graph section."""
-    if isinstance(graph_section, dict):
-        if "path" in graph_section:
-            return _read_graph(graph_section["path"], X.shape[1])
-        if "estimate" in graph_section:
-            return _estimated_graph(X, graph_section["estimate"])
-        raise ValueError(f"unrecognized graph section {graph_section!r}")
-    if graph_section in (None, "estimate"):
-        return _estimated_graph(X, 0.75)
     if graph_section == "from-design":
-        if design_graph is not None:
-            return design_graph
-        return group_clique_graph(spec.sizes)
-    return _read_graph(graph_section, X.shape[1])
+        return group_clique_graph(spec.sizes) if design_graph is None else design_graph
+    if not isinstance(graph_section, dict):
+        graph_section = ({"estimate": _DEFAULT_ALPHA} if graph_section in (None, "estimate")
+                         else {"path": graph_section})
+    if "path" in graph_section:
+        return _read_graph(graph_section["path"], X.shape[1])
+    if "estimate" in graph_section:
+        return _estimated_graph(X, graph_section["estimate"])
+    raise ValueError(f"unrecognized graph section {graph_section!r}")
 
 
 def _estimated_graph(X, alpha):
@@ -171,10 +166,10 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
                     optimizer: str, flow=None):
     """CV-tune (lam, t) if a cv block is present, then fit on all data.
 
-    The section may carry "sd" / "cd" subsections whose keys override the
-    shared ones for that optimizer; the cv block may set its own (cheaper)
-    max_iters used only while ranking grid points. A pre-simulated walk
-    table may be passed as `flow` (its t and B apply, and a t or B the
+    The section may carry a subsection per optimizer name whose keys
+    override the shared ones for that optimizer; the cv block may set its
+    own (cheaper) max_iters used only while ranking grid points. A
+    pre-simulated walk table may be passed as `flow` (its t and B apply, and a t or B the
     section gives must equal them); ignored when a cv block selects t
     itself. Otherwise the final fit simulates its table at the chosen t
     with the seed _derived_seed(seed, 0x4EA7).
@@ -184,7 +179,7 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
     name, section or value, a `flow` that disagrees with it, or a graph not
     on X's p columns raises ValueError before any walk is simulated.
     """
-    check_config(optimizer, ("sd", "cd"), "optimizer")
+    check_config(optimizer, tuple(OPTIMIZERS), "optimizer")
     check_config(fit_section, _FIT, "fit")
     merged = {**fit_section, **fit_section.get(optimizer, {})}
     cfg = FitConfig(seed=seed, **{k: merged[k] for k in _FIT_KEYS if k in merged})
@@ -226,10 +221,10 @@ def _run_repeat(config, repeat, base_seed):
 
     fit_section = config.get("fit", {})
     optimizers = fit_section.get("optimizer", "sd")
-    optimizers = ("sd", "cd") if optimizers == "both" else (optimizers,)
+    optimizers = tuple(OPTIMIZERS) if optimizers == "both" else (optimizers,)
     fits = {}
     for name in optimizers:
-        fit_seed = _derived_seed(repeat_seed, 0xF17, _OPTIMIZER_TAG[name])
+        fit_seed = _derived_seed(repeat_seed, 0xF17, list(OPTIMIZERS).index(name) + 1)
         result, lam, t, _, _ = fit_with_config(X, y, g, fit_section, fit_seed, name)
         metrics = evaluate_fit(result.beta_thresholded, beta_star, X)
         fits[name] = {"result": result, "lam": lam, "t": t, "metrics": metrics}

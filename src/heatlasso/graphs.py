@@ -29,6 +29,9 @@ DENSE_LIMIT = 2048
 # Eigenvalues at or below this are counted as zero (connected components).
 ZERO_EIGENVALUE_TOL = 1e-9
 
+# The |corr| quantile of a graph estimated when none is given (configs and the CLI).
+_DEFAULT_ALPHA = 0.75
+
 # Rows of |corr| per block when a graph is estimated (one GEMM each from
 # data), and per step when its mask is made symmetric and read into CSR.
 _CORR_ROWS = 256
@@ -507,11 +510,18 @@ def _name_bad_line(path, body):
 
 
 def read_correlation_csv(path) -> np.ndarray:
-    """Dense p x p correlation matrix from a headerless CSV; a refusal names the file."""
+    """Dense p x p correlation matrix from a headerless CSV; a refusal names
+    the file. A '#' is no comment: as in the other readers, it is refused."""
     try:
-        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        mat = np.empty((0, 0))
+        if any(line.strip() for line in lines):  # loadtxt warns on no data
+            mat = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not mat.size:
+        raise NotACorrelation(f"{path}: the file holds no rows")
     if mat.shape[0] != mat.shape[1]:
         raise NotACorrelation(f"{path}: expected a square matrix, got {mat.shape}")
     return mat

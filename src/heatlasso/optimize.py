@@ -49,7 +49,7 @@ other columns stop.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,38 +110,27 @@ class FitConfig:
         return self.alpha0 / np.sqrt(i)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FitResult:
-    """Fitted coefficients with the convergence trace of the run."""
+    """Fitted coefficients with the convergence trace of the run; to_json keeps field order."""
 
     beta_hat: np.ndarray
     beta_thresholded: np.ndarray
     iterations: int
-    objective_trace: list
     converged: bool
+    objective_trace: list
     total_walk_steps: int
 
     def to_json(self):
-        return json.dumps({
-            "beta_hat": [float(v) for v in self.beta_hat],
-            "beta_thresholded": [float(v) for v in self.beta_thresholded],
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "total_walk_steps": self.total_walk_steps,
-        }, indent=2)
+        return json.dumps({f.name: [float(v) for v in getattr(self, f.name)]
+                           if f.type in (np.ndarray, list) else getattr(self, f.name)
+                           for f in fields(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
-        return cls(
-            beta_hat=np.asarray(d["beta_hat"], dtype=np.float64),
-            beta_thresholded=np.asarray(d["beta_thresholded"], dtype=np.float64),
-            iterations=int(d["iterations"]),
-            objective_trace=list(d["objective_trace"]),
-            converged=bool(d["converged"]),
-            total_walk_steps=int(d["total_walk_steps"]),
-        )
+        return cls(**{f.name: np.asarray(d[f.name], dtype=np.float64) if f.type is np.ndarray
+                      else f.type(d[f.name]) for f in fields(cls)})
 
 
 def loss_and_grad(beta, X, y, kind="squared_error"):
@@ -431,6 +420,11 @@ def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     return _single_fit(X, y, semigroup, cfg, beta0)
 
 
+# Each optimizer by its name in configs, the CLI and cross_validate; a fit's
+# seed tag is its place here plus 1.
+OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
+
+
 def threshold_kmeans(beta) -> np.ndarray:
     """Zero out the low cluster of an exact 1-D 2-means split of |beta|.
 
@@ -478,8 +472,9 @@ def cross_validate(X, y, g, lambda_grid, t_grid, folds, cfg: FitConfig,
     best_t, table) where table rows are {"lam", "t", "cv_loss"}; ties break
     toward smaller lam, then smaller t.
     """
-    if optimizer not in ("sd", "cd"):
-        raise ValueError(f"optimizer must be 'sd' or 'cd', got {optimizer!r}")
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"optimizer must be {' or '.join(map(repr, OPTIMIZERS))}, "
+                         f"got {optimizer!r}")
     if optimizer == "sd":
         cfg = replace(cfg, block_size=None)
     lambda_grid = list(lambda_grid)

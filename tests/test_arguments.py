@@ -79,6 +79,10 @@ ROWS = [
     ("DesignSpec.seed", "seed", ValueError, lambda v: design(seed=v), 2.5, np.int64(9)),
     ("DesignSpec.noise_sigma", "noise_sigma", ValueError, lambda v: design(noise_sigma=v),
      -0.1, np.float32(0.5)),
+    ("DesignSpec.beta_scheme.lo", "beta scheme", ValueError,
+     lambda v: design(beta_scheme=(("uniform", v, 0.7), ("zero",))), 0.8, np.float32(0.5)),
+    ("DesignSpec.beta_scheme.hi", "beta scheme", ValueError,
+     lambda v: design(beta_scheme=(("uniform", 0.5, v), ("zero",))), 0.4, np.float32(0.7)),
     ("DesignSpec.rhos", "rho", NotPositiveDefinite, lambda v: design(rhos=(v, 0.5)),
      1.0, np.float32(0.5)),
     ("DesignSpec.theta", "theta", NotPositiveDefinite,

@@ -413,7 +413,7 @@ class TestSimulate:
         out = tmp_path / "run"
         cfg_path.write_text(json.dumps(small_sim_config(out, repeats=3)))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
-        rows = list(csv.reader((out / "metrics.csv").open()))
+        rows = list(csv.reader((out / "metrics.csv").read_text().splitlines()))
         assert rows[0][:2] == ["repeat", "optimizer"]
         body = rows[1:]
         assert len(body) == 4  # 3 repeats + 1 mean
@@ -549,6 +549,12 @@ class TestSimulate:
         ("design", "kind", "gff", "gff design config needs a 'graph' subsection"),
         ("design", "beta_scheme", [["gauss", 0.5], ["zero"]],
          "unknown beta scheme ['gauss', 0.5]"),
+        ("design", "beta_scheme", [["uniform", 0.5, 0.7]],
+         "beta_scheme needs one scheme per group, got 1 for 2 groups"),
+        ("design", "beta_scheme", [["uniform", 0.7, 0.5], ["zero"]],
+         "beta scheme ['uniform', 0.7, 0.5]: hi must be finite and >= 0.7, got 0.5"),
+        ("design", "beta_scheme", [["uniform", 0.5], ["zero"]],
+         "beta scheme ['uniform', 0.5] must be ('uniform', lo, hi) or ('zero',)"),
     ])
     def test_bad_experiment_config_exits_one(self, tmp_path, capsys, monkeypatch,
                                              where, key, value, named):
@@ -636,7 +642,7 @@ class TestSimulate:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
-        rows = list(csv.reader((tmp_path / "run" / "metrics.csv").open()))
+        rows = list(csv.reader((tmp_path / "run" / "metrics.csv").read_text().splitlines()))
         # 2 repeats x 2 optimizers + 2 aggregate rows
         assert len(rows) == 1 + 2 * 2 + 2
 
@@ -786,6 +792,16 @@ class TestEstimateGraphCommand:
         assert capsys.readouterr().err == (f"error: {corr_path}: could not convert string "
                                            f"'x' to float64 at row 0, column 3.\n")
         assert not (tmp_path / "g.txt").exists()
+
+    def test_dataset_and_correlation_csv_together_exit_one(self, tmp_path, capsys):
+        data = write_toy_csv(tmp_path / "toy.csv", seed=6)
+        corr_path = tmp_path / "corr.csv"
+        np.savetxt(corr_path, np.eye(2), delimiter=",")
+        out = tmp_path / "g.txt"
+        assert main(["estimate-graph", str(data), "--corr", str(corr_path),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: give either a dataset CSV or --corr, not both\n"
+        assert not out.exists()
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["estimate-graph", "--out", str(tmp_path / "g.txt")]) == 1

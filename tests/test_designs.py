@@ -39,6 +39,16 @@ def benchmark_spec(**overrides):
 
 
 class TestMakeCovariance:
+    @pytest.mark.parametrize("g, match", [
+        (None, "gff design needs the underlying graph"),
+        (Graph(3), "graph has 3 vertices, design has p=2"),
+    ], ids=["no_graph", "graph_of_another_p"])
+    def test_gff_needs_a_graph_on_its_p_vertices(self, g, match):
+        spec = DesignSpec(kind="gff", sizes=(2,), n=4, noise_sigma=0.0, theta=1.0,
+                          beta_scheme=(("zero",),))
+        with pytest.raises(ValueError, match=match):
+            make_covariance(spec, g)
+
     def test_gff_single_vertex(self):
         spec = DesignSpec(kind="gff", sizes=(1,), n=5, noise_sigma=0.0,
                           theta=1.0, beta_scheme=(("zero",),))
@@ -251,6 +261,36 @@ class TestSpecValidation:
     def test_bad_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             sample_design_and_response(benchmark_spec(**{field: value}))
+
+    # each scheme is the first of four; the message names it and the fault
+    @pytest.mark.parametrize("scheme, fault", [
+        (("uniform", "0.5", True), "lo must be finite, got '0.5'"),
+        (("uniform", 0.5), "must be ('uniform', lo, hi) or ('zero',)"),
+        (("uniform", 0.7, 0.5), "hi must be finite and >= 0.7, got 0.5"),
+        (("uniform", np.nan, 0.7), "lo must be finite, got nan"),
+        (("uniform", 0.5, np.inf), "hi must be finite and >= 0.5, got inf"),
+        (("uniform", 0.5, 0.7, 0.9), "must be ('uniform', lo, hi) or ('zero',)"),
+        (("zero", 1, 2), "must be ('uniform', lo, hi) or ('zero',)"),
+        (("gauss", 0.5), "unknown beta scheme"),
+        ((), "unknown beta scheme"),
+    ])
+    def test_malformed_beta_scheme_is_refused(self, scheme, fault):
+        schemes = (scheme, ("zero",), ("uniform", -0.7, -0.5), ("zero",))
+        with pytest.raises(ValueError) as info:
+            sample_design_and_response(benchmark_spec(beta_scheme=schemes))
+        assert repr(scheme) in str(info.value) and fault in str(info.value)
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_one_beta_scheme_per_group(self, count):
+        # zip would give the groups past the last scheme zero signal
+        schemes = (("uniform", 0.5, 0.7),) * count
+        with pytest.raises(ValueError, match=f"one scheme per group, got {count} for 4 groups"):
+            sample_design_and_response(benchmark_spec(beta_scheme=schemes))
+
+    def test_equal_bounds_and_integer_bounds_pass(self):
+        schemes = (("uniform", 0.5, 0.5), ("zero",), ("uniform", -1, np.float32(0.5)), ("zero",))
+        beta = sample_design_and_response(benchmark_spec(beta_scheme=schemes))[2]
+        assert np.all(beta[:16] == 0.5) and np.all((beta[40:80] >= -1) & (beta[40:80] < 0.5))
 
     @pytest.mark.parametrize("sigma", [np.float32(0.5), np.int64(1)])
     def test_numpy_noise_sigma_passes(self, sigma):

@@ -111,6 +111,19 @@ class TestLambdaLowerBound:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: lambda_lower_bound(np.ones((5, 4)), 1.0, 0.1, GroupStructure.from_sizes([2, 3])),
+     "X has 4 columns, groups cover 5"),
+    (lambda: brute_force_re(np.eye(4), GroupStructure.from_sizes([2, 3]), 1),
+     r"M has shape \(4, 4\), groups cover p=5"),
+    (lambda: brute_force_re(np.ones((5, 4)), GroupStructure.from_sizes([2, 2]), 1),
+     r"M has shape \(5, 4\), groups cover p=4"),
+], ids=["lambda_lower_bound", "brute_force_re_square", "brute_force_re_not_square"])
+def test_shape_against_the_groups_is_refused(call, match):
+    with pytest.raises(ShapeMismatch, match=match):
+        call()
+
+
 class TestBruteForceRE:
     def test_identity(self):
         groups = GroupStructure.from_sizes([3, 3])

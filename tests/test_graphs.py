@@ -252,6 +252,10 @@ class TestSpectralDecompose:
         gram = spec.eigenvectors.T @ spec.eigenvectors
         assert np.abs(gram - np.eye(g.p)).max() < 1e-8
 
+    def test_edgeless_graph_has_no_gap(self):
+        with pytest.raises(ValueError, match="no nonzero Laplacian eigenvalue"):
+            spectral_decompose(Graph(3)).spectral_gap
+
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setattr(graphs, "DENSE_LIMIT", 4)
         with pytest.raises(DimensionTooLarge):
@@ -738,6 +742,11 @@ class TestBlockGraphSampling:
         with pytest.raises(ValueError, match="sizes must be integers"):
             sample()
 
+    @pytest.mark.parametrize("xi", [[0.5], [0.5, 0.5, 0.5]])
+    def test_clustered_network_needs_one_xi_per_block(self, xi):
+        with pytest.raises(ValueError, match="one probability per block"):
+            sample_clustered_network([2, 2], xi)
+
     def test_clustered_network_allows_self_loops(self):
         g = sample_clustered_network([20], 1.0, seed=0)
         assert g.allow_self_loops
@@ -921,6 +930,26 @@ def test_correlation_csv_that_is_not_utf8_is_named(tmp_path):
     path.write_bytes(b"1,0.5\n0.5,1\xff\n")
     with pytest.raises(ValueError, match="can't decode byte 0xff") as info:
         read_correlation_csv(path)
+    assert str(info.value).startswith(f"{path}:")
+
+
+@pytest.mark.parametrize("text", ["1,0.5 # note\n0.5,1\n", "# a comment\n1,0\n0,1\n"])
+def test_correlation_csv_reads_no_comments(tmp_path, text):
+    path = tmp_path / "corr.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="could not convert string") as info:
+        read_correlation_csv(path)
+    assert str(info.value).startswith(f"{path}:")
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_empty_correlation_csv_is_named_without_a_warning(tmp_path, text):
+    path = tmp_path / "corr.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotACorrelation, match="the file holds no rows") as info:
+            read_correlation_csv(path)
     assert str(info.value).startswith(f"{path}:")
 
 

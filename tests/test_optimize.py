@@ -91,6 +91,17 @@ class TestLoss:
         with pytest.raises(ShapeMismatch):
             loss_and_grad(np.zeros(3), np.ones((4, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: FitConfig(loss="hinge").validate(), ValueError, "loss must be one of"),
+        (lambda: loss_and_grad(np.zeros(2), np.ones((3, 2)), np.zeros(3), kind="hinge"),
+         ValueError, "unknown loss 'hinge'"),
+        (lambda: subgradient_descent(np.eye(4, 3), np.ones(3), np.eye(3), FitConfig()),
+         ShapeMismatch, r"X \(4, 3\), y \(3,\)"),
+    ], ids=["FitConfig.loss", "loss_and_grad.kind", "fit.y_one_row_short"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
 
 class TestSubgradientDescent:
     def test_unpenalized_reaches_least_squares(self):

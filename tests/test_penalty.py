@@ -266,6 +266,15 @@ class TestGapBound:
         out = penalty_gap_bound(np.zeros(3), 1.0, spectral_decompose(FIG), FIG_GROUPS)
         assert out.bound == 0.0 and out.tail_mass == 0.0 and out.precondition_ok
 
+    def test_singleton_groups_have_no_tail(self):
+        # p = k: an edgeless graph, whose kernel is I at every t (and which
+        # has no spectral gap), smooths nothing, so the gap is 0
+        g, groups = Graph(3), GroupStructure.from_sizes([1, 1, 1])
+        beta = np.array([1.0, -0.2, 0.4])
+        out = penalty_gap_bound(beta, 2.0, spectral_decompose(g), groups)
+        assert out.bound == 0.0 and out.tail_mass == 0.0 and out.precondition_ok
+        assert penalty_value(beta, exact_heat_kernel(g, 2.0)) == group_lasso_penalty(beta, groups)
+
     def test_figure_graph_reference_values(self):
         beta = np.array([1.0, 0.0, 0.0])
         out = penalty_gap_bound(beta, 3.0, spectral_decompose(FIG), FIG_GROUPS)
