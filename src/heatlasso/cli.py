@@ -13,8 +13,9 @@ import sys
 import numpy as np
 
 from . import __version__
+from .designs import read_dataset_csv
 from .diagnostics import verify_spectral_bounds
-from .errors import NonFiniteObjective, check_arg
+from .errors import CliError, NonFiniteObjective, check_arg
 from .experiments import _FIT_KEYS, check_config, fit_with_config, penalty_graph, run_experiment
 from .figures import write_levelset_svg
 from .graphs import _DEFAULT_ALPHA, Graph, estimate_graph, read_correlation_csv, write_graph
@@ -26,53 +27,6 @@ from .heatflow import (
     simulate_heat_flow,
 )
 from .optimize import OPTIMIZERS, RATE_PROTOCOLS, threshold_kmeans
-
-
-class CliError(ValueError):
-    """Usage or input-format error; maps to exit code 1."""
-
-
-def read_dataset_csv(path):
-    """Header row, first column the response y, remaining columns X.
-
-    One np.loadtxt call parses the numbers, quoted or not. Only when it
-    refuses the file are the rows read again, to name the first with a wrong
-    field count or a field float() refuses; if none is, numpy's message is
-    raised. Every refusal names the file.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), [])
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: {exc}") from None
-    if len(header) < 2:
-        raise CliError(f"{path}: need a header row with y plus at least one covariate column")
-    try:
-        data = np.empty((0, len(header)))
-        if any(line.strip() for line in lines):  # loadtxt warns on no data
-            data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        if data.shape[1] != len(header):
-            raise ValueError(f"rows have {data.shape[1]} fields, header has {len(header)}")
-        if len(data) < 2:
-            raise ValueError(f"need at least 2 data rows, got {len(data)}")
-    except ValueError as exc:
-        _name_bad_row(path, header, lines)
-        raise CliError(f"{path}: {exc}") from None
-    return data[:, 0], data[:, 1:]
-
-
-def _name_bad_row(path, header, lines):
-    """Raise a CliError naming the first data row with a wrong field count
-    or a field float() refuses; return if there is none."""
-    for lineno, row in enumerate(csv.reader(lines), start=2):
-        if row and len(row) != len(header):
-            raise CliError(f"{path}: row {lineno} has {len(row)} "
-                           f"fields, header has {len(header)}")
-        try:
-            list(map(float, row))
-        except ValueError as exc:
-            raise CliError(f"{path}: row {lineno}: {exc}") from None
 
 
 def _number_list(flag, text):

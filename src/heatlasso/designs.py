@@ -3,13 +3,14 @@ equi-correlation Gaussians, Gaussian free fields on a graph, and
 block-model covariances, plus signal and response generation.
 """
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, check_arg
+from .errors import CliError, NotPositiveDefinite, check_arg
 from .graphs import Graph, laplacian, spectral_decompose
 from .penalty import GroupStructure
 
@@ -17,6 +18,9 @@ from .penalty import GroupStructure
 # four groups is signal on groups 1 and 3, silence on 2 and 4.
 DEFAULT_K4_SCHEME = (("uniform", 0.5, 0.7), ("zero",),
                      ("uniform", -0.7, -0.5), ("zero",))
+
+# The covariance families make_covariance builds.
+DESIGN_KINDS = ("block_equicorr", "gff", "sbm_cov")
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,9 @@ class DesignSpec:
         raise ValueError("beta_scheme must be given explicitly unless k == 4")
 
     def validate(self):
+        if self.kind not in DESIGN_KINDS:
+            raise ValueError(f"unknown design kind {self.kind!r}, expected one of "
+                             f"{', '.join(DESIGN_KINDS)}")
         check_arg("sizes", list(self.sizes), "[1, inf)", int)
         check_arg("n", self.n, "[1, inf)", int)
         check_arg("seed", self.seed, kind=int)
@@ -78,6 +85,7 @@ def equicorrelation(d, rho):
 def make_covariance(spec: DesignSpec, g: Graph | None = None) -> np.ndarray:
     """Population covariance of the design: block-diagonal equicorrelation,
     the GFF covariance (L + theta I)^{-1}, or the block-model I + P."""
+    spec.validate()
     p = spec.p
     if spec.kind == "block_equicorr":
         sigma = np.zeros((p, p))
@@ -94,16 +102,14 @@ def make_covariance(spec: DesignSpec, g: Graph | None = None) -> np.ndarray:
             raise ValueError(f"graph has {g.p} vertices, design has p={p}")
         sigma = np.linalg.inv(laplacian(g) + spec.theta * np.eye(p))
         return (sigma + sigma.T) / 2.0
-    if spec.kind == "sbm_cov":
-        check_arg("a", spec.a, "[0, 1]", error=NotPositiveDefinite)
-        check_arg("b", spec.b, "[0, 1]", error=NotPositiveDefinite)
-        if spec.b > spec.a:
-            raise NotPositiveDefinite(f"need b <= a, got a={spec.a}, b={spec.b}")
-        labels = np.repeat(np.arange(spec.k), spec.sizes)
-        P = np.where(labels[:, None] == labels[None, :], spec.a, spec.b)
-        np.fill_diagonal(P, 0.0)  # within-block diagonal of P is zero
-        return np.eye(p) + P
-    raise ValueError(f"unknown design kind {spec.kind!r}")
+    check_arg("a", spec.a, "[0, 1]", error=NotPositiveDefinite)  # sbm_cov
+    check_arg("b", spec.b, "[0, 1]", error=NotPositiveDefinite)
+    if spec.b > spec.a:
+        raise NotPositiveDefinite(f"need b <= a, got a={spec.a}, b={spec.b}")
+    labels = np.repeat(np.arange(spec.k), spec.sizes)
+    P = np.where(labels[:, None] == labels[None, :], spec.a, spec.b)
+    np.fill_diagonal(P, 0.0)  # within-block diagonal of P is zero
+    return np.eye(p) + P
 
 
 def default_gff_mass(g: Graph, k: int) -> float:
@@ -208,6 +214,49 @@ def write_dataset_csv(path, X, y):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(X.shape[1])]) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
+def read_dataset_csv(path):
+    """(y, X) from a write_dataset_csv file: header row, first column y.
+
+    One np.loadtxt call parses the numbers, quoted or not. Only when it
+    refuses the file are the rows read again, to name the first with a wrong
+    field count or a field float() refuses; if none is, numpy's message is
+    raised. Every refusal names the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    if len(header) < 2:
+        raise CliError(f"{path}: need a header row with y plus at least one covariate column")
+    try:
+        data = np.empty((0, len(header)))
+        if any(line.strip() for line in lines):  # loadtxt warns on no data
+            data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"rows have {data.shape[1]} fields, header has {len(header)}")
+        if len(data) < 2:
+            raise ValueError(f"need at least 2 data rows, got {len(data)}")
+    except ValueError as exc:
+        _name_bad_row(path, header, lines)
+        raise CliError(f"{path}: {exc}") from None
+    return data[:, 0], data[:, 1:]
+
+
+def _name_bad_row(path, header, lines):
+    """Raise a CliError naming the first data row with a wrong field count
+    or a field float() refuses; return if there is none."""
+    for lineno, row in enumerate(csv.reader(lines), start=2):
+        if row and len(row) != len(header):
+            raise CliError(f"{path}: row {lineno} has {len(row)} "
+                           f"fields, header has {len(header)}")
+        try:
+            list(map(float, row))
+        except ValueError as exc:
+            raise CliError(f"{path}: row {lineno}: {exc}") from None
 
 
 def write_dataset_sidecar(path, spec: DesignSpec, beta_star, groups: GroupStructure):

@@ -3,6 +3,10 @@
 import numpy as np
 
 
+class CliError(ValueError):
+    """Usage or input-format error; maps to exit code 1."""
+
+
 class HeatLassoError(ValueError):
     """Base class for all contract violations raised by this package."""
 

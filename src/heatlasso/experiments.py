@@ -46,7 +46,6 @@ from .errors import _TESTS, check_arg
 from .graphs import (
     _DEFAULT_ALPHA,
     Graph,
-    _read_graph,
     estimate_graph_from_data,
     group_clique_graph,
     read_graph,
@@ -115,16 +114,23 @@ def config_hash(config: dict) -> str:
 
 
 def _design_graph(section: dict, spec: DesignSpec, repeat_seed: int):
-    """The graph underlying the design itself (needed for gff covariances)."""
+    """The graph underlying the design itself (needed for gff covariances);
+    one on other than the design's p vertices is refused before it is built."""
     graph_section = section.get("graph")
     if graph_section is None:
         return None
     if "path" in graph_section:
-        return read_graph(graph_section["path"])
+        if len(graph_section) > 1:
+            raise ValueError(f"design.graph with a path takes no other key, "
+                             f"got {', '.join(graph_section)}")
+        return read_graph(graph_section["path"], spec.p)
     if "a" not in graph_section or "b" not in graph_section:
         raise ValueError("design.graph.a and design.graph.b are required without a path")
-    return sample_block_graph(graph_section.get("sizes", spec.sizes), graph_section["a"],
-                              graph_section["b"], graph_section.get("self_loops", False),
+    sizes = graph_section.get("sizes", spec.sizes)
+    if sum(sizes) != spec.p:
+        raise ValueError(f"design.graph.sizes sum to {sum(sizes)}, the design has p={spec.p}")
+    return sample_block_graph(sizes, graph_section["a"], graph_section["b"],
+                              graph_section.get("self_loops", False),
                               _derived_seed(repeat_seed, 0x6AF))
 
 
@@ -135,6 +141,7 @@ def resolve_design(section: dict, repeat_seed: int):
     if fields.get("theta") == "auto":
         fields["theta"] = None
     spec = DesignSpec(**{"noise_sigma": 0.0, **fields}, seed=repeat_seed)
+    spec.validate()
     g = _design_graph(section, spec, repeat_seed)
     if spec.kind == "gff":
         if g is None:
@@ -151,8 +158,10 @@ def penalty_graph(graph_section, X, spec: DesignSpec, design_graph):
     if not isinstance(graph_section, dict):
         graph_section = ({"estimate": _DEFAULT_ALPHA} if graph_section in (None, "estimate")
                          else {"path": graph_section})
+    if len(graph_section) > 1:
+        raise ValueError(f"a graph section names one source, got {', '.join(graph_section)}")
     if "path" in graph_section:
-        return _read_graph(graph_section["path"], X.shape[1])
+        return read_graph(graph_section["path"], X.shape[1])
     if "estimate" in graph_section:
         return _estimated_graph(X, graph_section["estimate"])
     raise ValueError(f"unrecognized graph section {graph_section!r}")

@@ -458,20 +458,15 @@ def write_graph(g: Graph, path):
             fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def read_graph(path) -> Graph:
+def read_graph(path, p=None) -> Graph:
     """Read a write_graph file from a path; an int (a file descriptor) is refused.
 
-    One np.loadtxt call parses the edges. Only when it or Graph refuses the
-    file are the lines read again, to name the first that is not 'i j' with
-    int() indices; if none is, numpy's or Graph's message is raised. Every
-    refusal is a ValueError that names the file.
+    With p, a file whose header gives another vertex count is refused before
+    any graph is made. One np.loadtxt call parses the edges. Only when it or
+    Graph refuses the file are the lines read again, to name the first that
+    is not 'i j' with int() indices; if none is, numpy's or Graph's message
+    is raised. Every refusal is a ValueError that names the file.
     """
-    return _read_graph(path)
-
-
-def _read_graph(path, columns=None):
-    """read_graph; with columns, a file whose header gives another vertex
-    count is refused before a graph is made."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise TypeError(f"read_graph takes a path, got {type(path).__name__}")
     try:
@@ -487,8 +482,8 @@ def _read_graph(path, columns=None):
             edges = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
         if edges.shape[1] != 2:
             raise ValueError(f"expected 'i j' lines, got {edges.shape[1]} fields")
-        if columns is not None and int(header[1]) != columns:
-            raise ValueError(f"graph has {int(header[1])} vertices, X has {columns} columns")
+        if p is not None and int(header[1]) != p:
+            raise ValueError(f"graph has {int(header[1])} vertices, X has {p} columns")
         loops = bool(np.any(edges[:, 0] == edges[:, 1]))
         return Graph(int(header[1]), edges=edges, allow_self_loops=loops)
     except ValueError as exc:

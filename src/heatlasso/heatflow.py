@@ -95,6 +95,12 @@ def _padded_rows(g: Graph, lam):
     return padded, offsets[:-1]
 
 
+def _poisson_cut(mu):
+    """(first, last): _poisson_inverse cuts Poisson(mu) to [floor(first), ceil(last)]."""
+    spread = 10.0 * math.sqrt(mu)
+    return mu - spread, mu + spread + 30.0
+
+
 def _poisson_inverse(mu):
     """(k0, F, lo, hi) for the Poisson(mu) law, mu > 0: N = k0 + the number
     of entries of F at most u is Poisson(mu) for u uniform on [0, 1), up to
@@ -106,8 +112,8 @@ def _poisson_inverse(mu):
     For u in [j, j + 1) 2^-_GUIDE_BITS, that number lies in [lo[j], hi[j]]
     (Chen & Asau 1974, AIIE Trans. 6(2)), so only the u whose bucket holds
     an entry of F need a search."""
-    spread = 10.0 * math.sqrt(mu)
-    k0, k1 = max(0, math.floor(mu - spread)), math.ceil(mu + spread + 30.0)
+    first, last = _poisson_cut(mu)
+    k0, k1 = max(0, math.floor(first)), math.ceil(last)
     mode = min(max(math.floor(mu), k0), k1)
     weight = [1.0] * (k1 - k0 + 1)
     for k in range(mode + 1, k1 + 1):
@@ -201,7 +207,7 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     p = g.p
     lam = _component_max_degree(g)
     top = int(lam.max()) * t  # the largest component's Poisson mean
-    cut = top + 10.0 * math.sqrt(top) + 30.0  # its _poisson_inverse k1, before the ceil
+    cut = _poisson_cut(top)[1]  # its _poisson_inverse k1, before the ceil
     if cut > (1 << 31) - 1:  # before any table: int32 step counts would wrap
         raise ValueError(f"t={t!r} is too long for Lambda_c={int(lam.max())}: step counts "
                          f"would reach {cut:.4g}, and they must stay below 2**31")

@@ -354,21 +354,48 @@ class TestFitWithConfig:
         with pytest.raises(LengthMismatch, match="graph has 11 vertices, X has 2 columns"):
             optimize.cross_validate(X, X[:, 0], g, [0.1], [0.5], 2, optimize.FitConfig())
 
-    @pytest.mark.parametrize("section", ["path", "str"])
+    @pytest.mark.parametrize("section", ["path", "str", "design"])
     def test_graph_file_of_another_p_refused_before_the_graph(self, tmp_path, section):
         import tracemalloc
 
         gpath = tmp_path / "g.txt"
         gpath.write_text("p 10000000\n0 1\n")
-        graph = {"path": str(gpath)} if section == "path" else str(gpath)
+        graph = {"path": str(gpath)} if section != "str" else str(gpath)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
-                experiments.penalty_graph(graph, np.ones((5, 3)), None, None)
+                if section == "design":  # the gff design's own graph, on its p = 3
+                    experiments.resolve_design(
+                        {"kind": "gff", "sizes": [1, 2], "n": 5, "graph": graph}, 0)
+                else:
+                    experiments.penalty_graph(graph, np.ones((5, 3)), None, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(info.value) == f"{gpath}: graph has 10000000 vertices, X has 3 columns"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("graph, kind, named", [
+        # 1500 vertices would be sampled, and the gff mass found, on a p = 4 design
+        ({"sizes": [750, 750], "a": 0.9, "b": 0.1}, "gff",
+         "design.graph.sizes sum to 1500, the design has p=4"),
+        ({"path": "missing.txt"}, "bogus",
+         "unknown design kind 'bogus', expected one of block_equicorr, gff, sbm_cov"),
+    ], ids=["sizes", "kind"])
+    def test_design_section_refused_before_its_graph(self, tmp_path, monkeypatch,
+                                                      graph, kind, named):
+        import tracemalloc
+
+        monkeypatch.chdir(tmp_path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                experiments.resolve_design({"kind": kind, "sizes": [2, 2], "n": 5,
+                                            "graph": graph}, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == named
         assert peak < 1 << 20
 
     def test_estimate_section_sets_the_quantile(self):
@@ -454,6 +481,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert "fit_001_sd.json" in capsys.readouterr().err
         assert sorted(os.listdir(out)) == ["fit_001_sd.json"]
+
+    def test_failed_run_cleans_up_a_file_already_gone(self, tmp_path, monkeypatch):
+        # the sidecar writer deletes the dataset CSV the run wrote, then fails:
+        # its error propagates, and the cleanup passes over the missing file
+        def lose_the_dataset(path, *args):
+            os.remove(tmp_path / "run" / "dataset_000.csv")
+            raise RuntimeError("sidecar failed")
+
+        monkeypatch.setattr(experiments, "write_dataset_sidecar", lose_the_dataset)
+        cfg = small_sim_config(tmp_path / "run", repeats=1)
+        cfg["fit"]["max_iters"] = 5
+        with pytest.raises(RuntimeError, match="sidecar failed"):
+            experiments.run_experiment(cfg, str(tmp_path / "run"))
+        assert os.listdir(tmp_path / "run") == []
 
     @pytest.mark.parametrize("text", [None, "not json"])
     def test_unreadable_config_exits_one(self, tmp_path, capsys, text):
@@ -555,6 +596,10 @@ class TestSimulate:
          "beta scheme ['uniform', 0.7, 0.5]: hi must be finite and >= 0.7, got 0.5"),
         ("design", "beta_scheme", [["uniform", 0.5], ["zero"]],
          "beta scheme ['uniform', 0.5] must be ('uniform', lo, hi) or ('zero',)"),
+        # a graph section that names two sources
+        ("graph", "path", "g.txt", "a graph section names one source, got estimate, path"),
+        ("design.graph", "path", "g.txt",
+         "design.graph with a path takes no other key, got a, b, path"),
     ])
     def test_bad_experiment_config_exits_one(self, tmp_path, capsys, monkeypatch,
                                              where, key, value, named):

@@ -105,6 +105,10 @@ class TestMakeCovariance:
                                        noise_sigma=0.0, a=0.2, b=0.5,
                                        beta_scheme=(("zero",), ("zero",))))
 
+    def test_covariance_root_refuses_a_negative_eigenvalue(self):
+        with pytest.raises(NotPositiveDefinite, match="covariance has eigenvalue -1"):
+            _covariance_root(-np.eye(2))
+
     def test_all_kinds_positive_definite(self):
         g = sample_block_graph([5, 5], 0.6, 0.1, seed=1)
         specs = [

@@ -49,6 +49,9 @@ class TestGraphInvariants:
             for j in nbrs:
                 assert i in g.neighbors(j)
 
+    def test_repr(self):
+        assert repr(Graph(4, edges=[(0, 1), (2, 3), (1, 0)])) == "Graph(p=4, edges=2)"
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, edges=[(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
@@ -895,14 +898,14 @@ class TestGraphFileFormat:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
-                graphs._read_graph(path, 3)
+                read_graph(path, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(info.value) == f"{path}: graph has 1000000000 vertices, X has 3 columns"
         assert peak < 1 << 20
         path.write_text("p 3\n0 2\n")
-        assert graphs._read_graph(path, 3)._edge_array().tolist() == [[0, 2]]
+        assert read_graph(path, 3)._edge_array().tolist() == [[0, 2]]
 
     def test_file_descriptor_is_refused_and_left_open(self):
         read_end, write_end = os.pipe()

@@ -445,6 +445,13 @@ class TestThresholdKmeans:
         assert threshold_kmeans(np.array([1.0, 0.0, 0.0, 0.0])).tolist() == \
             [1.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("beta", [[-0.3], []])
+    def test_fewer_than_two_entries_unchanged(self, beta):
+        # no split to make: a copy of beta comes back
+        beta = np.array(beta)
+        out = threshold_kmeans(beta)
+        assert out.tolist() == beta.tolist() and out is not beta
+
     def test_matches_exhaustive_two_partition(self):
         def brute_force_cost(vals):
             best = np.inf

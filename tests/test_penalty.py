@@ -46,6 +46,9 @@ class TestGroupStructure:
         assert g.sizes.tolist() == [2, 3]
         assert GroupStructure.from_sizes(np.array([2, 3])).sizes.tolist() == [2, 3]
 
+    def test_repr(self):
+        assert repr(GroupStructure.from_sizes([2, 3])) == "GroupStructure(k=2, sizes=[2, 3])"
+
     @pytest.mark.parametrize("sizes", [[4, 4.6], [4, 4.0], [True, 2]])
     def test_from_sizes_refuses_non_integers(self, sizes):
         with pytest.raises(ValueError, match="group sizes must be integers >= 1"):
