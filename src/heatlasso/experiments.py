@@ -22,7 +22,7 @@ and sample_block_graph still check ranges and meaning. Sections:
 Every run writes per-repeat dataset CSVs and fit JSONs, a metrics CSV with
 one row per (repeat, optimizer) plus aggregate mean rows, and a manifest
 capturing the resolved config, its hash, and all derived seeds. Re-running
-a manifest's config reproduces the metrics CSV byte for byte.
+a manifest's config reproduces every output file byte for byte.
 """
 
 import csv
@@ -235,20 +235,16 @@ def _run_repeat(config, repeat, base_seed):
     for name in optimizers:
         fit_seed = _derived_seed(repeat_seed, 0xF17, list(OPTIMIZERS).index(name) + 1)
         result, lam, t, _, _ = fit_with_config(X, y, g, fit_section, fit_seed, name)
-        metrics = evaluate_fit(result.beta_thresholded, beta_star, X)
-        fits[name] = {"result": result, "lam": lam, "t": t, "metrics": metrics}
-    return {
-        "repeat": repeat,
-        "seed": repeat_seed,
-        "spec": spec,
-        "X": X, "y": y, "beta_star": beta_star, "groups": groups,
-        "fits": fits,
-    }
+        fits[name] = result, lam, t, evaluate_fit(result.beta_thresholded, beta_star, X)
+    return repeat_seed, spec, X, y, beta_star, groups, fits
 
 
 def run_experiment(config: dict, out_dir: str) -> dict:
     """Execute all repeats of a config and write every artifact to out_dir.
 
+    Each repeat's dataset and fit files are written when the repeat ends,
+    and only its metrics rows and seed are kept, so the run's memory does
+    not grow with repeats; metrics.csv and the manifest follow the last one.
     Returns a summary dict with per-optimizer mean metrics. On error, any
     partially written outputs are removed before the exception propagates.
     """
@@ -258,63 +254,46 @@ def run_experiment(config: dict, out_dir: str) -> dict:
     base_seed = config["design"].get("seed", 0)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    try:
-        outcomes = [_run_repeat(config, r, base_seed) for r in range(repeats)]
 
-        metrics_rows = []
-        for out in outcomes:
-            r = out["repeat"]
-            data_path = os.path.join(out_dir, f"dataset_{r:03d}.csv")
-            write_dataset_csv(data_path, out["X"], out["y"])
-            written.append(data_path)
-            sidecar = os.path.join(out_dir, f"dataset_{r:03d}.json")
-            write_dataset_sidecar(sidecar, out["spec"], out["beta_star"],
-                                  out["groups"])
-            written.append(sidecar)
-            for name, fit in out["fits"].items():
-                fit_path = os.path.join(out_dir, f"fit_{r:03d}_{name}.json")
-                with open(fit_path, "w", encoding="utf-8") as fh:
-                    fh.write(fit["result"].to_json())
-                written.append(fit_path)
-                metrics_rows.append(
-                    [str(r), name, repr(float(fit["lam"])), repr(float(fit["t"]))]
-                    + [repr(float(v)) for v in fit["metrics"].csv_row()])
+    def path(name):  # listed before it is opened, so the cleanup finds a partial file
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
+
+    try:
+        seeds, metrics_rows, reports = [], [], {}
+        for r in range(repeats):
+            seed, spec, X, y, beta_star, groups, fits = _run_repeat(config, r, base_seed)
+            seeds.append(seed)
+            write_dataset_csv(path(f"dataset_{r:03d}.csv"), X, y)
+            write_dataset_sidecar(path(f"dataset_{r:03d}.json"), spec, beta_star, groups)
+            for name, (result, lam, t, metrics) in fits.items():
+                with open(path(f"fit_{r:03d}_{name}.json"), "w", encoding="utf-8") as fh:
+                    fh.write(result.to_json())
+                metrics_rows.append([str(r), name, repr(float(lam)), repr(float(t))]
+                                    + [repr(float(v)) for v in metrics.csv_row()])
+                reports.setdefault(name, []).append(metrics.csv_row())
 
         summary = {}
-        for name in outcomes[0]["fits"]:
-            stack = np.array([out["fits"][name]["metrics"].csv_row()
-                              for out in outcomes])
-            mean = stack.mean(axis=0)
-            metrics_rows.append(["mean", name, "", ""]
-                                + [repr(float(v)) for v in mean])
+        for name, rows in reports.items():
+            mean = np.array(rows).mean(axis=0)
+            metrics_rows.append(["mean", name, "", ""] + [repr(float(v)) for v in mean])
             summary[name] = MetricsReport(*[float(v) for v in mean])
 
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
+        with open(path("metrics.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["repeat", "optimizer", "lam", "t"]
                             + MetricsReport.CSV_HEADER)
             writer.writerows(metrics_rows)
-        written.append(metrics_path)
 
-        manifest = {
-            "version": __version__,
-            "config": config,
-            "config_hash": config_hash(config),
-            "seeds": {
-                "base": base_seed,
-                "repeats": [out["seed"] for out in outcomes],
-            },
-        }
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
+        manifest = {"version": __version__, "config": config, "config_hash": config_hash(config),
+                    "seeds": {"base": base_seed, "repeats": seeds}}
+        with open(path("manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
-        written.append(manifest_path)
         return summary
     except Exception:
-        for path in written:
+        for name in written:
             try:
-                os.remove(path)
+                os.remove(name)
             except OSError:
                 pass
         raise

@@ -13,20 +13,15 @@ coordinates, so both optimizers run one lockstep core, _cd_lockstep. It
 runs F fits side by side as the columns of a p x F beta: column k has its
 own penalty weight, its own row weights (the training rows of a CV fold)
 and its own block stream, and each iteration does one GEMM per smoothing
-or loss product for all columns. A step is small when
-||step|| <= eps_tol ||beta_S|| over the coordinates S it moves. A column
-stops on one small step with full blocks, and with blocks of q < p only
-after ceil(p / q) small steps in a row, so that one block that happens to
-move little does not stop it. It stops with the beta, trace, iteration
-count and converged flag of its single fit: from then on its step is
-scaled by 0, so its beta stays put while it keeps its place in every
-product, until all columns have stopped or max_iters is reached.
-subgradient_descent and block_cd are the one-column case, and
-cross_validate runs a whole lambda x fold grid per t. A column follows its
-single fit only up to rounding: a GEMM over F columns may sum in another
-order than the one-column product. SD, whose fits do not converge at the
-benchmark settings, can amplify such a gap near a zero coefficient by
-orders of magnitude over the iterations.
+or loss product for all columns. A column stops by the rule stated in
+_cd_lockstep's docstring, with the beta, trace, iteration count and
+converged flag of its single fit, and then takes zero steps until all
+columns have stopped. subgradient_descent and block_cd are the one-column
+case, and cross_validate runs a whole lambda x fold grid per t. A column
+follows its single fit only up to rounding: a GEMM over F columns may sum
+in another order than the one-column product. SD, whose fits do not
+converge at the benchmark settings, can amplify such a gap near a zero
+coefficient by orders of magnitude over the iterations.
 
 An iteration steps each column's block S along the restricted subgradient
 and reads the loss off z = X beta and the penalty off h = K (beta (.) beta).
@@ -220,49 +215,6 @@ def _derived_seed(*parts):
     return int(_seed_sequence(*parts).generate_state(1)[0])
 
 
-class _Lockstep:
-    """The bookkeeping of fits run side by side, one per column of beta.
-
-    beta is a (p,) vector for one fit or a (p, F) matrix for F fits; each
-    fit's penalty weight, objective and stop flag is then a scalar or an
-    (F,) array. Holds each fit's objective trace, iteration count and
-    `converged` flag, and the step factor `moving`: 1.0 until a column
-    stops, then an (F,) array that is 0 on the stopped columns. A stopped
-    column's steps are then exact zeros, so its beta stays as it was when
-    it stopped while the other columns go on. A column stops after
-    `streak` small steps in a row: ceil(p / q) for blocks of q, and 1 for
-    full blocks, whose runs are not counted.
-    """
-
-    def __init__(self, F, max_iters, streak):
-        self.moving = 1.0
-        self.trace = np.empty((max_iters, F))
-        self.iterations = np.full(F, max_iters)
-        self.converged = np.zeros(F, dtype=bool)
-        self.streak = streak
-        self.run_length = np.zeros(F, dtype=np.int64)  # small steps in a row
-        self.counting = False  # some run_length > 0; if not, only a small step counts
-
-    def record(self, i, obj, small):
-        """Log iteration i's objectives and stop the columns whose last
-        `streak` steps were all flagged `small` (a stopped column stays
-        flagged). Returns whether all have stopped."""
-        _require_finite(obj, "objective")
-        self.trace[i - 1] = obj
-        done = small
-        if self.streak > 1 and (self.counting or np.count_nonzero(small)):
-            self.run_length = (self.run_length + 1) * small
-            self.counting = bool(np.count_nonzero(self.run_length))
-            done = self.run_length >= self.streak
-        if not np.count_nonzero(done):
-            return False
-        stop = np.reshape(done, -1) & ~self.converged
-        self.iterations[stop] = i
-        self.converged |= stop
-        self.moving = 1.0 - self.converged
-        return self.converged.all()
-
-
 def _small_steps(step, old, tol):
     """Per column: ||step|| <= tol * max(||old||, 1e-12), the stopping rule."""
     return (step * step).sum(axis=0) <= tol * tol * np.maximum((old * old).sum(axis=0), 1e-24)
@@ -294,16 +246,24 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     """Stochastic block coordinate descent on each column of beta in
     lockstep; subgradient descent when cfg.block_size is None or p.
 
-    beta is (p,) for one fit or (p, F) for F fits. Column k fits penalty
-    weight lam[k] to the loss sum_i w[i, k] l(z_ik, y_i), so a CV fold's
-    column weights its training rows only; y and w are (n,) and a scalar
-    for one fit, (n, 1) and (n, F) for F fits. The config's rate, block
-    size, tolerance and max_iters apply to every column. Column k draws its
-    blocks from its own stream seeded by seeds[k], so it follows the
-    trajectory of its single fit; full blocks draw nothing. A column that
-    has stopped keeps drawing blocks and takes zero steps (see _Lockstep):
-    its beta and trace end where its single fit's do. Returns (p x F final
-    betas, objective traces, converged flags).
+    beta is (p,) for one fit or (p, F) for F fits; each fit's penalty
+    weight, objective and stop flag is then a scalar or an (F,) array.
+    Column k fits penalty weight lam[k] to the loss sum_i w[i, k] l(z_ik, y_i),
+    so a CV fold's column weights its training rows only; y and w are (n,)
+    and a scalar for one fit, (n, 1) and (n, F) for F fits. The config's
+    rate, block size, tolerance and max_iters apply to every column. Column
+    k draws its blocks from its own stream seeded by seeds[k], so it follows
+    the trajectory of its single fit; full blocks draw nothing.
+
+    The stop rule: a step is small when ||step|| <= eps_tol ||beta_S|| over
+    the coordinates S it moves. A column stops after `streak` small steps in
+    a row: one with full blocks, whose runs are not counted, and ceil(p / q)
+    with blocks of q < p, so that one block that happens to move little
+    does not stop it. It stops with its single fit's beta, trace, iteration
+    count and converged flag: from then on `moving` scales its step by 0, so
+    its beta stays put while it keeps drawing blocks and its place in every
+    product, until all columns have stopped or max_iters is reached.
+    Returns (p x F final betas, objective traces, converged flags).
     """
     p = X.shape[1]
     q = p if cfg.block_size is None else cfg.block_size
@@ -311,7 +271,13 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     gather = q * F < p  # the module docstring's two regimes
     XT = np.ascontiguousarray(X.T) if gather else None  # rows of XT are columns of X
     rngs = [np.random.default_rng(_seed_sequence(s, 0xB10C)) for s in seeds]
-    run = _Lockstep(F, cfg.max_iters, -(-p // q))
+    streak = -(-p // q)
+    moving = 1.0  # 0 on the stopped columns once one has stopped
+    trace = np.empty((cfg.max_iters, F))
+    iterations = np.full(F, cfg.max_iters)
+    converged = np.zeros(F, dtype=bool)
+    run = np.zeros(F, dtype=np.int64)  # small steps in a row
+    counting = False  # some run > 0; if not, only a small step counts
     beta = beta.copy()
     z = X @ beta  # kept equal to X @ beta
     obj, dz = _loss_from_linear(z, y, cfg.loss, w)
@@ -322,7 +288,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         _, slope = _penalty_terms(h)
     blocks = np.empty((0, q, F), np.intp)  # the drawn blocks of the iterations ahead
     for i in range(1, cfg.max_iters + 1):
-        rate = cfg.learning_rate(i) * run.moving
+        rate = cfg.learning_rate(i) * moving
         if q < p:
             if not len(blocks):
                 iters = min(max(_DRAW_CHUNK // (F * p), 1), cfg.max_iters - i + 1)
@@ -370,10 +336,22 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
         if penalized:
             penalty, slope = _penalty_terms(h)
             obj += lam * penalty
-        if run.record(i, obj, small):
-            break
-    traces = [run.trace[:k, j].tolist() for j, k in enumerate(run.iterations)]
-    return beta.reshape(p, -1), traces, run.converged
+        _require_finite(obj, "objective")
+        trace[i - 1] = obj
+        done = small
+        if streak > 1 and (counting or np.count_nonzero(small)):
+            run = (run + 1) * small
+            counting = bool(np.count_nonzero(run))
+            done = run >= streak
+        if np.count_nonzero(done):
+            stop = np.reshape(done, -1) & ~converged  # the columns that stop at i
+            iterations[stop] = i
+            converged |= stop
+            moving = 1.0 - converged
+            if converged.all():
+                break
+    traces = [trace[:k, j].tolist() for j, k in enumerate(iterations)]
+    return beta.reshape(p, -1), traces, converged
 
 
 def _single_fit(X, y, semigroup, cfg, beta0):
@@ -411,12 +389,10 @@ def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
 
     The blocks come from cfg.seed's stream: an iteration's block holds the
     indices of the block_size smallest of p uniforms, drawn for many
-    iterations at once. A block step meets eps_tol relative to the block's
-    own coordinates, so the fit stops, `converged`, only after
-    ceil(p / block_size) such steps in a row: one block that happens to move
-    little is not enough. The stream does not depend on that batching, so a fit's blocks are the
-    same whatever the chunk length, and a column of a cross-validation run
-    draws the blocks of its single fit."""
+    iterations at once. The stream does not depend on that batching, so a
+    fit's blocks are the same whatever the chunk length, and a column of a
+    cross-validation run draws the blocks of its single fit. The fit stops,
+    `converged`, by the rule in _cd_lockstep's docstring."""
     return _single_fit(X, y, semigroup, cfg, beta0)
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,6 +496,38 @@ class TestSimulate:
         with pytest.raises(RuntimeError, match="sidecar failed"):
             experiments.run_experiment(cfg, str(tmp_path / "run"))
         assert os.listdir(tmp_path / "run") == []
+
+    def test_failed_run_removes_a_partly_written_file(self, tmp_path, monkeypatch):
+        # the sidecar writer writes part of its file, then fails: the cleanup
+        # removes the partial sidecar with the dataset CSV written before it
+        def write_part(path, *args):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(experiments, "write_dataset_sidecar", write_part)
+        cfg = small_sim_config(tmp_path / "run", repeats=1)
+        cfg["fit"]["max_iters"] = 5
+        with pytest.raises(OSError, match="disk full"):
+            experiments.run_experiment(cfg, str(tmp_path / "run"))
+        assert os.listdir(tmp_path / "run") == []
+
+    def test_memory_does_not_grow_with_repeats(self, tmp_path):
+        # each repeat's files are written when it ends, so 8 repeats of a
+        # design with n = 1000 (0.8 MB of X each) peak where 1 repeat does
+        def peak(repeats, name):
+            cfg = small_sim_config(tmp_path / name, repeats=repeats)
+            cfg["design"].update(sizes=[50, 50], n=1000)
+            cfg["fit"].update(B=5, max_iters=3)
+            tracemalloc.start()
+            try:
+                experiments.run_experiment(cfg, str(tmp_path / name))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, "warm-up")  # the first run allocates caches that later runs reuse
+        assert peak(8, "eight") - peak(1, "one") <= 1e5
 
     @pytest.mark.parametrize("text", [None, "not json"])
     def test_unreadable_config_exits_one(self, tmp_path, capsys, text):
