@@ -16,7 +16,7 @@ from . import __version__
 from .designs import read_dataset_csv
 from .diagnostics import verify_spectral_bounds
 from .errors import CliError, NonFiniteObjective, check_arg
-from .experiments import _FIT_KEYS, check_config, fit_with_config, penalty_graph, run_experiment
+from .experiments import _FIT_FIELDS, check_config, fit_with_config, penalty_graph, run_experiment
 from .figures import write_levelset_svg
 from .graphs import _DEFAULT_ALPHA, Graph, estimate_graph, read_correlation_csv, write_graph
 from .heatflow import (
@@ -41,7 +41,7 @@ def _number_list(flag, text):
 
 
 def _fit_section_from_args(args):
-    section = {k: v for k, v in vars(args).items() if k in _FIT_KEYS and v is not None}
+    section = {k: v for k, v in vars(args).items() if k in _FIT_FIELDS and v is not None}
     section["loss"] = {"squared": "squared_error",
                        "logistic": "logistic"}[args.loss]
     return section

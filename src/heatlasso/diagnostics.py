@@ -135,14 +135,6 @@ def brute_force_re(M, groups: GroupStructure, s: int, n_directions: int = 100_00
     weights = np.sqrt(groups.sizes.astype(np.float64))
     rng = np.random.default_rng(seed)
     best = np.inf
-
-    def ratio(delta, support_mask):
-        da = np.linalg.norm(delta[support_mask])
-        if da < 1e-12:
-            return np.inf
-        quad = float(delta @ M @ delta)
-        return np.sqrt(max(quad, 0.0)) / da
-
     for size in range(1, min(s, k) + 1):
         for A in itertools.combinations(range(1, k + 1), size):
             in_A = np.zeros(k, dtype=bool)
@@ -152,20 +144,18 @@ def brute_force_re(M, groups: GroupStructure, s: int, n_directions: int = 100_00
                 support[groups.members(label)] = True
             batch = rng.standard_normal((n_directions, p))
             batch = _cone_project(batch, groups, in_A, weights)
+            # _cone_project scales only coordinates off the support: da > 0 almost surely
             da = np.linalg.norm(batch[:, support], axis=1)
-            ok = da > 1e-12
-            quad = np.einsum("ij,jk,ik->i", batch[ok], M, batch[ok])
-            ratios = np.sqrt(np.maximum(quad, 0.0)) / da[ok]
-            if ratios.size == 0:
-                continue
+            quad = np.einsum("ij,jk,ik->i", batch, M, batch)
+            ratios = np.sqrt(np.maximum(quad, 0.0)) / da
             arg = int(np.argmin(ratios))
-            cand, cand_ratio = batch[ok][arg], float(ratios[arg])
+            cand, cand_ratio = batch[arg], float(ratios[arg])
             # local refinement: shrinking random perturbations
             scale = 0.5
             for step in range(refine_steps):
                 noise = scale * rng.standard_normal(p) * np.linalg.norm(cand) / np.sqrt(p)
                 prop = _cone_project((cand + noise)[None, :], groups, in_A, weights)[0]
-                r = ratio(prop, support)
+                r = np.sqrt(max(float(prop @ M @ prop), 0.0)) / np.linalg.norm(prop[support])
                 if r < cand_ratio:
                     cand, cand_ratio = prop, r
                 if (step + 1) % 60 == 0:

@@ -69,7 +69,6 @@ _DESIGN = {"kind!": str, "sizes!": [int], "n!": int, "noise_sigma": float, "seed
            "graph": {"path": str, "sizes": [int], "a": float, "b": float, "self_loops": bool}}
 _EXPERIMENT = {"design!": _DESIGN, "graph": (str, None, {"path": str, "estimate": float}),
                "fit": _FIT, "repeats": int, "output": str}
-_FIT_KEYS = tuple(_FIT_FIELDS)  # the FitConfig fields a fit section sets; the seed is derived
 # Each type's name in messages.
 _NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
           dict: "an object", list: "a list"}
@@ -191,7 +190,7 @@ def fit_with_config(X, y, g: Graph, fit_section: dict, seed: int,
     check_config(optimizer, tuple(OPTIMIZERS), "optimizer")
     check_config(fit_section, _FIT, "fit")
     merged = {**fit_section, **fit_section.get(optimizer, {})}
-    cfg = FitConfig(seed=seed, **{k: merged[k] for k in _FIT_KEYS if k in merged})
+    cfg = FitConfig(seed=seed, **{k: merged[k] for k in _FIT_FIELDS if k in merged})
     cfg.validate()
     _check_graph(g, X)
     cv_section = merged.get("cv")
@@ -233,6 +232,7 @@ def _run_repeat(config, repeat, base_seed):
     optimizers = tuple(OPTIMIZERS) if optimizers == "both" else (optimizers,)
     fits = {}
     for name in optimizers:
+        # a fit's seed tag is its optimizer's place in OPTIMIZERS plus 1
         fit_seed = _derived_seed(repeat_seed, 0xF17, list(OPTIMIZERS).index(name) + 1)
         result, lam, t, _, _ = fit_with_config(X, y, g, fit_section, fit_seed, name)
         fits[name] = result, lam, t, evaluate_fit(result.beta_thresholded, beta_star, X)

@@ -24,15 +24,8 @@ converge at the benchmark settings, can amplify such a gap near a zero
 coefficient by orders of magnitude over the iterations.
 
 An iteration steps each column's block S along the restricted subgradient
-and reads the loss off z = X beta and the penalty off h = K (beta (.) beta).
-If the blocks of all F columns hold fewer than p coordinates (q F < p), it
-gathers their rows of X^T, and of K^T when dense, and updates
-z += X[:, S] (beta_S,new - beta_S,old), h += K[:, S] (beta_S,new^2 - beta_S,old^2)
-(a walk table scatters the change into one apply): O((n + p) q) per
-iteration of one fit on a dense operator. Otherwise (SD, and block CD whose
-blocks cover p) it takes the full products X^T dz and K^T slope, scales each
-column's step by a 0/1 mask of its block, and recomputes z and h: one
-product each, as an update would cost, with no drift.
+and reads the loss off z = X beta and the penalty off h = K (beta (.) beta),
+kept by the product rule stated in _cd_lockstep's docstring.
 
 With q < p, block CD draws its blocks in chunks of iterations
 (_draw_blocks): each column takes p uniforms per iteration from its own
@@ -255,6 +248,16 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     k draws its blocks from its own stream seeded by seeds[k], so it follows
     the trajectory of its single fit; full blocks draw nothing.
 
+    The product rule: gathered rows update z = X beta and h = K (beta^2), and
+    a full product recomputes them. If the blocks of all F columns hold fewer
+    than p coordinates (q F < p), an iteration gathers their rows of X^T, and
+    of K^T when dense, and updates z += X[:, S] (beta_S,new - beta_S,old) and
+    h += K[:, S] (beta_S,new^2 - beta_S,old^2), O((n + p) q) a fit and
+    iteration; a walk table has no rows, so its gradient and h each take one
+    full product. Otherwise (SD, and block CD whose blocks cover p) it takes
+    the full products X^T dz and K^T slope, scales each column's step by a 0/1
+    mask of its block, and recomputes z and h, with no drift.
+
     The stop rule: a step is small when ||step|| <= eps_tol ||beta_S|| over
     the coordinates S it moves. A column stops after `streak` small steps in
     a row: one with full blocks, whose runs are not counted, and ceil(p / q)
@@ -268,7 +271,7 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
     p = X.shape[1]
     q = p if cfg.block_size is None else cfg.block_size
     F = beta[0].size
-    gather = q * F < p  # the module docstring's two regimes
+    gather = q * F < p  # the product rule's two regimes
     XT = np.ascontiguousarray(X.T) if gather else None  # rows of XT are columns of X
     rngs = [np.random.default_rng(_seed_sequence(s, 0xB10C)) for s in seeds]
     streak = -(-p // q)
@@ -309,13 +312,10 @@ def _cd_lockstep(X, y, op, cfg, lam, w, beta, seeds):
             beta[cells] = new
             z += _dot_rows(step, xrows)
             if penalized:
-                change = new * new - old * old
-                if krows is None:  # a walk table: one apply of the scattered change
-                    full = np.zeros_like(beta)
-                    full[cells] = change
-                    h += op.apply(full)
+                if krows is None:  # a walk table: recompute h, as a full product does
+                    h = op.apply(beta * beta)
                 else:
-                    h += _dot_rows(change, krows)
+                    h += _dot_rows(new * new - old * old, krows)
         else:
             old = beta
             if q < p:  # a 0/1 mask of each column's block scales its step
@@ -396,8 +396,7 @@ def block_cd(X, y, semigroup, cfg: FitConfig, beta0=None) -> FitResult:
     return _single_fit(X, y, semigroup, cfg, beta0)
 
 
-# Each optimizer by its name in configs, the CLI and cross_validate; a fit's
-# seed tag is its place here plus 1.
+# Each optimizer by its name in configs, the CLI and cross_validate.
 OPTIMIZERS = {"sd": subgradient_descent, "cd": block_cd}
 
 

@@ -142,6 +142,15 @@ class TestFit:
         assert f"t must be finite and >= 0, got {t}" in run.stderr
         assert not (tmp_path / "walks.hfm").exists()
 
+    def test_module_entry_prints_the_version(self):
+        import heatlasso
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(heatlasso.__file__))}
+        run = subprocess.run([sys.executable, "-m", "heatlasso.cli", "--version"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0
+        assert run.stdout == f"{heatlasso.__version__}\n"
+
     def test_flow_time_past_int32_step_counts_exits_one(self, tmp_path, capsys):
         # numpy's OverflowError escaped as a traceback
         data = write_toy_csv(tmp_path / "toy.csv")

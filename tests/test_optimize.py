@@ -384,6 +384,23 @@ class TestBlockCD:
                 cfg.lam * penalty_value(res.beta_hat, H)
             assert abs(res.objective_trace[-1] - scratch) <= 1e-10
 
+    def test_walk_table_block_step_keeps_h_equal_to_the_product(self):
+        # with X = 0, z stays exactly 0, so the last objective equals the one
+        # recomputed at the final beta bit for bit only if every block step on
+        # a walk table (p = 30 > 8 B) leaves h equal to K (beta^2)
+        rng = np.random.default_rng(7)
+        X = np.zeros((40, 30))
+        y = rng.standard_normal(40)
+        beta0 = rng.standard_normal(30)
+        H = simulate_heat_flow(sample_block_graph([10, 10, 10], 0.5, 0.05, seed=3),
+                               1.0, B=3, seed=4)
+        assert SmoothingOperator.compile(H).KT is None
+        cfg = FitConfig(lam=0.1, alpha0=0.01, rate_protocol="constant",
+                        max_iters=1000, eps_tol=0.0, block_size=2, seed=2)
+        res = block_cd(X, y, H, cfg, beta0)
+        assert res.objective_trace[-1] == \
+            loss_and_grad(res.beta_hat, X, y)[0] + cfg.lam * penalty_value(res.beta_hat, H)
+
 
 class TestBlockDraw:
     @pytest.mark.parametrize("p, q", [(30, 8), (30, 1), (30, 30), (1, 1), (7, 6)])
