@@ -119,7 +119,7 @@ def brute_force_re(M, groups: GroupStructure, s: int, n_directions: int = 100_00
     sum_{j not in A} sqrt(T_j)||d^j|| <= 3 sum_{j in A} sqrt(T_j)||d^j||,
     by random cone sampling plus local perturbation refinement. The search
     minimum is always >= the true value; assertions against it must carry
-    a search slack.
+    a search slack. An M with a nan or infinite entry is refused.
     """
     check_arg("s", s, "[1, inf)", int)
     check_arg("n_directions", n_directions, "[1, inf)", int)
@@ -129,6 +129,9 @@ def brute_force_re(M, groups: GroupStructure, s: int, n_directions: int = 100_00
     p, k = groups.p, groups.k
     if M.shape != (p, p):
         raise ShapeMismatch(f"M has shape {M.shape}, groups cover p={p}")
+    if not np.isfinite(M).all():
+        i, j = np.unravel_index(np.isfinite(M).argmin(), M.shape)  # the first, row-major
+        raise ValueError(f"M holds {M[i, j]} at entry ({i}, {j}); the search needs a finite M")
     if p > 12 or k > 5:
         raise DimensionTooLarge(f"brute force limited to p <= 12, k <= 5; "
                                 f"got p={p}, k={k}")
@@ -161,7 +164,7 @@ def brute_force_re(M, groups: GroupStructure, s: int, n_directions: int = 100_00
                 if (step + 1) % 60 == 0:
                     scale *= 0.5
             best = min(best, cand_ratio)
-    return float(best) if np.isfinite(best) else 0.0
+    return float(best)
 
 
 def flow_time_prescription(g: Graph, n: int, p: int, epsilon: float | None = None):

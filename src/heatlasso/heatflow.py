@@ -10,7 +10,12 @@ e^{-tL} = sum_N Poisson(N; Lambda_c t) (I - L/Lambda_c)^N on c, so a walk
 draws one step count N ~ Poisson(Lambda_c t) and takes N steps of the lazy
 chain I - L/Lambda_c: a step from v moves to each neighbour with
 probability 1/Lambda_c and stays with probability 1 - deg(v)/Lambda_c. A
-degree-0 vertex (Lambda_c = 0) never moves. The terminal vertices of B
+degree-0 vertex (Lambda_c = 0) never moves. On a complete component of m
+vertices, L = m (I - J/m) and the chain is uniformized at rate m instead:
+(I - L/m)^N = J/m for every N >= 1, so e^{-tL} = e^{-mt} I +
+(1 - e^{-mt}) J/m there, and a walk draws N ~ Poisson(mt) and, when
+N >= 1, one uniform vertex of the component (self-loops do not count
+against completeness, since L ignores them). The terminal vertices of B
 walks per start vertex are stored once and define the empirical kernel
 K^[i, j] = #{b : terminals[i, b] = j} / B, whose products K^ f estimate
 smoothed vectors by sample averages. A SmoothingOperator compiles a table
@@ -24,7 +29,10 @@ half a hash) costs about half a hold-time jump (a hash, a log, a stop test
 and gathers), so the trade breaks even near Lambda_c = 2 d_c: a component
 whose largest degree is more than about twice its mean (a hub) simulates
 slower than it would with holding times. On the benchmark graphs Lambda_c
-exceeds d_c by 4-10%.
+exceeds d_c by 4-10%. A walk on a complete component takes min(N, 1)
+steps, one hash and a multiply-shift whatever mt is; on the benchmark
+graphs 2-3 of the 4 estimated groups are complete and hold 80-92% of the
+lazy steps the chain would take there.
 
 Randomness is counter-based: a walk's step count and every step's draw
 are pure hashes of (seed, walk index, step) through one SplitMix64
@@ -75,22 +83,40 @@ def _hash_into(keys, d, out, scratch):
     return _finalize(np.bitwise_xor(keys, _U64(d), out=out), scratch)
 
 
-def _component_max_degree(g: Graph) -> np.ndarray:
-    """Lambda_c of each vertex: the largest degree in its connected
-    component, the per-label maximum over connected_components' labels."""
+def _components(g: Graph):
+    """Per-vertex facts of the connected components, from one
+    connected_components call: (lam, size, base, members). lam[v] is
+    Lambda_c, the largest degree in v's component; size[v] is the
+    component's size m when it is complete, else 0; members holds the
+    vertices sorted by component and then by index, and a complete
+    component's are members[base[v]:base[v] + m]. A component is complete
+    when m >= 2 and every vertex has m - 1 neighbours besides itself; a
+    self-loop does not count, since L ignores it."""
     count, labels = connected_components(g)
     lam = np.zeros(count, dtype=g.degrees.dtype)
     np.maximum.at(lam, labels, g.degrees)
-    return lam.take(labels)
+    others = g.degrees  # neighbours besides the vertex itself
+    if g.allow_self_loops:
+        rows = np.repeat(np.arange(g.p), g.degrees)
+        others = others - np.bincount(rows[rows == g.indices], minlength=g.p)
+    m = np.bincount(labels, minlength=count)
+    fewest = np.full(count, g.p)
+    np.minimum.at(fewest, labels, others)
+    size = np.where((m >= 2) & (fewest == m - 1), m, 0)
+    return (lam.take(labels), size.take(labels), (np.cumsum(m) - m).take(labels),
+            np.argsort(labels, kind="stable"))
 
 
 def _padded_rows(g: Graph, lam):
     """Every vertex's CSR row padded to lam[v] slots with copies of v, in one
-    array (int16 below 2^15 vertices, else int32), and each row's offset."""
+    array (int16 below 2^15 vertices, else int32), and each row's offset; a
+    vertex with lam[v] = 0 gets no slot."""
     offsets = np.zeros(g.p + 1, dtype=np.int64)
     np.cumsum(lam, out=offsets[1:])
     padded = np.repeat(np.arange(g.p, dtype=np.int16 if g.p <= 1 << 15 else np.int32), lam)
-    for at, start, end in zip(offsets.tolist(), g.indptr.tolist(), g.indptr[1:].tolist()):
+    rows = np.flatnonzero(lam)
+    for at, start, end in zip(offsets.take(rows).tolist(), g.indptr.take(rows).tolist(),
+                              g.indptr.take(rows + 1).tolist()):
         padded[at:at + end - start] = g.indices[start:end]
     return padded, offsets[:-1]
 
@@ -133,9 +159,11 @@ class HeatFlowMatrix:
 
     terminals[i, j] is where the j-th walk started at vertex i sits at time
     t; step_counts[i, j] is its step count N, the number of steps of the
-    lazy chain I - L/Lambda_c it took, stays included (None for matrices
-    loaded from disk, where only their total is stored); total_steps is
-    their sum (0 for a table loaded from an HFM1 file, which stores none).
+    lazy chain I - L/Lambda_c it took, stays included, or min(N, 1) on a
+    complete component, where one draw stands for all N steps (None for
+    matrices loaded from disk, where only their total is stored);
+    total_steps is their sum (0 for a table loaded from an HFM1 file,
+    which stores none).
     """
 
     terminals: np.ndarray
@@ -170,6 +198,17 @@ def _step_counts(key, rate, tables, rates):
     return n_steps
 
 
+def _stay_bound(mu):
+    """The walks of a Poisson(mu) step count, mu > 0, that draw N = 0 are
+    those whose key >> 11 lies below this bound, an integer in [0, 2^53]:
+    _step_counts gives N = 0 for u = (key >> 11) 2^-53 below F[0], that is
+    for key >> 11 below ceil(F[0] 2^53). Once the cut starts at k0 >= 1
+    (mu = inf too), no walk draws N = 0, and no table is built."""
+    if not _poisson_cut(mu)[0] < 1:
+        return 0
+    return math.ceil(_poisson_inverse(mu)[1][0] * 2.0 ** 53)
+
+
 def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMatrix:
     """Run B walks from every vertex until time t.
 
@@ -184,6 +223,16 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     finalizer of key ^ d, and move to slot (b * Lambda_c) >> 32, exact in
     uint64 and below Lambda_c, of the current vertex's padded row.
 
+    A walk from a complete component of m vertices is uniformized at rate
+    m instead. There L = m (I - J/m), so e^{-tL} = e^{-mt} I +
+    (1 - e^{-mt}) J/m: every step of the chain I - L/m lands uniformly on
+    the component, and only its last step decides the terminal. Its N ~
+    Poisson(m t) is drawn as above. With N = 0 it stays at its start;
+    otherwise it ends at slot (b * m) >> 32 of the component's sorted
+    vertices, b the low 32 bits of the finalizer of key ^ 0 (the draw of a
+    first step). Its step count is min(N, 1); it takes no round, and its
+    vertices get no padded row.
+
     Walks run in chunks of _CHUNK consecutive ids, each chunk to
     completion. A chunk's walks with N > 0 are sorted by N, largest first,
     so round r steps only the prefix of walks with N > r, and a walk's
@@ -197,37 +246,60 @@ def simulate_heat_flow(g: Graph, t: float, B: int, seed: int = 0) -> HeatFlowMat
     The table is bit-identical per (graph, t, B, seed) to any other
     schedule of the same walks: N and every step's draw are pure functions
     of (seed, walk id, step), and each walk's arithmetic never touches
-    another walk's. A t at which the largest component's cut of N,
-    ceil(Lambda_c t + 10 sqrt(Lambda_c t) + 30), would reach 2^31 (the
-    int32 step counts would wrap) is refused before any table is built.
+    another walk's. A t at which the cut of N in the largest component
+    that walks, ceil(Lambda_c t + 10 sqrt(Lambda_c t) + 30), would reach
+    2^31 (the int32 step counts would wrap) is refused before any table
+    is built. A complete component needs only P(N = 0), which is 0 once
+    the cut starts above 0, so no t is refused for it.
     """
     check_arg("B", B, "[1, inf)", int)
     check_arg("seed", seed, "[-2**63, 2**63)", int, bounds=(-(1 << 63), 1 << 63))
     check_arg("t", t, "[0, inf)")
     p = g.p
-    lam = _component_max_degree(g)
-    top = int(lam.max()) * t  # the largest component's Poisson mean
+    lam, size, base, members = _components(g)
+    lam[size > 0] = 0  # complete components take one draw, not lazy steps
+    top = int(lam.max()) * t  # the largest walking component's Poisson mean
     cut = _poisson_cut(top)[1]  # its _poisson_inverse k1, before the ceil
     if cut > (1 << 31) - 1:  # before any table: int32 step counts would wrap
         raise ValueError(f"t={t!r} is too long for Lambda_c={int(lam.max())}: step counts "
                          f"would reach {cut:.4g}, and they must stay below 2**31")
     terminals = np.repeat(np.arange(p, dtype=np.int32), B)
     steps = np.zeros(p * B, dtype=np.int32)
-    if top > 0:
+    if t > 0 and (lam.any() or size.any()):
         padded, offsets = _padded_rows(g, lam)
         # sets, not np.unique, which imports numpy.ma (about 1 MB) on its first call
         tables = {L: _poisson_inverse(L * t) for L in set(lam[lam > 0].tolist())}
-        size = min(_CHUNK, p * B)
-        hashed, scratch, slot = (np.empty(size, dtype=np.uint64) for _ in range(3))
-        at = np.empty(size, dtype=np.int64)
+        stay = np.zeros(p, dtype=np.uint64)  # a complete walk stays when key >> 11 is below
+        for m in set(size[size > 0].tolist()):
+            stay[size == m] = _stay_bound(m * t)
+        size = size.astype(np.uint64)
+        chunk = min(_CHUNK, p * B)
+        hashed, scratch, slot = (np.empty(chunk, dtype=np.uint64) for _ in range(3))
+        at = np.empty(chunk, dtype=np.int64)
         seed_key = _finalize(np.array([int(seed) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
                              scratch[:1])
         for start in range(0, p * B, _CHUNK):
             ids = np.arange(start, min(start + _CHUNK, p * B))
             key = _finalize(ids.astype(np.uint64) ^ seed_key, scratch[:len(ids)])
-            rate = lam.take(ids // B)
-            rates = set(lam[ids[0] // B:ids[-1] // B + 1].tolist())
-            n_steps = _step_counts(key, rate, tables, rates)
+            starts = ids // B
+            first, last = starts[0], starts[-1] + 1
+            if size[first:last].any():  # complete components: one draw per walk
+                jump = np.flatnonzero(size.take(starts))
+                n, v = len(jump), starts.take(jump)
+                np.take(key, jump, out=hashed[:n], mode="clip")
+                moved = np.right_shift(hashed[:n], _U64(11), out=slot[:n]) >= stay.take(v)
+                s = np.bitwise_and(_hash_into(hashed[:n], 0, hashed[:n], scratch[:n]), _LOW,
+                                   out=slot[:n])
+                s *= size.take(v)
+                s >>= _HALF
+                np.add(base.take(v), s.view(np.int64), out=at[:n])
+                jump = jump[moved] + start
+                terminals[jump] = members.take(at[:n][moved])
+                steps[jump] = 1
+            if not lam[first:last].any():
+                continue
+            rate = lam.take(starts)
+            n_steps = _step_counts(key, rate, tables, set(lam[first:last].tolist()))
             order = np.argsort(-n_steps)[:np.count_nonzero(n_steps)]  # by N, largest first
             if not len(order):
                 continue

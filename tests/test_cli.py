@@ -152,12 +152,15 @@ class TestFit:
         assert run.stdout == f"{heatlasso.__version__}\n"
 
     def test_flow_time_past_int32_step_counts_exits_one(self, tmp_path, capsys):
-        # numpy's OverflowError escaped as a traceback
-        data = write_toy_csv(tmp_path / "toy.csv")
-        (tmp_path / "edge.txt").write_text("p 2\n0 1\n")
-        assert main(["fit", str(data), "--graph", str(tmp_path / "edge.txt"), "--t", "1e300",
+        # numpy's OverflowError escaped as a traceback. A path of 3 vertices
+        # walks (a complete graph takes one draw and is never refused)
+        data = tmp_path / "toy3.csv"
+        rows = np.random.default_rng(0).standard_normal((20, 4))
+        np.savetxt(data, rows, delimiter=",", header="y,x1,x2,x3", comments="")
+        (tmp_path / "path.txt").write_text("p 3\n0 1\n1 2\n")
+        assert main(["fit", str(data), "--graph", str(tmp_path / "path.txt"), "--t", "1e300",
                      "--walks", "5", "--max-iters", "3", "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("error: t=1e+300 is too long for Lambda_c=1:")
+        assert capsys.readouterr().err.startswith("error: t=1e+300 is too long for Lambda_c=2:")
 
     def test_block_cd_optimizer_flag(self, tmp_path):
         data = write_toy_csv(tmp_path / "toy.csv")

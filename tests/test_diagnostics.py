@@ -1,4 +1,6 @@
 """Metrics, penalty-weight floor, RE search, prescriptions, spectral bounds."""
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,14 @@ def test_shape_against_the_groups_is_refused(call, match):
 
 
 class TestBruteForceRE:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused(self, bad):
+        # such an M gave a restricted eigenvalue of 0.0, with no error
+        M = np.eye(4)
+        M[2, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(f"M holds {bad} at entry (2, 2)")):
+            brute_force_re(M, GroupStructure.from_sizes([2, 2]), 1, n_directions=100)
+
     def test_identity(self):
         groups = GroupStructure.from_sizes([3, 3])
         est = brute_force_re(np.eye(6), groups, s=1, n_directions=20_000,

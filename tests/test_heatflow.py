@@ -22,9 +22,11 @@ from heatlasso.graphs import (
     Graph,
     complete_graph,
     connected_components,
+    disjoint_union,
     figure_graph,
     group_clique_graph,
     sample_block_graph,
+    sample_clustered_network,
 )
 from heatlasso.heatflow import (
     _CHUNK,
@@ -47,6 +49,7 @@ def random_graph(rng, p, density=0.45):
 
 
 EDGE = Graph(2, [(0, 1)])
+PATH3 = Graph(3, [(0, 1), (1, 2)])  # the smallest graph that walks: K_2 takes one draw
 
 
 class TestSimulation:
@@ -159,10 +162,10 @@ class TestSimulation:
 
     def test_step_counts_past_int32_are_refused_before_any_table(self, monkeypatch):
         # t = 1e300 made numpy raise OverflowError; past 2**31 the int32 step
-        # counts would wrap. On EDGE, Lambda_c = 1, and the largest step
-        # count of the Poisson cut is ceil(t + 10 sqrt(t) + 30).
+        # counts would wrap. On PATH3, Lambda_c = 2, and the largest step
+        # count of the Poisson cut is ceil(2t + 10 sqrt(2t) + 30).
         def cut(t):
-            return t + 10.0 * np.sqrt(t) + 30.0
+            return 2.0 * t + 10.0 * np.sqrt(2.0 * t) + 30.0
 
         lo, hi = 0.0, 2.0 ** 31  # bisected to the last t whose cut's ceil is below 2**31
         while np.nextafter(lo, hi) < hi:
@@ -175,12 +178,12 @@ class TestSimulation:
             raise MemoryError("a table this long is not built here")
         monkeypatch.setattr(heatflow, "_poisson_inverse", no_table)
         for t in (1e300, hi, float(np.nextafter(hi, np.inf))):
-            with pytest.raises(ValueError, match=re.escape(f"t={t!r} is too long for Lambda_c=1: ")):
-                simulate_heat_flow(EDGE, t, B=2)
+            with pytest.raises(ValueError, match=re.escape(f"t={t!r} is too long for Lambda_c=2: ")):
+                simulate_heat_flow(PATH3, t, B=2)
         assert tables == []
         with pytest.raises(MemoryError):  # below the bound the table is begun as before
-            simulate_heat_flow(EDGE, lo, B=2)
-        assert tables == [lo]
+            simulate_heat_flow(PATH3, lo, B=2)
+        assert tables == [2.0 * lo]
 
     def test_numpy_integer_B_and_seed(self):
         g = figure_graph()
@@ -206,23 +209,36 @@ def reference_walks(g, t, B, seed):
     component labels, the step count N by bisecting the Poisson table at
     the top 53 bits of the walk's key, and step s's slot from the low
     (s even) or high (s odd) half of the hash of key ^ (s // 2), read off
-    the unpadded CSR row (a slot past the degree stays put)."""
+    the unpadded CSR row (a slot past the degree stays put). A walk from
+    a complete component of m vertices (each adjacent to the m - 1 others)
+    draws N at rate m and, if N > 0, ends at slot (b m) >> 32 of the
+    component's sorted vertices, b the low half of the hash of key ^ 0; its
+    step count is min(N, 1)."""
     _, labels = connected_components(g)
     lam = np.zeros(g.p, dtype=np.int64)
     np.maximum.at(lam, labels, g.degrees)
     lam = lam[labels].tolist()
     indptr, indices, degrees = g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist()
+    members = {c: [v for v in range(g.p) if labels[v] == c] for c in set(labels.tolist())}
+    clique = {v: vs for vs in members.values() for v in vs if len(vs) >= 2 and all(
+        set(g.neighbors(u).tolist()) - {u} == set(vs) - {u} for u in vs)}
     seed_key, tables = _mix(seed & _MASK64), {}
     terminals, steps = [], []
     for w in range(g.p * B):
         v = w // B
-        rate, key, n = lam[v], _mix(w ^ seed_key), 0
+        rate, key, n = len(clique[v]) if v in clique else lam[v], _mix(w ^ seed_key), 0
         if t > 0 and rate:
             if rate not in tables:
                 k0, F = heatflow._poisson_inverse(rate * t)[:2]
                 tables[rate] = k0, F.tolist()
             k0, F = tables[rate]
             n = k0 + bisect.bisect_right(F, (key >> 11) * 2.0 ** -53)
+        if v in clique:
+            if n:
+                v = clique[v][((_mix(key) & 0xFFFFFFFF) * rate) >> 32]
+            terminals.append(v)
+            steps.append(min(n, 1))
+            continue
         for s in range(n):
             h = _mix(key ^ (s >> 1))
             slot = ((h >> 32 if s & 1 else h & 0xFFFFFFFF) * rate) >> 32
@@ -299,9 +315,36 @@ class TestChunkedScheduleMatchesReference:
         assert not H.step_counts[[0, 1, 4]].any()
         assert H.step_counts[[2, 3, 5, 6]].any(axis=1).all()
 
+    def test_complete_components_across_chunks(self):
+        # K4 on the even vertices 0-6, interleaved with a path on 1, 3, 5,
+        # and the isolated vertex 7: the walks of vertex 2 (ids 12,000 to
+        # 17,999) span the first chunk boundary, those of the path's vertex
+        # 5 the second
+        g = Graph(8, [(a, b) for a in (0, 2, 4, 6) for b in (0, 2, 4, 6) if a < b]
+                  + [(1, 3), (3, 5)])
+        B = 6000
+        assert 2 * B < _CHUNK < 3 * B and 5 * B < 2 * _CHUNK < 6 * B
+        H = self.assert_same_table(g, 0.3, B, seed=37)
+        assert H.step_counts[[0, 2, 4, 6]].max() == 1 and H.step_counts[[1, 3, 5]].max() > 1
+        assert not (H.step_counts[[0, 2, 4, 6]].all() or H.step_counts[7].any())
+
+    @pytest.mark.parametrize("t", [1e-9, 0.05, 1.0, 40.0])
+    def test_complete_components_with_self_loops_and_k2(self, t):
+        # K2, K3 with a self-loop at each vertex (still complete: L ignores
+        # loops), K3 with one loop, a triangle with a pendant (not complete)
+        # and an isolated vertex; at t = 40 no walk on K3 has N = 0
+        edges = [(0, 1), (2, 3), (3, 4), (2, 4), (2, 2), (3, 3), (4, 4),
+                 (5, 6), (6, 7), (5, 7), (5, 5), (8, 9), (9, 10), (8, 10), (10, 11)]
+        g = Graph(13, edges, allow_self_loops=True)
+        H = self.assert_same_table(g, t, 300, seed=41)
+        assert H.step_counts[:8].max() <= 1
+
     @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
-    def test_chunk_length_does_not_change_the_table(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("cliques", [False, True], ids=["sbm", "cliques"])
+    def test_chunk_length_does_not_change_the_table(self, monkeypatch, chunk, cliques):
         g = sample_block_graph([8, 12, 10], 0.4, 0.05, seed=6, self_loops=True)
+        if cliques:  # two complete groups with a self-loop at every vertex, and one that walks
+            g = sample_clustered_network([8, 12, 10], [1.0, 0.4, 1.0], seed=6)
         want = simulate_heat_flow(g, 1.3, 40, seed=5)
         monkeypatch.setattr(heatflow, "_CHUNK", chunk)
         got = simulate_heat_flow(g, 1.3, 40, seed=5)
@@ -310,12 +353,13 @@ class TestChunkedScheduleMatchesReference:
 
     def test_table_hash_is_pinned(self):
         # integer arithmetic apart from the Poisson table, which takes only
-        # IEEE products, quotients and sums: the same bytes on every platform
+        # IEEE products, quotients and sums: the same bytes on every platform.
+        # The edge is K_2, so each walk takes min(N, 1) steps, N ~ Poisson(2)
         H = simulate_heat_flow(figure_graph(), 1.0, 1000, seed=0)
         digest = hashlib.sha256(H.terminals.astype("<i4").tobytes()
                                 + H.step_counts.astype("<i4").tobytes()).hexdigest()
-        assert digest == "d80a994acb680b63047b2a54622c69bdddd0ebb6b2d9514037e3f7c61141d880"
-        assert H.total_steps == 1997
+        assert digest == "aea0175fbe3bf0c421ab0f8d5c5b367308d2d67b4bdd8671990adb15ccff55bf"
+        assert H.total_steps == 1716
 
 
 class TestDrawMapping:
@@ -364,19 +408,21 @@ class TestDrawMapping:
         H = self.run_with_hashes(monkeypatch, [high << 32 | low])
         assert H.terminals.ravel().tolist() == ends
 
-    @pytest.mark.parametrize("key, steps, ends", [(0, 0, [0, 1]), (2 ** 64 - 1, 17, [1, 0])],
+    @pytest.mark.parametrize("key, steps, ends", [(0, 0, [0, 1, 2]), (2 ** 64 - 1, 17, [0, 2, 2])],
                              ids=["bottom", "top"])
     def test_step_count_at_both_ends_of_the_53_bit_uniform(self, monkeypatch, key, steps, ends):
-        # one edge at t = 1: Poisson(1) steps, each to the other end. u = 0
+        # the path 0-1-2 at t = 1/2: Lambda_c = 2, so Poisson(1) steps. u = 0
         # gives N = 0; u = 1 - 2^-53 gives 17, as Poisson(1) puts 1.1e-15
-        # above 16 and 6.1e-17 < 2^-53 above 17
+        # above 16 and 6.1e-17 < 2^-53 above 17. Every hash is 2^64 - 1 too,
+        # so every step takes slot 1: 0 stays (its padding), 1 goes to 2 and
+        # 2 stays
         def fixed(x, scratch):
             x[:] = np.uint64(key)
             return x
 
         monkeypatch.setattr(heatflow, "_finalize", fixed)
-        H = simulate_heat_flow(EDGE, 1.0, B=1)
-        assert H.step_counts.ravel().tolist() == [steps] * 2
+        H = simulate_heat_flow(PATH3, 0.5, B=1)
+        assert H.step_counts.ravel().tolist() == [steps] * 3
         assert H.terminals.ravel().tolist() == ends
 
     def test_one_hash_of_key_xor_d_per_two_steps(self, monkeypatch):
@@ -402,20 +448,71 @@ class TestUniformization:
         # smallest vertex, and an isolated vertex
         path = [(i, i + 1) for i in range(5, 604)] + [(604, j) for j in range(605, 610)]
         g = Graph(611, [(0, j) for j in range(1, 5)] + path)
-        lam = heatflow._component_max_degree(g)
+        lam = heatflow._components(g)[0]
         assert lam.dtype == np.int64 and lam.tolist() == [4] * 5 + [6] * 605 + [0]
         # 2,002 vertices: a path whose only degree-3 vertex (row 1,999)
         # carries two leaves
         g = Graph(2002, [(i, i + 1) for i in range(1999)] + [(1999, 2000), (1999, 2001)])
-        assert heatflow._component_max_degree(g).tolist() == [3] * 2002
+        assert heatflow._components(g)[0].tolist() == [3] * 2002
+
+    def test_complete_components_are_found(self):
+        # K3, K4 minus an edge, K2 with a self-loop at one end, a 4-cycle,
+        # K3 with loops everywhere, and an isolated vertex with a loop
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+                 (7, 8), (8, 8), (9, 10), (10, 11), (11, 12), (9, 12),
+                 (13, 14), (14, 15), (13, 15), (13, 13), (14, 14), (15, 15), (16, 16)]
+        lam, size, base, members = heatflow._components(Graph(17, edges, allow_self_loops=True))
+        assert size.tolist() == [3] * 3 + [0] * 4 + [2] * 2 + [0] * 4 + [3] * 3 + [0]
+        for v in np.flatnonzero(size):
+            group = members[base[v]:base[v] + size[v]].tolist()
+            assert v in group and group == sorted(group)
+        assert lam[[7, 13, 16]].tolist() == [2, 3, 1]
 
     def test_step_count_mean_and_variance_are_lambda_t(self):
-        # K5 is 4-regular, so N ~ Poisson(6) at t = 1.5; 100,000 walks put
-        # the mean within 0.04 (5 sd) and the variance within 0.15 (5 sd)
-        H = simulate_heat_flow(complete_graph(5), 1.5, 20_000, seed=11)
+        # the circulant C_8(1, 2) is 4-regular and not complete, so N ~
+        # Poisson(6) at t = 1.5; 100,000 walks put the mean within 0.04
+        # (5 sd) and the variance within 0.15 (5 sd)
+        g = Graph(8, [(i, (i + d) % 8) for i in range(8) for d in (1, 2)])
+        assert g.degrees.tolist() == [4] * 8
+        H = simulate_heat_flow(g, 1.5, 12_500, seed=11)
         n = H.step_counts.ravel().astype(np.float64)
         assert abs(n.mean() - 6.0) < 0.04
         assert abs(n.var() - 6.0) < 0.15
+
+    def test_one_draw_on_complete_components_keeps_the_law(self):
+        # K5, K_2 and a complete group of 3, beside a 4-vertex path and an
+        # isolated vertex: every entry of K^ within 5 binomial sd of e^{-tL}
+        # at B = 20,000, and the complete components' walks take at most
+        # one step each
+        g = disjoint_union(complete_graph(5), Graph(4, [(0, 1), (1, 2), (2, 3)]),
+                           complete_graph(2), Graph(1), complete_graph(3))
+        B, t = 20_000, 0.3
+        H = simulate_heat_flow(g, t, B, seed=19)
+        K, Khat = exact_heat_kernel(g, t), empirical_kernel(H)
+        sd = np.sqrt(np.maximum(K * (1 - K), 1e-12) / B)
+        assert np.all(np.abs(Khat - K) <= 5 * sd + 1e-12)
+        clique = np.r_[0:5, 9:11, 12:15]
+        assert H.step_counts[clique].max() == 1 and H.step_counts[5:9].max() > 1
+
+    @pytest.mark.parametrize("t", [0.05, 2.0, 1e300])
+    def test_complete_component_walk_is_one_uniform_draw(self, t):
+        # on K6, a walk takes min(N, 1) steps, N ~ Poisson(6 t), and one that
+        # moves ends uniformly on the component, its start included. At
+        # t = 1e300 every walk moves, where the lazy chain would be refused
+        g = complete_graph(6)
+        B = 6000
+        H = simulate_heat_flow(g, t, B, seed=23)
+        assert set(np.unique(H.step_counts).tolist()) <= {0, 1}
+        moved = H.step_counts == 1
+        stay = np.exp(-6 * t)
+        assert abs((~moved).mean() - stay) <= 5 * np.sqrt(stay * (1 - stay) / (6 * B)) + 1e-12
+        assert np.all(H.terminals[~moved] == np.nonzero(~moved)[0])
+        counts = np.bincount(H.terminals[moved], minlength=6)  # chi-square, 5 dof
+        expected = moved.sum() / 6
+        assert ((counts - expected) ** 2 / expected).sum() < 25.0
+        for i in range(6):  # each start's moves are uniform too
+            row = np.bincount(H.terminals[i][moved[i]], minlength=6)
+            assert ((row - row.sum() / 6) ** 2 / (row.sum() / 6)).sum() < 25.0
 
     @pytest.mark.parametrize("mu", [0.05, 1.0, 8.0, 80.3, 400.0, 5000.0])
     def test_poisson_table_is_the_cdf(self, mu):
